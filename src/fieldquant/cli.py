@@ -114,6 +114,8 @@ def cmd_evolve1d(args) -> int:
     grid = gr.Grid1D(cfg.box_length, args.grid_n, "dirichlet")
     x = grid.x
     sigma = args.sigma
+    if not (math.isfinite(sigma) and sigma > 0):
+        raise ValueError("--sigma must be finite and positive")
     psi0 = ((2.0 * math.pi * sigma ** 2) ** -0.25
             * np.exp(-(x - args.x0) ** 2 / (4.0 * sigma ** 2))
             * np.exp(1j * args.p0 * x / cfg.hbar))
@@ -349,6 +351,9 @@ def main(argv=None) -> int:
         return 2
     except (alg.ParseError, gr.NyquistError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except prop.AlreadyConvergedError as exc:
+        print(f"error: {exc}; no order estimate at this step size", file=sys.stderr)
         return 2
 
 

@@ -227,7 +227,7 @@ def build_config(raw: dict) -> SystemConfig:
                           f"plane_wave_norm must be one of {PLANE_WAVE_NORMS}")
 
     ladder_depth = raw.get("ladder_depth", 6)
-    if not isinstance(ladder_depth, int) or ladder_depth < 0:
+    if isinstance(ladder_depth, bool) or not isinstance(ladder_depth, int) or ladder_depth < 0:
         raise ConfigError("ladder_depth", "ladder_depth must be a nonnegative integer")
 
     override = raw.get("hamiltonian_override")

@@ -111,6 +111,8 @@ def snap_offset(grid: Grid1D, value: float) -> float:
 def commensurate_time(cfg: SystemConfig, grid: Grid1D, k: int = 1) -> float:
     """t_k = 2 pi hbar k / (q E L): times at which the plane-wave factor of
     the electric solution lies exactly on the periodic grid."""
+    if cfg.electric == 0:
+        raise ValueError("commensurate times need a nonzero electric field")
     return 2.0 * math.pi * cfg.hbar * k / (cfg.charge * cfg.electric * grid.length)
 
 

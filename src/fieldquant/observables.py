@@ -9,7 +9,7 @@ import numpy as np
 
 from .config import SystemConfig, ConfigError
 from .solutions import AnalyticSolution
-from .grids import WaveField, Grid1D, _fd4_first
+from .grids import DIRICHLET_BAND, WaveField, Grid1D, _fd4_first
 from .propagate import TrajectoryRecord
 
 DENSITY_FLOOR_FRACTION = 1e-12  # of the peak density; below it v is absent (nan)
@@ -115,5 +115,4 @@ def continuity_residual(prev: WaveField, mid: WaveField, nxt: WaveField,
     grid = mid.grid
     dj_dx = _fd4_first(profile.current, grid.dx, grid.boundary == "periodic")
     r = rho_dot + dj_dx
-    band = 4
-    return float(np.max(np.abs(r[band:-band])))
+    return float(np.max(np.abs(r[DIRICHLET_BAND:-DIRICHLET_BAND])))

@@ -212,3 +212,21 @@ def test_units_override_flag(tmp_path):
                 "--grid-n", "32", "--units", "cgs", "--out-dir", str(tmp_path)]) == 0
     text = (tmp_path / "eval_fundamental.csv").read_text()
     assert "# config.units=cgs" in text
+
+
+@pytest.mark.parametrize("args, message", [
+    (["evolve1d", "--dt", "nan"], "infs or NaNs"),
+    (["evolve1d", "--sigma", "0"], "--sigma must be finite and positive"),
+    (["evolve1d", "--richardson", "--dt", "1e-13"], "already converged"),
+])
+def test_evolve1d_bad_input_exit_2(tmp_path, capsys, args, message):
+    code = run(args + ["--steps", "64", "--grid-n", "128", "--out-dir", str(tmp_path)])
+    assert code == 2
+    assert message in capsys.readouterr().err
+
+
+def test_verify_quantization_zero_field_exit_2(tmp_path, capsys):
+    path = tmp_path / "free.json"
+    path.write_text(json.dumps({"m": 1, "q": 1, "E": 0, "L": 8.0}))
+    assert run(["verify", "--filter", "quant", "--config", str(path)]) == 2
+    assert "nonzero electric field" in capsys.readouterr().err

@@ -36,6 +36,8 @@ def test_defaults_applied():
     ({"m": 1, "q": 1, "E": 1, "L": 10, "geometry": "spiral"}, "geometry", "unknown geometry"),
     ({"m": 1, "q": 1, "E": 1, "L": 10, "eigen_sign": "up"}, "eigen_sign", "eigen_sign"),
     ({"m": 1, "q": 1, "E": 1, "L": 10, "bogus": 3}, "bogus", "unknown configuration key"),
+    ({"m": 1, "q": 1, "E": 1, "L": 10, "ladder_depth": True}, "ladder_depth",
+     "ladder_depth must be a nonnegative integer"),
 ])
 def test_validation_errors(raw, bad_field, message):
     with pytest.raises(ConfigError) as err:

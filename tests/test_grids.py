@@ -75,6 +75,11 @@ def test_commensurate_time_formula():
     assert G.commensurate_time(CFG, GRID, 3) == pytest.approx(6.0 * math.pi / 8.0)
 
 
+def test_commensurate_time_needs_a_field():
+    with pytest.raises(ValueError, match="nonzero electric field"):
+        G.commensurate_time(natural_config(E=0.0), GRID, 1)
+
+
 def test_landau_grid_commensurate():
     g2 = G.landau_grid(CFG_PAR, npoints=64, ly=24.0)
     # both gauge plane-wave phases lie on the grid

@@ -6,6 +6,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.linalg import solve_banded
 
 from fieldquant import grids as G
 from fieldquant import propagate as P
@@ -55,6 +56,37 @@ def test_cn_norm_drift_over_many_steps():
     for _ in range(10000):
         v = stepper.step(v)
     assert abs(G.norm(G.WaveField(grid, v, 0.0)) - G.norm(f0)) < 1e-10
+
+
+def test_cn_factored_steps_match_solve_banded_bit_for_bit():
+    """Reference: the per-step banded solve, which refactors the matrix."""
+    grid = G.Grid1D(40.0, 256, "dirichlet")
+    f0 = gaussian_packet(grid, p0=0.5)
+    dt, hbar, m = 1e-3, CFG40.hbar, CFG40.mass
+    kin_diag = hbar ** 2 / (m * grid.dx ** 2)
+    kin_off = -hbar ** 2 / (2.0 * m * grid.dx ** 2)
+    lam = 1j * dt / (2.0 * hbar)
+    diag = kin_diag - CFG40.charge * CFG40.electric * grid.x
+    ab = np.zeros((3, grid.npoints), dtype=complex)
+    ab[0, 1:] = lam * kin_off
+    ab[1, :] = 1.0 + lam * diag
+    ab[2, :-1] = lam * kin_off
+    ref = f0.values.copy()
+    for _ in range(100):
+        rhs = (1.0 - lam * diag) * ref
+        rhs[:-1] -= lam * kin_off * ref[1:]
+        rhs[1:] -= lam * kin_off * ref[:-1]
+        ref = solve_banded((1, 1), ab, rhs)
+    got = P.CrankNicolson1D(grid, CFG40, dt).advance(f0.values, 100)
+    assert np.array_equal(got, ref)
+
+
+def test_cn_rejects_non_finite_input():
+    grid = G.Grid1D(40.0, 64, "dirichlet")
+    values = gaussian_packet(grid).values
+    values[10] = np.nan
+    with pytest.raises(ValueError, match="infs or NaNs"):
+        P.CrankNicolson1D(grid, CFG40, 1e-3).step(values)
 
 
 def test_cn_free_particle_spreads_in_place():
@@ -129,6 +161,40 @@ def landau_eigenstate():
     dy = G.snap_shift(g2.y, 1.0)
     state = S.parallel_family_y(CFG_PAR, 0, dy, lz_box=g2.z.length)
     return g2, G.sample(state, g2, 0.0)
+
+
+def six_fft_strang_step(stepper, values):
+    """Reference: one unfused Strang step back in (y, z)."""
+    half = stepper._half_kick_y
+    v = np.fft.ifft(half * np.fft.fft(values, axis=0), axis=0)
+    v = np.fft.ifft(stepper._kick_gauge * np.fft.fft(v, axis=1), axis=1)
+    return np.fft.ifft(half * np.fft.fft(v, axis=0), axis=0)
+
+
+@pytest.mark.parametrize("steps", [1, 2, 512])
+def test_split_advance_matches_unfused_steps(landau_eigenstate, steps):
+    g2, f0 = landau_eigenstate
+    rng = np.random.default_rng(3)
+    v = f0.values * np.exp(1j * rng.uniform(0.0, 0.1, size=g2.shape))
+    stepper = P.SplitStepYZ(g2, CFG_PAR, P.cyclotron_period(CFG_PAR) / 512)
+    ref = v
+    for _ in range(steps):
+        ref = six_fft_strang_step(stepper, ref)
+    got = stepper.advance(v, steps)
+    assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(v))
+
+
+@pytest.mark.parametrize("method", ["cn_1d", "split_yz"])
+def test_evolve_cadence_rows_match_every_step_rows(landau_eigenstate, method):
+    if method == "cn_1d":
+        f0, cfg, dt = gaussian_packet(G.Grid1D(40.0, 256, "dirichlet"), p0=0.5), CFG40, 1e-3
+    else:
+        f0, cfg, dt = landau_eigenstate[1], CFG_PAR, P.cyclotron_period(CFG_PAR) / 64
+    dense = P.evolve(f0, P.EvolutionSpec(dt=dt, steps=64, cadence=1, method=method), cfg)
+    sparse = P.evolve(f0, P.EvolutionSpec(dt=dt, steps=64, cadence=8, method=method), cfg)
+    assert len(sparse.rows) == 9
+    assert np.max(np.abs(np.array(sparse.rows) - np.array(dense.rows[::8]))) < 1e-13
+    assert sparse.final.t == dense.final.t
 
 
 def test_split_eigenstate_one_period(landau_eigenstate):
