@@ -2,27 +2,40 @@
 
 An ``OperatorExpr`` is a finite sum of terms
 
-    rational coefficient * parameter monomial * generator word,
+    rational coefficient * i^(0|1) * parameter monomial * normal-ordered word,
 
-stored in a canonical normal-ordered form, so conservation statements are
-decided by exact structural equality and never hide behind a tolerance.
+so conservation statements are decided by exact structural equality and never
+hide behind a tolerance.  Symbolic parameters are {hbar, m, q, E, wc, c} with
+integer exponents; i^2 is folded into the rational coefficient.
 
 Generators and their canonical order: x < y < z < t < px < py < pz < dt.
-Rewriting rules used for normal ordering:
+Only the pairs (x, px), (y, py), (z, pz) and (t, dt) fail to commute:
 
     px*x = x*px - i*hbar      (same for y, z pairs)
     dt*t = t*dt + 1
 
-and every other pair of distinct generators commutes.  ``dt`` is the formal
-derivative with respect to explicit time; the energy operator is i*hbar*dt.
-Symbolic parameters are {hbar, m, q, E, wc, c} with integer exponents, plus
-the imaginary unit i with i^2 folded into the rational coefficient.
+so a normal-ordered word x^a y^b z^c t^d px^e py^f pz^g dt^h is fully given
+by its eight exponents.  A term is stored as one flat exponent tuple
+
+    (i power, hbar, m, q, E, wc, c, x, y, z, t, px, py, pz, dt) -> Fraction,
+
+canonical by construction.  The product of two terms is the elementwise
+exponent sum plus contraction terms, which factorise over the four pairs
+into the one-pair closed form
+
+    p^e x^b = sum_k C(e,k) C(b,k) k! (-i*hbar)^k x^(b-k) p^(e-k)
+
+(with +1 in place of -i*hbar for dt, t).  The k = 0 terms of a*b and b*a are
+the same exponent sum, so ``commutator`` forms only the contraction terms of
+the two orders.  ``dt`` is the formal derivative with respect to explicit
+time; the energy operator is i*hbar*dt.
 """
 
 from __future__ import annotations
 
 from enum import IntEnum
 from fractions import Fraction
+from operator import add
 
 from .config import SystemConfig, ConfigError
 
@@ -45,68 +58,59 @@ NAME_TO_GEN = {v: k for k, v in GEN_NAMES.items()}
 PARAMS = ("hbar", "m", "q", "E", "wc", "c")
 _PARAM_INDEX = {name: k for k, name in enumerate(PARAMS)}
 
-# monomial = (i_power in {0,1}, exponent tuple over PARAMS)
-_MONO_ONE = (0, (0,) * len(PARAMS))
-_MONO_IHBAR = (1, (1, 0, 0, 0, 0, 0))
+# term key layout: i power, then PARAMS exponents, then Gen exponents
+_HBAR = 1 + _PARAM_INDEX["hbar"]
+_GEN_BASE = 1 + len(PARAMS)
+_KEY_ONE = (0,) * (_GEN_BASE + len(Gen))
+_P_BASE = _GEN_BASE + Gen.PX          # first momentum slot
 
-# conjugate canonical pairs: position generator paired with its momentum
-_CANON_PAIR = {Gen.PX: Gen.X, Gen.PY: Gen.Y, Gen.PZ: Gen.Z}
-
-
-def _mono_mul(a, b):
-    """Product of two parameter monomials; returns (sign, monomial)."""
-    ipow = a[0] + b[0]
-    sign = 1
-    if ipow >= 2:       # i^2 = -1
-        ipow -= 2
-        sign = -1
-    exps = tuple(x + y for x, y in zip(a[1], b[1]))
-    return sign, (ipow, exps)
+# noncommuting pairs as (position slot, momentum slot, contraction is -i*hbar)
+_PAIRS = tuple((_GEN_BASE + x, _GEN_BASE + p, p != Gen.DT)
+               for x, p in ((Gen.X, Gen.PX), (Gen.Y, Gen.PY), (Gen.Z, Gen.PZ), (Gen.T, Gen.DT)))
 
 
-def _mono_pow(mono, n):
-    sign = 1
-    out = _MONO_ONE
-    for _ in range(n):
-        s, out = _mono_mul(out, mono)
-        sign *= s
-    return sign, out
+def _key_with(slot: int, power: int):
+    return _KEY_ONE[:slot] + (power,) + _KEY_ONE[slot + 1:]
 
 
-def _normalize_word(word):
-    """Rewrite a generator word into canonical order.
+def _accumulate(terms, ka, kb, coeff, contractions_only=False):
+    """Add coeff * (term ka) * (term kb), normal ordered, into ``terms``.
 
-    Returns a dict {(monomial, sorted_word): Fraction} equal to the input
-    word as an operator.
+    ka = X_a P_a and kb = X_b P_b, so only P_a X_b needs reordering, one
+    noncommuting pair at a time.  With ``contractions_only`` the k = 0 term
+    (the plain exponent sum, shared by ka*kb and kb*ka) is left out.
     """
-    out = {}
-    stack = [(Fraction(1), _MONO_ONE, tuple(word))]
-    while stack:
-        coeff, mono, w = stack.pop()
-        # find the first out-of-order adjacent pair
-        k = -1
-        for j in range(len(w) - 1):
-            if w[j] > w[j + 1]:
-                k = j
-                break
-        if k < 0:
-            key = (mono, w)
-            out[key] = out.get(key, Fraction(0)) + coeff
+    # (exponents, integer weight) per partial contraction; the all-k = 0 entry stays first
+    parts = [(list(map(add, ka, kb)), 1)]
+    for xs, ps, ihbar in _PAIRS:
+        e, b = ka[ps], kb[xs]
+        if not (e and b):
             continue
-        a, b = w[k], w[k + 1]
-        swapped = w[:k] + (b, a) + w[k + 2:]
-        if a in _CANON_PAIR and _CANON_PAIR[a] == b:
-            # p*x = x*p - i*hbar
-            stack.append((coeff, mono, swapped))
-            sign, mono2 = _mono_mul(mono, _MONO_IHBAR)
-            stack.append((-sign * coeff, mono2, w[:k] + w[k + 2:]))
-        elif a == Gen.DT and b == Gen.T:
-            # dt*t = t*dt + 1
-            stack.append((coeff, mono, swapped))
-            stack.append((coeff, mono, w[:k] + w[k + 2:]))
-        else:
-            stack.append((coeff, mono, swapped))
-    return {k: v for k, v in out.items() if v != 0}
+        expanded = []
+        for exps, w in parts:
+            expanded.append((exps, w))
+            c = 1
+            for k in range(1, min(e, b) + 1):
+                c = c * (e - k + 1) * (b - k + 1) // k     # C(e,k) C(b,k) k!
+                new = list(exps)
+                new[xs] -= k
+                new[ps] -= k
+                if ihbar:                                    # (-i*hbar)^k
+                    new[0] += k
+                    new[_HBAR] += k
+                    expanded.append((new, -c * w if k % 2 else c * w))
+                else:
+                    expanded.append((new, c * w))
+        parts = expanded
+    for exps, w in parts[1:] if contractions_only else parts:
+        ipow = exps[0]
+        if ipow > 1:                                         # i^2 = -1
+            exps[0] = ipow % 2
+            if ipow % 4 > 1:
+                w = -w
+        key = tuple(exps)
+        c = coeff * w if w != 1 else coeff
+        terms[key] = terms[key] + c if key in terms else c
 
 
 class OperatorExpr:
@@ -125,24 +129,22 @@ class OperatorExpr:
 
     @classmethod
     def one(cls) -> "OperatorExpr":
-        return cls({(_MONO_ONE, ()): Fraction(1)})
+        return cls({_KEY_ONE: Fraction(1)})
 
     @classmethod
     def generator(cls, g: Gen) -> "OperatorExpr":
-        return cls({(_MONO_ONE, (g,)): Fraction(1)})
+        return cls({_key_with(_GEN_BASE + g, 1): Fraction(1)})
 
     @classmethod
     def parameter(cls, name: str, power: int = 1) -> "OperatorExpr":
         if name == "i":
-            sign, mono = _mono_pow((1, (0,) * len(PARAMS)), power % 4)
-            return cls({(mono, ()): Fraction(sign)})
-        idx = _PARAM_INDEX[name]
-        exps = tuple(power if k == idx else 0 for k in range(len(PARAMS)))
-        return cls({((0, exps), ()): Fraction(1)})
+            sign = -1 if power % 4 > 1 else 1
+            return cls({_key_with(0, power % 2): Fraction(sign)})
+        return cls({_key_with(1 + _PARAM_INDEX[name], power): Fraction(1)})
 
     @classmethod
     def rational(cls, value) -> "OperatorExpr":
-        return cls({(_MONO_ONE, ()): Fraction(value)})
+        return cls({_KEY_ONE: Fraction(value)})
 
     # --- ring operations ---
 
@@ -160,14 +162,9 @@ class OperatorExpr:
 
     def __mul__(self, other: "OperatorExpr") -> "OperatorExpr":
         terms = {}
-        for (mono_a, word_a), ca in self.terms.items():
-            for (mono_b, word_b), cb in other.terms.items():
-                sign, mono = _mono_mul(mono_a, mono_b)
-                base = sign * ca * cb
-                for (mono_w, word), cw in _normalize_word(word_a + word_b).items():
-                    s2, mono_full = _mono_mul(mono, mono_w)
-                    key = (mono_full, word)
-                    terms[key] = terms.get(key, Fraction(0)) + s2 * base * cw
+        for ka, ca in self.terms.items():
+            for kb, cb in other.terms.items():
+                _accumulate(terms, ka, kb, ca * cb)
         return OperatorExpr(terms)
 
     def __pow__(self, n: int) -> "OperatorExpr":
@@ -195,7 +192,7 @@ class OperatorExpr:
         return hash(frozenset(self.terms.items()))
 
     def contains_generator(self, g: Gen) -> bool:
-        return any(g in word for (_, word) in self.terms)
+        return any(key[_GEN_BASE + g] for key in self.terms)
 
     def __repr__(self):
         return f"OperatorExpr({to_text(self)!r})"
@@ -217,35 +214,30 @@ IMAG = OperatorExpr.parameter("i")
 
 
 def normal_order(expr: OperatorExpr) -> OperatorExpr:
-    """Canonical form.  Storage is already normal ordered, so this is a
-    re-normalization pass that must act as the identity; kept as the public
-    entry point (and exercised by the idempotence property tests)."""
-    out = OperatorExpr.zero()
-    for (mono, word), coeff in expr.terms.items():
-        partial = {}
-        for (mono_w, w), cw in _normalize_word(word).items():
-            sign, mono_full = _mono_mul(mono, mono_w)
-            key = (mono_full, w)
-            partial[key] = partial.get(key, Fraction(0)) + sign * coeff * cw
-        out = out + OperatorExpr(partial)
-    return out
+    """Canonical form.  Storage is normal ordered by construction, so this
+    returns a copy; kept as the public entry point."""
+    return OperatorExpr(expr.terms)
 
 
 def commutator(a: OperatorExpr, b: OperatorExpr) -> OperatorExpr:
-    return a * b - b * a
+    """a*b - b*a, from the contraction terms of the two orders alone."""
+    terms = {}
+    for ka, ca in a.terms.items():
+        for kb, cb in b.terms.items():
+            c = ca * cb
+            _accumulate(terms, ka, kb, c, contractions_only=True)
+            _accumulate(terms, kb, ka, -c, contractions_only=True)
+    return OperatorExpr(terms)
 
 
 def partial_t(expr: OperatorExpr) -> OperatorExpr:
     """Formal derivative with respect to the explicit-time generator t."""
+    slot = _GEN_BASE + Gen.T
     terms = {}
-    for (mono, word), coeff in expr.terms.items():
-        k = word.count(Gen.T)
-        if k == 0:
-            continue
-        idx = word.index(Gen.T)
-        new_word = word[:idx] + word[idx + 1:]
-        key = (mono, new_word)
-        terms[key] = terms.get(key, Fraction(0)) + k * coeff
+    for key, coeff in expr.terms.items():
+        k = key[slot]
+        if k:
+            terms[key[:slot] + (k - 1,) + key[slot + 1:]] = k * coeff
     return OperatorExpr(terms)
 
 
@@ -259,38 +251,37 @@ def heisenberg_residual(f: OperatorExpr, H: OperatorExpr) -> OperatorExpr:
 
 def substitute_param(expr: OperatorExpr, name: str, value) -> OperatorExpr:
     """Replace a symbolic parameter by an exact rational value."""
-    idx = _PARAM_INDEX[name]
+    slot = 1 + _PARAM_INDEX[name]
     value = Fraction(value)
     terms = {}
-    for (mono, word), coeff in expr.terms.items():
-        exp = mono[1][idx]
+    for key, coeff in expr.terms.items():
+        exp = key[slot]
         if exp:
             if value == 0:
                 if exp < 0:
                     raise ZeroDivisionError(f"{name} appears with a negative power")
                 continue
             coeff = coeff * value ** exp
-        exps = tuple(0 if k == idx else e for k, e in enumerate(mono[1]))
-        key = ((mono[0], exps), word)
+            key = key[:slot] + (0,) + key[slot + 1:]
         terms[key] = terms.get(key, Fraction(0)) + coeff
     return OperatorExpr(terms)
 
 
 def adjoint(expr: OperatorExpr) -> OperatorExpr:
     """Formal adjoint: reverse words, conjugate i, generators self-adjoint
-    except dt, which is anti-self-adjoint (so i*hbar*dt is Hermitian)."""
-    out = OperatorExpr.zero()
-    for (mono, word), coeff in expr.terms.items():
-        sign = -1 if mono[0] == 1 else 1          # conjugate i
-        if word.count(Gen.DT) % 2 == 1:           # dt^\dagger = -dt
+    except dt, which is anti-self-adjoint (so i*hbar*dt is Hermitian).
+
+    The reversed word of x-part * p-part is p-part * x-part, normal ordered
+    by the product kernel."""
+    terms = {}
+    for key, coeff in expr.terms.items():
+        sign = -1 if key[0] == 1 else 1                # conjugate i
+        if key[_GEN_BASE + Gen.DT] % 2 == 1:           # dt^\dagger = -dt
             sign = -sign
-        reversed_terms = {}
-        for (mono_w, w), cw in _normalize_word(tuple(reversed(word))).items():
-            s2, mono_full = _mono_mul(mono, mono_w)
-            key = (mono_full, w)
-            reversed_terms[key] = reversed_terms.get(key, Fraction(0)) + s2 * sign * coeff * cw
-        out = out + OperatorExpr(reversed_terms)
-    return out
+        momenta = key[:_GEN_BASE] + _KEY_ONE[_GEN_BASE:_P_BASE] + key[_P_BASE:]
+        positions = _KEY_ONE[:_GEN_BASE] + key[_GEN_BASE:_P_BASE] + _KEY_ONE[_P_BASE:]
+        _accumulate(terms, momenta, positions, sign * coeff)
+    return OperatorExpr(terms)
 
 
 # --- named operators of the two systems ---
@@ -514,27 +505,25 @@ def parse_operator(text: str) -> OperatorExpr:
     return _Parser(text).parse()
 
 
-def _format_term(mono, word, coeff: Fraction) -> str:
+def _format_term(key, coeff: Fraction) -> str:
     parts = []
     mag = abs(coeff)
-    if mag != 1 or (mono == _MONO_ONE and not word):
+    if mag != 1 or key == _KEY_ONE:
         parts.append(str(mag))
-    if mono[0] == 1:
+    if key[0] == 1:
         parts.append("i")
-    for name, exp in zip(PARAMS, mono[1]):
+    for name, exp in zip(PARAMS + tuple(GEN_NAMES.values()), key[1:]):
         if exp == 1:
             parts.append(name)
         elif exp != 0:
             parts.append(f"{name}^{exp}")
-    k = 0
-    while k < len(word):
-        g = word[k]
-        run = 1
-        while k + run < len(word) and word[k + run] == g:
-            run += 1
-        parts.append(GEN_NAMES[g] if run == 1 else f"{GEN_NAMES[g]}^{run}")
-        k += run
     return "*".join(parts)
+
+
+def _text_order(key):
+    # terms print by their expanded word, then i power, then parameter exponents
+    word = tuple(g for g in Gen for _ in range(key[_GEN_BASE + g]))
+    return len(word), word, key[0], key[1:_GEN_BASE]
 
 
 def to_text(expr: OperatorExpr) -> str:
@@ -547,11 +536,10 @@ def to_text(expr: OperatorExpr) -> str:
     """
     if expr.is_zero:
         return "0"
-    keys = sorted(expr.terms, key=lambda key: (len(key[1]), key[1], key[0][0], key[0][1]))
     out = []
-    for key in keys:
+    for key in sorted(expr.terms, key=_text_order):
         coeff = expr.terms[key]
-        body = _format_term(key[0], key[1], coeff)
+        body = _format_term(key, coeff)
         if not out:
             out.append(body if coeff > 0 else f"-{body}")
         else:

@@ -270,11 +270,13 @@ def serialize(cfg: SystemConfig) -> dict:
 
 
 def load_config(path: str) -> SystemConfig:
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
             raw = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ConfigError("document", f"config file is not valid JSON: {exc}") from None
+    except OSError as exc:
+        raise ConfigError("document", f"cannot read config file: {exc}") from None
+    except json.JSONDecodeError as exc:
+        raise ConfigError("document", f"config file is not valid JSON: {exc}") from None
     return build_config(raw)
 
 

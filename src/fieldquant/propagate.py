@@ -42,8 +42,8 @@ class EvolutionSpec:
     method: str = "cn_1d"   # cn_1d | split_yz
 
     def __post_init__(self):
-        if self.dt <= 0:
-            raise ValueError("time step must be positive")
+        if not (math.isfinite(self.dt) and self.dt > 0):
+            raise ValueError(f"time step dt must be finite and positive, got {self.dt}")
         if self.steps < 0:
             raise ValueError("step count must be nonnegative")
         if self.cadence < 1 or (self.steps and self.steps % self.cadence):

@@ -14,6 +14,7 @@ import numpy as np
 from .config import SystemConfig, ConfigError, cyclotron_frequency
 
 MAX_OSCILLATOR_N = 64
+LADDER_CACHE_SIZE = 256     # ladder polynomials kept across configs
 
 
 def _eigen_sign(cfg: SystemConfig) -> float:
@@ -123,7 +124,7 @@ class BivariatePoly:
         return BivariatePoly(self.coeffs * value)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=LADDER_CACHE_SIZE)
 def _ladder_cache(j: int, hbar: float, m: float, q: float, E: float) -> BivariatePoly:
     if j == 0:
         return BivariatePoly(np.ones((1, 1)))

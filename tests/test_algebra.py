@@ -16,6 +16,95 @@ X, T, PX, DT = gen(Gen.X), gen(Gen.T), gen(Gen.PX), gen(Gen.DT)
 IHBAR = IMAG * sym("hbar")
 
 
+def _key(ipow=0, params=(0,) * len(A.PARAMS), word=()):
+    """Term key in the storage layout: i power, PARAMS exponents, Gen exponents."""
+    return (ipow,) + tuple(params) + tuple(word.count(g) for g in Gen)
+
+
+def _split_key(key):
+    """(i power, parameter exponents, normal-ordered word) of a term key."""
+    n = len(A.PARAMS)
+    return key[0], key[1:1 + n], tuple(g for g in Gen for _ in range(key[1 + n + g]))
+
+
+# --- reference rewriter ------------------------------------------------------------
+# The stack rewriter the library used before its closed-form product kernel.  It
+# applies the defining relations one adjacent swap at a time, so it is slow but
+# independent of the kernel, and serves as the oracle for products of words.
+
+_MONO_ONE = (0, (0,) * len(A.PARAMS))
+_MONO_IHBAR = (1, (1, 0, 0, 0, 0, 0))
+_CANON_PAIR = {Gen.PX: Gen.X, Gen.PY: Gen.Y, Gen.PZ: Gen.Z}
+
+
+def _mono_mul(a, b):
+    """Product of two (i power, parameter exponents) monomials; (sign, monomial)."""
+    ipow = a[0] + b[0]
+    sign = 1
+    if ipow >= 2:       # i^2 = -1
+        ipow -= 2
+        sign = -1
+    return sign, (ipow, tuple(x + y for x, y in zip(a[1], b[1])))
+
+
+def _normalize_word(word):
+    """Rewrite a generator word into canonical order.
+
+    Returns a dict {(monomial, sorted_word): Fraction} equal to the input
+    word as an operator.
+    """
+    out = {}
+    stack = [(Fraction(1), _MONO_ONE, tuple(word))]
+    while stack:
+        coeff, mono, w = stack.pop()
+        # find the first out-of-order adjacent pair
+        k = -1
+        for j in range(len(w) - 1):
+            if w[j] > w[j + 1]:
+                k = j
+                break
+        if k < 0:
+            key = (mono, w)
+            out[key] = out.get(key, Fraction(0)) + coeff
+            continue
+        a, b = w[k], w[k + 1]
+        swapped = w[:k] + (b, a) + w[k + 2:]
+        if a in _CANON_PAIR and _CANON_PAIR[a] == b:
+            # p*x = x*p - i*hbar
+            stack.append((coeff, mono, swapped))
+            sign, mono2 = _mono_mul(mono, _MONO_IHBAR)
+            stack.append((-sign * coeff, mono2, w[:k] + w[k + 2:]))
+        elif a == Gen.DT and b == Gen.T:
+            # dt*t = t*dt + 1
+            stack.append((coeff, mono, swapped))
+            stack.append((coeff, mono, w[:k] + w[k + 2:]))
+        else:
+            stack.append((coeff, mono, swapped))
+    return {k: v for k, v in out.items() if v != 0}
+
+
+def _reference(word):
+    """The word as an expression, normal ordered by the reference rewriter."""
+    return OperatorExpr({_key(mono[0], mono[1], w): c
+                         for (mono, w), c in _normalize_word(word).items()})
+
+
+def _word_expr(word):
+    expr = OperatorExpr.one()
+    for g in word:
+        expr = expr * gen(g)
+    return expr
+
+
+@given(st.lists(st.sampled_from(list(Gen)), max_size=6))
+@settings(max_examples=150, deadline=None)
+def test_product_and_adjoint_match_reference_rewriting(word):
+    product = _word_expr(word)
+    assert product == _reference(word)
+    sign = -1 if word.count(Gen.DT) % 2 else 1      # dt is anti-self-adjoint
+    assert A.adjoint(product) == _reference(tuple(reversed(word))).scale(sign)
+
+
 # --- normal ordering ----------------------------------------------------------
 
 def test_px_x_reorders_with_commutator():
@@ -25,7 +114,7 @@ def test_px_x_reorders_with_commutator():
 def test_x_px_is_fixed_point():
     expr = X * PX
     assert A.normal_order(expr) == expr
-    assert list(expr.terms) == [(((0, (0,) * 6)), (Gen.X, Gen.PX))]
+    assert list(expr.terms) == [_key(word=(Gen.X, Gen.PX))]
 
 
 def test_canonical_commutators():
@@ -35,6 +124,12 @@ def test_canonical_commutators():
     assert A.commutator(DT, T) == OperatorExpr.one()
     assert A.commutator(X, gen(Gen.PY)).is_zero
     assert A.commutator(X, T).is_zero
+
+
+def test_x_px_eighth_power_squared():
+    square = (X * PX) ** 8 * (X * PX) ** 8
+    assert square == (X * PX) ** 16
+    assert len(square.terms) == 16
 
 
 def test_dt_t_squared():
@@ -60,8 +155,9 @@ def _apply_word_to_t_poly(word, coeffs):
 
 def _expr_applied_to_t_poly(expr, coeffs):
     out = [0] * 16
-    for (mono, word), coeff in expr.terms.items():
-        assert mono == (0, (0,) * 6), "oracle is parameter-free"
+    for key, coeff in expr.terms.items():
+        ipow, params, word = _split_key(key)
+        assert ipow == 0 and not any(params), "oracle is parameter-free"
         part = _apply_word_to_t_poly(word, coeffs)
         for k, c in enumerate(part):
             out[k] += coeff * c
@@ -79,7 +175,7 @@ def test_dt_t_squared_against_polynomial_action():
        st.lists(st.integers(-3, 3), min_size=1, max_size=4))
 @settings(max_examples=60, deadline=None)
 def test_normal_ordering_preserves_action_on_polynomials(word, coeffs):
-    raw = OperatorExpr({((0, (0,) * 6), tuple(word)): Fraction(1)})
+    raw = _word_expr(word)
     ordered = A.normal_order(raw)
     got = _expr_applied_to_t_poly(ordered, coeffs)
     want = _apply_word_to_t_poly(word, coeffs)
@@ -117,6 +213,15 @@ def test_heisenberg_residual_exactly_zero(label, op, ham):
     assert A.heisenberg_residual(op, ham).is_zero
 
 
+def test_residual_of_conserved_products_is_zero():
+    # the residual is a derivation, so products of conserved operators are conserved
+    f, e_op = A.momentum_minus_force_time(), A.energy_operator()
+    h = A.hamiltonian_parallel(CFG_PAR)
+    for k in range(5):
+        for l in range(5):
+            assert A.heisenberg_residual(f ** k * e_op ** l, h).is_zero, (k, l)
+
+
 def test_bare_momentum_is_not_conserved():
     residual = A.heisenberg_residual(PX, A.hamiltonian_1d(CFG_1D))
     assert residual == sym("q") * sym("E")
@@ -138,8 +243,7 @@ def test_hamiltonian_1d_structure():
 def test_hamiltonian_parallel_cross_term():
     h = A.hamiltonian_parallel(CFG_PAR)
     # the gauge square contributes -wc * y * pz (y and pz commute: no reorder term)
-    mono_wc = (0, (0, 0, 0, 0, 1, 0))
-    assert h.terms[(mono_wc, (Gen.Y, Gen.PZ))] == Fraction(-1)
+    assert h.terms[_key(params=(0, 0, 0, 0, 1, 0), word=(Gen.Y, Gen.PZ))] == Fraction(-1)
 
 
 def test_parallel_reduces_to_1d_at_zero_field():
@@ -150,9 +254,9 @@ def test_parallel_reduces_to_1d_at_zero_field():
 
 # --- ladder -----------------------------------------------------------------------
 
-@pytest.mark.parametrize("j", range(6))
+@pytest.mark.parametrize("j", range(17))
 def test_eigen_ladder_identity(j):
-    assert A.eigen_ladder_check(j).is_zero
+    assert A.eigen_ladder_check(j, depth=16).is_zero
 
 
 def test_ladder_commutator_explicit():
@@ -294,13 +398,7 @@ def test_normal_order_idempotent(e):
        st.lists(st.sampled_from(list(Gen)), min_size=1, max_size=3))
 @settings(max_examples=50, deadline=None)
 def test_jacobi_identity(wa, wb, wc):
-    def word(w):
-        expr = OperatorExpr.one()
-        for g in w:
-            expr = expr * gen(g)
-        return expr
-
-    a, b, c = word(wa), word(wb), word(wc)
+    a, b, c = _word_expr(wa), _word_expr(wb), _word_expr(wc)
     total = (A.commutator(A.commutator(a, b), c)
              + A.commutator(A.commutator(b, c), a)
              + A.commutator(A.commutator(c, a), b))

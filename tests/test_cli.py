@@ -61,6 +61,13 @@ def test_config_error_exit_code(tmp_path):
     assert run(["verify", "--config", str(path)]) == 2
 
 
+def test_missing_config_file_exit_2(tmp_path, capsys):
+    code = run(["evolve1d", "--config", str(tmp_path / "nothere.json"),
+                "--out-dir", str(tmp_path)])
+    assert code == 2
+    assert "config error [document]: cannot read config file" in capsys.readouterr().err
+
+
 def test_operator_parse_error_exit_code():
     assert run(["verify", "--filter", "symbolic", "--op", "px + @"]) == 2
 
@@ -215,14 +222,18 @@ def test_units_override_flag(tmp_path):
 
 
 @pytest.mark.parametrize("args, message", [
-    (["evolve1d", "--dt", "nan"], "infs or NaNs"),
+    (["evolve1d", "--dt", "nan"], "time step dt must be finite and positive"),
     (["evolve1d", "--sigma", "0"], "--sigma must be finite and positive"),
     (["evolve1d", "--richardson", "--dt", "1e-13"], "already converged"),
+    (["evolve1d", "--dt", "nan", "--steps", "0"], "time step dt must be finite and positive"),
 ])
 def test_evolve1d_bad_input_exit_2(tmp_path, capsys, args, message):
-    code = run(args + ["--steps", "64", "--grid-n", "128", "--out-dir", str(tmp_path)])
+    # the case's own flags come last, so they override the defaults given here
+    code = run(args[:1] + ["--steps", "64", "--grid-n", "128", "--out-dir", str(tmp_path)]
+               + args[1:])
     assert code == 2
     assert message in capsys.readouterr().err
+    assert not list(tmp_path.iterdir())
 
 
 def test_verify_quantization_zero_field_exit_2(tmp_path, capsys):

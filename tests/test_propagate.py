@@ -26,8 +26,9 @@ def gaussian_packet(grid, sigma=1.0, x0=0.0, p0=0.0):
 
 
 def test_evolution_spec_validation():
-    with pytest.raises(ValueError):
-        P.EvolutionSpec(dt=0.0, steps=10)
+    for dt in (0.0, float("nan"), float("inf")):
+        with pytest.raises(ValueError, match="time step"):
+            P.EvolutionSpec(dt=dt, steps=10)
     with pytest.raises(ValueError):
         P.EvolutionSpec(dt=1e-3, steps=10, cadence=3)
     with pytest.raises(ValueError):

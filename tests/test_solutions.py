@@ -150,6 +150,14 @@ def test_ladder_degree_grows_linearly(j):
     assert S.degeneracy_polynomial(j, CFG).degree_x == j
 
 
+def test_ladder_cache_is_bounded():
+    for k in range(S.LADDER_CACHE_SIZE):
+        S.degeneracy_polynomial(3, natural_config(E=1.0 + k / 64))
+    info = S._ladder_cache.cache_info()
+    assert info.maxsize == S.LADDER_CACHE_SIZE
+    assert info.currsize <= S.LADDER_CACHE_SIZE
+
+
 def test_ladder_depth_guard():
     with pytest.raises(ValueError, match="depth"):
         S.degeneracy_polynomial(7, CFG)
