@@ -93,8 +93,13 @@ def cmd_verify(args) -> int:
 
 # --- evolve1d ----------------------------------------------------------------
 
-def _trajectory_outputs(record, metadata, out_dir: str, stem: str, summary_extra=None):
-    csv_path = os.path.join(out_dir, f"{stem}_trajectory.csv")
+def _print_result(args, path: str, payload: dict) -> None:
+    """The output path, or ``payload`` as JSON under ``--json``."""
+    print(json.dumps(payload, indent=2, sort_keys=True) if args.json else path)
+
+
+def _trajectory_outputs(args, record, metadata, stem: str, summary_extra=None):
+    csv_path = os.path.join(args.out_dir, f"{stem}_trajectory.csv")
     _write_csv(csv_path, metadata, record.columns, record.rows)
     summary = {
         "rows": len(record.rows),
@@ -104,8 +109,8 @@ def _trajectory_outputs(record, metadata, out_dir: str, stem: str, summary_extra
     }
     if summary_extra:
         summary.update(summary_extra)
-    _write_json(os.path.join(out_dir, f"{stem}_summary.json"), summary)
-    print(csv_path)
+    _write_json(os.path.join(args.out_dir, f"{stem}_summary.json"), summary)
+    _print_result(args, csv_path, summary)
     return 0
 
 
@@ -133,13 +138,15 @@ def cmd_evolve1d(args) -> int:
     meta = _config_metadata(cfg, "evolve1d")
     meta.update({"dt": args.dt, "steps": args.steps, "sigma": sigma,
                  "x0": args.x0, "p0": args.p0, "grid_n": args.grid_n})
-    return _trajectory_outputs(record, meta, args.out_dir, "evolve1d", extra)
+    return _trajectory_outputs(args, record, meta, "evolve1d", extra)
 
 
 def cmd_evolve_landau(args) -> int:
     cfg = _load_cfg(args)
     if cfg.geometry != "parallel_eb":
         raise ConfigError("geometry", "evolve-landau requires geometry parallel_eb")
+    if args.steps_per_period < 1:
+        raise ValueError("--steps-per-period must be at least 1")
     grid = gr.landau_grid(cfg, npoints=args.grid_n, ly=args.ly)
     dy = gr.snap_shift(grid.y, args.dy)
     state = sol.parallel_family_y(cfg, args.n, dy, lz_box=grid.z.length)
@@ -157,7 +164,7 @@ def cmd_evolve_landau(args) -> int:
     meta.update({"n": args.n, "dy": dy, "periods": args.periods,
                  "steps_per_period": args.steps_per_period,
                  "grid_n": args.grid_n, "ly": args.ly})
-    return _trajectory_outputs(record, meta, args.out_dir, "evolve_landau", extra)
+    return _trajectory_outputs(args, record, meta, "evolve_landau", extra)
 
 
 # --- quantize -------------------------------------------------------------------
@@ -178,7 +185,11 @@ def cmd_quantize(args) -> int:
         if dt_shift == 0:
             rows.append([dt_shift] + [""] * (len(header) - 2) + ["undefined current"])
             continue
-        rep = sym.quantization_report(args.dx, float(dt_shift), cfg, args.tol)
+        try:
+            rep = sym.quantization_report(args.dx, float(dt_shift), cfg, args.tol)
+        except ValueError as exc:
+            rows.append([dt_shift] + [""] * (len(header) - 2) + [str(exc)])
+            continue
         row = [rep.dt, rep.n_real, rep.nearest, int(rep.is_quantized),
                rep.voltage, rep.current, rep.resistance, rep.resistance_in_klitzing]
         if si_mode:
@@ -192,9 +203,9 @@ def cmd_quantize(args) -> int:
                  "dt_steps": args.dt_steps, "tol": args.tol})
     csv_path = os.path.join(args.out_dir, "quantize_scan.csv")
     _write_csv(csv_path, meta, header, rows)
-    _write_json(os.path.join(args.out_dir, "quantize_summary.json"),
-                {"integer_hits": hits, "points": len(rows), "dx": args.dx})
-    print(csv_path)
+    summary = {"integer_hits": hits, "points": len(rows), "dx": args.dx}
+    _write_json(os.path.join(args.out_dir, "quantize_summary.json"), summary)
+    _print_result(args, csv_path, summary)
     return 0
 
 
@@ -261,7 +272,7 @@ def cmd_eval(args) -> int:
                  "times": args.times})
     path = os.path.join(args.out_dir, f"eval_{family.replace('-', '_')}.csv")
     _write_csv(path, meta, header, rows)
-    print(path)
+    _print_result(args, path, {"csv": path, "rows": len(rows)})
     return 0
 
 

@@ -5,14 +5,18 @@ periodic or exponentially decayed fields used throughout.  Momentum acts
 either spectrally (periodic grids) or through fourth-order centered
 stencils; the parallel-field gauge term is applied through an exact unitary
 gauge twist so that it stays alias-free for states whose gauge momentum
-grows with position.
+grows with position.  The twist is cached per (grid, config).
+
+Expectation values of momentum and energy are spectral moments (Parseval):
+``expectations`` takes one FFT per axis of a field, plus one for the gauge
+term, and no inverse transform, whatever the number of observables.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -21,6 +25,7 @@ from .solutions import AnalyticSolution
 
 NYQUIST_SAFETY = 0.5          # admissible fraction of the grid Nyquist wavenumber
 DIRICHLET_BAND = 4            # cells excluded at each wall in residual norms
+GAUGE_TWIST_CACHE_SIZE = 16   # gauge twists kept across (grid, config) pairs
 
 
 class NyquistError(ValueError):
@@ -127,6 +132,8 @@ def landau_grid(cfg: SystemConfig, npoints: int = 64, ly: float = 24.0) -> Grid2
     wc = cyclotron_frequency(cfg)
     if wc == 0:
         raise ValueError("landau_grid requires a nonzero magnetic field")
+    if not (math.isfinite(ly) and ly > 0):
+        raise ValueError(f"landau_grid needs a finite positive ly, got {ly}")
     dz = 2.0 * math.pi * cfg.hbar / (cfg.mass * wc * ly)
     return Grid2D(y=Grid1D(ly, npoints, "periodic"),
                   z=Grid1D(dz * npoints, npoints, "periodic"))
@@ -255,12 +262,16 @@ def apply_hamiltonian_1d(f: WaveField, cfg: SystemConfig, scheme: str = "spectra
     return WaveField(f.grid, kinetic + potential, f.t)
 
 
+@lru_cache(maxsize=GAUGE_TWIST_CACHE_SIZE)
 def gauge_twist(grid: Grid2D, cfg: SystemConfig) -> np.ndarray:
-    """G = exp(i m wc y z / hbar); (pz - m wc y) = G pz G^dagger exactly."""
+    """G = exp(i m wc y z / hbar); (pz - m wc y) = G pz G^dagger exactly.
+    Cached per (grid, config), so the shared array is read-only."""
     wc = cyclotron_frequency(cfg)
     yy = grid.y.x[:, None]
     zz = grid.z.x[None, :]
-    return np.exp(1j * cfg.mass * wc * yy * zz / cfg.hbar)
+    twist = np.exp(1j * cfg.mass * wc * yy * zz / cfg.hbar)
+    twist.flags.writeable = False
+    return twist
 
 
 def apply_gauge_momentum_z(f: WaveField, cfg: SystemConfig) -> WaveField:
@@ -303,73 +314,70 @@ def norm(f: WaveField) -> float:
     return math.sqrt(max(inner_product(f, f).real, 0.0))
 
 
-def _measured_momentum(f: WaveField, cfg: SystemConfig, axis: int = 0) -> np.ndarray:
-    """Fourier momentum action on the raw samples, regardless of boundary
-    tag.  For wall-bounded fields this is accurate while the state remains
-    exponentially small at the walls (the regime every wall-bounded
-    expectation check runs in)."""
-    ag = _axis_grid(f.grid, axis)
-    k = ag.wavenumbers
-    shape = [1] * f.values.ndim
-    shape[axis] = k.size
-    fk = np.fft.fft(f.values, axis=axis)
-    return np.fft.ifft(cfg.hbar * k.reshape(shape) * fk, axis=axis)
+_OBSERVABLES = {1: ("x", "px", "pi_x", "H"),
+                2: ("y", "z", "py", "pz", "pi_y", "pi_z", "H")}
 
 
-def _measured_kinetic(f: WaveField, cfg: SystemConfig, axis: int = 0) -> np.ndarray:
-    ag = _axis_grid(f.grid, axis)
-    k = ag.wavenumbers
-    shape = [1] * f.values.ndim
-    shape[axis] = k.size
-    fk = np.fft.fft(f.values, axis=axis)
-    return np.fft.ifft((cfg.hbar * k.reshape(shape)) ** 2 * fk, axis=axis) / (2.0 * cfg.mass)
-
-
-def expectation(opname: str, f: WaveField, cfg: SystemConfig) -> float:
-    """Normalized expectation value of a named observable.
+def expectations(names, f: WaveField, cfg: SystemConfig) -> list[float]:
+    """Normalized expectation values of the named observables, in order.
 
     Supported: x, px, H, pi_x (uses the field time stamp), and for 2D
-    fields y, z, py, pz, pi_y, pi_z.  Momentum is measured spectrally on
-    the raw samples; wall-bounded fields must stay clear of the walls.
+    fields y, z, py, pz, pi_y, pi_z.  Momentum and kinetic energy are
+    spectral moments (Parseval): sum conj(v) ifft(g fft(v)) dv = sum g w
+    with w = |fft(v)|^2 dv / N along one axis.  The norm and at most one
+    weight per axis (plus one of conj(G) v for the 2D gauge term) serve
+    every name.  The samples are transformed whatever the boundary tag;
+    wall-bounded fields must stay clear of the walls.
     """
     n2 = inner_product(f, f).real
     if n2 <= 0:
         raise ValueError("expectation of an empty field")
+    ndim = f.values.ndim
     dv = _cell_volume(f.grid)
-    if isinstance(f.grid, Grid1D):
-        if opname == "x":
-            val = np.sum(f.grid.x * np.abs(f.values) ** 2) * dv
-            return float(val / n2)
-        if opname in ("px", "pi_x"):
-            pv = _measured_momentum(f, cfg, 0)
-            px = float((np.sum(np.conj(f.values) * pv) * dv).real / n2)
-            if opname == "px":
-                return px
-            return px - cfg.charge * cfg.electric * f.t
-        if opname == "H":
-            kin = _measured_kinetic(f, cfg, 0)
-            pot = -cfg.charge * cfg.electric * f.grid.x * f.values
-            return float((np.sum(np.conj(f.values) * (kin + pot)) * dv).real / n2)
-        raise ValueError(f"unknown 1D observable {opname!r}")
-    yy = f.grid.y.x[:, None]
-    zz = f.grid.z.x[None, :]
-    if opname in ("y", "z"):
-        w = yy if opname == "y" else zz
-        return float(np.sum(w * np.abs(f.values) ** 2) * dv / n2)
-    if opname in ("py", "pz"):
-        axis = 0 if opname == "py" else 1
-        pv = _measured_momentum(f, cfg, axis)
-        return float((np.sum(np.conj(f.values) * pv) * dv).real / n2)
-    if opname == "pi_y":
-        py = _measured_momentum(f, cfg, 0)
-        wc = cyclotron_frequency(cfg)
-        val = np.sum(np.conj(f.values) * (py - cfg.mass * wc * zz * f.values)) * dv
-        return float(val.real / n2)
-    if opname == "pi_z":
-        return float((np.sum(np.conj(f.values) * _measured_momentum(f, cfg, 1)) * dv).real / n2)
-    if opname == "H":
-        return inner_product(f, apply_hamiltonian_yz(f, cfg)).real / n2
-    raise ValueError(f"unknown 2D observable {opname!r}")
+    axes = (f.grid,) if ndim == 1 else (f.grid.y, f.grid.z)
+    coords = (f.grid.x,) if ndim == 1 else (f.grid.y.x[:, None], f.grid.z.x[None, :])
+    cache = {}
+
+    def position(axis):
+        if "density" not in cache:
+            cache["density"] = np.abs(f.values) ** 2
+        return float(np.sum(coords[axis] * cache["density"]) * dv / n2)
+
+    def moment(axis, power, twisted=False):
+        if (axis, twisted) not in cache:
+            v = np.conj(gauge_twist(f.grid, cfg)) * f.values if twisted else f.values
+            w = np.abs(np.fft.fft(v, axis=axis)) ** 2
+            if ndim == 2:
+                w = w.sum(axis=1 - axis)
+            cache[axis, twisted] = w * (dv / axes[axis].npoints)
+        hk = cfg.hbar * axes[axis].wavenumbers
+        return float(np.dot(hk ** power, cache[axis, twisted])) / n2
+
+    out = []
+    for name in names:
+        if name not in _OBSERVABLES[ndim]:
+            raise ValueError(f"unknown {ndim}D observable {name!r}")
+        axis = 1 if name.endswith("z") else 0
+        if name in ("x", "y", "z"):
+            val = position(axis)
+        elif name in ("px", "py", "pz", "pi_z"):
+            val = moment(axis, 1)
+        elif name == "pi_x":
+            val = moment(0, 1) - cfg.charge * cfg.electric * f.t
+        elif name == "pi_y":
+            val = moment(0, 1) - cfg.mass * cyclotron_frequency(cfg) * position(1)
+        elif ndim == 1:
+            val = moment(0, 2) / (2.0 * cfg.mass) - cfg.charge * cfg.electric * position(0)
+        else:
+            val = (moment(0, 2) + moment(1, 2, twisted=True)) / (2.0 * cfg.mass)
+        out.append(val)
+    return out
+
+
+def expectation(opname: str, f: WaveField, cfg: SystemConfig) -> float:
+    """Normalized expectation value of one named observable; see
+    ``expectations`` for the names and the method."""
+    return expectations((opname,), f, cfg)[0]
 
 
 # --- residuals ----------------------------------------------------------------

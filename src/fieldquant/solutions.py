@@ -230,6 +230,8 @@ def landau_level(n: int, cfg: SystemConfig) -> float:
     """E_n = hbar wc (n + 1/2)."""
     if cfg.geometry != "parallel_eb":
         raise ConfigError("geometry", "landau_level requires geometry parallel_eb")
+    if n < 0:
+        raise ValueError(f"oscillator index n must be nonnegative, got {n}")
     return cfg.hbar * cyclotron_frequency(cfg) * (n + 0.5)
 
 

@@ -248,13 +248,19 @@ class QuantizationReport:
 def quantization_report(dx_shift: float, dt_shift: float, cfg: SystemConfig,
                         tol: float = 1e-8) -> QuantizationReport:
     """Quantization verdict for q E dx dt / (2 pi hbar) plus the electrical
-    reading: V = E dx, I = q / dt, R = V / I in units of h / q^2."""
+    reading: V = E dx, I = q / dt, R = V / I in units of h / q^2.
+
+    Raises ValueError where the tolerance reaches 1/2: every real number
+    then lies within it of an integer, so no verdict can be given."""
     if dt_shift == 0:
         raise ValueError("undefined current: dt must be nonzero")
     q, E, hbar, h = cfg.charge, cfg.electric, cfg.hbar, cfg.units.h
     n_real = q * E * dx_shift * dt_shift / (2.0 * math.pi * hbar)
     nearest = round(n_real)
     tol_eff = tol * (1.0 + abs(n_real))  # condition of the phase grows with n
+    if tol_eff >= 0.5:
+        raise ValueError(f"unresolvable: tolerance {tol_eff:.3g} at n_real {n_real:.6g} "
+                         "admits every real number")
     voltage = E * dx_shift
     current = q / dt_shift
     resistance = voltage / current

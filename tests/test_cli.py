@@ -241,3 +241,65 @@ def test_verify_quantization_zero_field_exit_2(tmp_path, capsys):
     path.write_text(json.dumps({"m": 1, "q": 1, "E": 0, "L": 8.0}))
     assert run(["verify", "--filter", "quant", "--config", str(path)]) == 2
     assert "nonzero electric field" in capsys.readouterr().err
+
+
+PARALLEL_CFG = {"m": 1, "q": 1, "E": 1, "B": 1.0, "L": 8.0, "geometry": "parallel_eb"}
+
+
+@pytest.mark.parametrize("args, message", [
+    (["--steps-per-period", "0"], "--steps-per-period must be at least 1"),
+    (["--ly", "0"], "landau_grid needs a finite positive ly"),
+    (["--n", "-1"], "oscillator index n must be nonnegative"),
+])
+def test_evolve_landau_bad_input_exit_2(tmp_path, capsys, args, message):
+    path = tmp_path / "par.json"
+    path.write_text(json.dumps(PARALLEL_CFG))
+    code = run(["evolve-landau", "--config", str(path), "--grid-n", "32",
+                "--out-dir", str(tmp_path / "out")] + args)
+    assert code == 2
+    assert message in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def test_quantize_unresolvable_points_get_no_verdict(tmp_path):
+    # q = 1 read as one coulomb puts n_real near 1e33, where ulp(n) > 1
+    assert run(["quantize", "--units", "si", "--dx", "1", "--dt-min", "1",
+                "--dt-max", "2", "--dt-steps", "3", "--out-dir", str(tmp_path)]) == 0
+    summary = json.loads((tmp_path / "quantize_summary.json").read_text())
+    assert summary["integer_hits"] == [] and summary["points"] == 3
+    lines = [line for line in (tmp_path / "quantize_scan.csv").read_text().splitlines()
+             if not line.startswith("#")]
+    header, rows = lines[0].split(","), [line.split(",") for line in lines[1:]]
+    assert len(rows) == 3
+    for row in rows:
+        assert len(row) == len(header)
+        assert row[header.index("is_quantized")] == ""
+        assert row[header.index("error")].startswith("unresolvable: tolerance")
+
+
+@pytest.mark.parametrize("command", ["evolve1d", "evolve-landau", "quantize", "eval"])
+def test_json_flag_prints_summary(tmp_path, capsys, command):
+    path = tmp_path / "par.json"
+    path.write_text(json.dumps(PARALLEL_CFG))
+    args, csv_name, summary_name = {
+        "evolve1d": (["evolve1d", "--steps", "8", "--cadence", "4", "--grid-n", "128"],
+                     "evolve1d_trajectory.csv", "evolve1d_summary.json"),
+        "evolve-landau": (["evolve-landau", "--config", str(path), "--grid-n", "32",
+                           "--steps-per-period", "16"],
+                          "evolve_landau_trajectory.csv", "evolve_landau_summary.json"),
+        "quantize": (["quantize", "--dx", "6.283185307179586", "--dt-min", "0.5",
+                      "--dt-max", "3.0", "--dt-steps", "6"],
+                     "quantize_scan.csv", "quantize_summary.json"),
+        "eval": (["eval", "--family", "fundamental", "--times", "0.0,0.5", "--grid-n", "32"],
+                 "eval_fundamental.csv", None),
+    }[command]
+    plain, as_json = tmp_path / "plain", tmp_path / "json"
+    assert run(args + ["--out-dir", str(plain)]) == 0
+    assert capsys.readouterr().out == f"{plain / csv_name}\n"
+    assert run(args + ["--out-dir", str(as_json), "--json"]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    if summary_name is None:
+        assert payload == {"csv": str(as_json / csv_name), "rows": 64}
+    else:
+        assert payload == json.loads((as_json / summary_name).read_text())
+    assert read(plain / csv_name) == read(as_json / csv_name)

@@ -7,7 +7,7 @@ import pytest
 
 from fieldquant import grids as G
 from fieldquant import solutions as S
-from fieldquant.config import natural_config
+from fieldquant.config import cyclotron_frequency, natural_config
 
 CFG = natural_config(L=8.0)
 CFG_PAR = natural_config(B=1.0, geometry="parallel_eb", L=8.0)
@@ -78,6 +78,12 @@ def test_commensurate_time_formula():
 def test_commensurate_time_needs_a_field():
     with pytest.raises(ValueError, match="nonzero electric field"):
         G.commensurate_time(natural_config(E=0.0), GRID, 1)
+
+
+def test_landau_grid_rejects_bad_box_length():
+    for ly in (0.0, -24.0, float("nan"), float("inf")):
+        with pytest.raises(ValueError, match="finite positive ly"):
+            G.landau_grid(CFG_PAR, npoints=64, ly=ly)
 
 
 def test_landau_grid_commensurate():
@@ -238,6 +244,128 @@ def test_unknown_observable():
     f = G.sample(S.electric_fundamental(CFG), GRID, 0.0)
     with pytest.raises(ValueError, match="unknown 1D observable"):
         G.expectation("spin", f, CFG)
+    with pytest.raises(ValueError, match="unknown 1D observable 'py'"):
+        G.expectations(("x", "py"), f, CFG)
+    g2 = G.landau_grid(CFG_PAR, npoints=32, ly=24.0)
+    f2 = G.WaveField(g2, np.ones(g2.shape, dtype=complex), 0.0)
+    with pytest.raises(ValueError, match="unknown 2D observable 'x'"):
+        G.expectations(("y", "x"), f2, CFG_PAR)
+    for empty in (G.WaveField(GRID, np.zeros(256, dtype=complex), 0.0),
+                  G.WaveField(g2, np.zeros(g2.shape, dtype=complex), 0.0)):
+        with pytest.raises(ValueError, match="empty field"):
+            G.expectation("H", empty, CFG_PAR)
+
+
+# Reference: the measurement as it was before the spectral-moment kernel,
+# one forward and one inverse FFT per observable.
+
+def _measured_momentum(f, cfg, axis=0):
+    """Fourier momentum action on the raw samples, regardless of boundary tag."""
+    ag = G._axis_grid(f.grid, axis)
+    k = ag.wavenumbers
+    shape = [1] * f.values.ndim
+    shape[axis] = k.size
+    fk = np.fft.fft(f.values, axis=axis)
+    return np.fft.ifft(cfg.hbar * k.reshape(shape) * fk, axis=axis)
+
+
+def _measured_kinetic(f, cfg, axis=0):
+    ag = G._axis_grid(f.grid, axis)
+    k = ag.wavenumbers
+    shape = [1] * f.values.ndim
+    shape[axis] = k.size
+    fk = np.fft.fft(f.values, axis=axis)
+    return np.fft.ifft((cfg.hbar * k.reshape(shape)) ** 2 * fk, axis=axis) / (2.0 * cfg.mass)
+
+
+def reference_expectation(opname, f, cfg):
+    n2 = G.inner_product(f, f).real
+    dv = G._cell_volume(f.grid)
+    if isinstance(f.grid, G.Grid1D):
+        if opname == "x":
+            return float(np.sum(f.grid.x * np.abs(f.values) ** 2) * dv / n2)
+        if opname in ("px", "pi_x"):
+            pv = _measured_momentum(f, cfg, 0)
+            px = float((np.sum(np.conj(f.values) * pv) * dv).real / n2)
+            return px if opname == "px" else px - cfg.charge * cfg.electric * f.t
+        assert opname == "H"
+        kin = _measured_kinetic(f, cfg, 0)
+        pot = -cfg.charge * cfg.electric * f.grid.x * f.values
+        return float((np.sum(np.conj(f.values) * (kin + pot)) * dv).real / n2)
+    yy = f.grid.y.x[:, None]
+    zz = f.grid.z.x[None, :]
+    if opname in ("y", "z"):
+        w = yy if opname == "y" else zz
+        return float(np.sum(w * np.abs(f.values) ** 2) * dv / n2)
+    if opname in ("py", "pz", "pi_z"):
+        pv = _measured_momentum(f, cfg, 0 if opname == "py" else 1)
+        return float((np.sum(np.conj(f.values) * pv) * dv).real / n2)
+    if opname == "pi_y":
+        py = _measured_momentum(f, cfg, 0)
+        wc = cyclotron_frequency(cfg)
+        val = np.sum(np.conj(f.values) * (py - cfg.mass * wc * zz * f.values)) * dv
+        return float(val.real / n2)
+    assert opname == "H"
+    return G.inner_product(f, G.apply_hamiltonian_yz(f, cfg)).real / n2
+
+
+NAMES_1D = ("x", "px", "pi_x", "H")
+NAMES_2D = ("y", "z", "py", "pz", "pi_y", "pi_z", "H")
+
+
+def random_band_limited(grid, seed, t=0.0):
+    """A seeded random state: Fourier modes |k| < 4 on every axis under a
+    Gaussian envelope that keeps it clear of the box edges."""
+    rng = np.random.default_rng(seed)
+    axes = (grid,) if isinstance(grid, G.Grid1D) else (grid.y, grid.z)
+    shape = tuple(a.npoints for a in axes)
+    spec = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+    envelope = np.ones(shape)
+    for i, a in enumerate(axes):
+        index = [None] * len(axes)
+        index[i] = slice(None)
+        spec = spec * (np.abs(a.wavenumbers) < 4)[tuple(index)]
+        envelope = envelope * np.exp(-(a.x / (0.15 * a.length)) ** 2)[tuple(index)]
+    values = np.fft.ifftn(spec) * envelope * rng.uniform(0.5, 3.0)
+    return G.WaveField(grid, values, t)
+
+
+KERNEL_CASES = [
+    ("periodic", G.Grid1D(8.0, 256, "periodic"), CFG, NAMES_1D),
+    ("dirichlet", G.Grid1D(40.0, 512, "dirichlet"), natural_config(L=40.0), NAMES_1D),
+    ("landau", G.landau_grid(CFG_PAR, npoints=64, ly=24.0), CFG_PAR, NAMES_2D),
+    # unequal axes, so a weight normalized by the wrong axis length shows
+    ("rect", G.Grid2D(G.Grid1D(24.0, 48), G.Grid1D(10.0, 32)), CFG_PAR, NAMES_2D),
+]
+
+
+@pytest.mark.parametrize("seed", range(6))
+@pytest.mark.parametrize("label, grid, cfg, names", KERNEL_CASES, ids=[c[0] for c in KERNEL_CASES])
+def test_expectations_match_reference_measurement(label, grid, cfg, names, seed):
+    f = random_band_limited(grid, seed, t=0.1 * seed)
+    got = G.expectations(names, f, cfg)
+    for name, value in zip(names, got):
+        ref = reference_expectation(name, f, cfg)
+        assert abs(value - ref) <= 1e-13 * max(1.0, abs(ref)), name
+    # one kernel call equals the per-name calls bit for bit, in any order
+    assert got == [G.expectation(name, f, cfg) for name in names]
+    assert G.expectations(names[::-1], f, cfg) == got[::-1]
+
+
+def test_gauge_twist_is_cached_and_read_only():
+    g2 = G.landau_grid(CFG_PAR, npoints=32, ly=24.0)
+    twist = G.gauge_twist(g2, CFG_PAR)
+    assert G.gauge_twist(g2, CFG_PAR) is twist
+    assert not twist.flags.writeable
+    with pytest.raises(ValueError):
+        twist[0, 0] = 0.0
+
+
+def test_gauge_twist_cache_is_bounded():
+    g2 = G.landau_grid(CFG_PAR, npoints=16, ly=24.0)
+    for i in range(100):
+        G.gauge_twist(g2, natural_config(B=1.0 + 0.01 * i, geometry="parallel_eb", L=8.0))
+    assert G.gauge_twist.cache_info().currsize <= G.GAUGE_TWIST_CACHE_SIZE
 
 
 # --- residuals -------------------------------------------------------------------------

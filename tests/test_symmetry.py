@@ -163,6 +163,17 @@ def test_quantization_zero_dt():
         Y.quantization_report(1.0, 0.0, CFG)
 
 
+def test_quantization_verdict_needs_float64_resolution():
+    # SI units with a numeric q = 1 (one coulomb): n_real ~ 1.5e33, ulp(n) > 1
+    cfg = build_config({"units": "si", "m": 1.0, "q": 1.0, "E": 1.0, "L": 1.0})
+    with pytest.raises(ValueError, match="unresolvable: tolerance"):
+        Y.quantization_report(1.0, 1.0, cfg)
+    # the tolerance tol * (1 + |n|) reaches 1/2 exactly at n = 1 for tol = 1/4
+    with pytest.raises(ValueError, match="admits every real number"):
+        Y.quantization_report(2.0 * math.pi, 1.0, CFG, tol=0.25)
+    assert Y.quantization_report(2.0 * math.pi, 1.0, CFG, tol=0.24).is_quantized
+
+
 def test_quantization_sign_convention():
     rep = Y.quantization_report(2.0 * math.pi, -1.0, CFG)
     assert rep.n_real == pytest.approx(-1.0)
