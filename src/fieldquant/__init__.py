@@ -15,9 +15,8 @@ from .grids import (Grid1D, Grid2D, WaveField, sample, apply_momentum,
                     apply_hamiltonian_1d, apply_hamiltonian_yz,
                     schrodinger_residual, inner_product, norm, expectation,
                     commensurate_time, landau_grid, NyquistError)
-from .propagate import (EvolutionSpec, TrajectoryRecord, step_crank_nicolson_1d,
-                        step_split_yz, evolve, estimate_order, cyclotron_period,
-                        AlreadyConvergedError)
+from .propagate import (EvolutionSpec, TrajectoryRecord, evolve, estimate_order,
+                        cyclotron_period, AlreadyConvergedError)
 from .symmetry import (Unitary, apply_unitary, conjugation_symmetry_check,
                        invariance_phase, QuantizationReport, quantization_report,
                        scan_quantization, build_parallel_superposition)

@@ -119,11 +119,15 @@ def cmd_evolve1d(args) -> int:
     grid = gr.Grid1D(cfg.box_length, args.grid_n, "dirichlet")
     x = grid.x
     sigma = args.sigma
-    if not (math.isfinite(sigma) and sigma > 0):
-        raise ValueError("--sigma must be finite and positive")
+    if not (sigma > 0 and 0 < 2.0 * math.pi * (sigma * sigma) < math.inf):
+        raise ValueError(f"--sigma must be finite and positive, with 2*pi*sigma^2 "
+                         f"a nonzero float, got {sigma}")
     psi0 = ((2.0 * math.pi * sigma ** 2) ** -0.25
             * np.exp(-(x - args.x0) ** 2 / (4.0 * sigma ** 2))
             * np.exp(1j * args.p0 * x / cfg.hbar))
+    if not np.isfinite(psi0).all():
+        raise ValueError(f"--x0 {args.x0} and --p0 {args.p0} give a packet "
+                         "with non-finite samples")
     f0 = gr.WaveField(grid, psi0, 0.0)
     spec = prop.EvolutionSpec(dt=args.dt, steps=args.steps,
                               cadence=args.cadence or max(args.steps, 1), method="cn_1d")
@@ -181,14 +185,9 @@ def cmd_quantize(args) -> int:
     header.append("error")
     rows = []
     hits = []
-    for dt_shift in dts:
-        if dt_shift == 0:
-            rows.append([dt_shift] + [""] * (len(header) - 2) + ["undefined current"])
-            continue
-        try:
-            rep = sym.quantization_report(args.dx, float(dt_shift), cfg, args.tol)
-        except ValueError as exc:
-            rows.append([dt_shift] + [""] * (len(header) - 2) + [str(exc)])
+    for dt_shift, rep in zip(dts, sym.scan_quantization(args.dx, dts, cfg, args.tol)):
+        if isinstance(rep, str):   # no verdict at this point; rep is the reason
+            rows.append([dt_shift] + [""] * (len(header) - 2) + [rep])
             continue
         row = [rep.dt, rep.n_real, rep.nearest, int(rep.is_quantized),
                rep.voltage, rep.current, rep.resistance, rep.resistance_in_klitzing]

@@ -102,15 +102,21 @@ class WaveField:
         return WaveField(self.grid, self.values.copy(), self.t)
 
 
+def _snap(value: float, origin: float, spacing: float) -> float:
+    cells = (value - origin) / spacing
+    if not math.isfinite(cells):
+        raise ValueError(f"cannot snap {value} to a lattice of spacing {spacing:.6g}")
+    return origin + round(cells) * spacing
+
+
 def snap_shift(grid: Grid1D, value: float) -> float:
     """Nearest integer multiple of the grid spacing (for lattice shifts)."""
-    return round(value / grid.dx) * grid.dx
+    return _snap(value, 0.0, grid.dx)
 
 
 def snap_offset(grid: Grid1D, value: float) -> float:
     """Nearest point of the sample lattice (cell centers extended to all of R)."""
-    first = grid.x[0]
-    return first + round((value - first) / grid.dx) * grid.dx
+    return _snap(value, grid.x[0], grid.dx)
 
 
 def commensurate_time(cfg: SystemConfig, grid: Grid1D, k: int = 1) -> float:
@@ -401,13 +407,11 @@ def _interior_mask(grid) -> np.ndarray | None:
     return masks[0][:, None] & masks[1][None, :]
 
 
-def schrodinger_residual(solution: AnalyticSolution, grid, t: float,
-                         dt_stencil: float, scheme: str = "spectral") -> float:
-    """|| i hbar (psi(t+h) - psi(t-h)) / 2h - H psi(t) ||_2 / || psi(t) ||_2.
-
-    Interior points only for wall-bounded grids (a 4-cell band is dropped,
-    covering the fd4 stencil footprint).
-    """
+def residual_samples(solution: AnalyticSolution, grid, t: float, dt_stencil: float,
+                     scheme: str = "spectral") -> tuple[np.ndarray, WaveField]:
+    """i hbar (psi(t+h) - psi(t-h)) / 2h - H psi(t) at every sample, and the
+    sampled psi(t).  H is the solution's own Hamiltonian: 1D (with the given
+    momentum scheme) or the transverse gauge problem."""
     cfg = solution.cfg
     plus = sample(solution, grid, t + dt_stencil)
     minus = sample(solution, grid, t - dt_stencil)
@@ -417,11 +421,19 @@ def schrodinger_residual(solution: AnalyticSolution, grid, t: float,
         h_mid = apply_hamiltonian_1d(mid, cfg, scheme=scheme)
     else:
         h_mid = apply_hamiltonian_yz(mid, cfg)
-    r = 1j * cfg.hbar * dpsi_dt - h_mid.values
+    return 1j * cfg.hbar * dpsi_dt - h_mid.values, mid
+
+
+def schrodinger_residual(solution: AnalyticSolution, grid, t: float,
+                         dt_stencil: float, scheme: str = "spectral") -> float:
+    """|| i hbar (psi(t+h) - psi(t-h)) / 2h - H psi(t) ||_2 / || psi(t) ||_2.
+
+    Interior points only for wall-bounded grids (a 4-cell band is dropped,
+    covering the fd4 stencil footprint).
+    """
+    r, mid = residual_samples(solution, grid, t, dt_stencil, scheme)
     mask = _interior_mask(grid)
+    ref = mid.values
     if mask is not None:
-        r = r[mask]
-        ref = mid.values[mask]
-    else:
-        ref = mid.values
+        r, ref = r[mask], ref[mask]
     return float(np.linalg.norm(r) / np.linalg.norm(ref))

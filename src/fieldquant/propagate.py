@@ -111,11 +111,6 @@ class CrankNicolson1D:
         return values
 
 
-def step_crank_nicolson_1d(f: WaveField, dt: float, cfg: SystemConfig) -> WaveField:
-    stepper = CrankNicolson1D(f.grid, cfg, dt)
-    return WaveField(f.grid, stepper.step(f.values), f.t + dt)
-
-
 class SplitStepYZ:
     """Strang splitting exp(-i dt A / 2 hbar) exp(-i dt B / hbar)
     exp(-i dt A / 2 hbar) with A = py^2/2m diagonal in k_y and
@@ -156,11 +151,6 @@ class SplitStepYZ:
         return np.fft.ifft(np.fft.ifft(u, axis=0), axis=1)
 
 
-def step_split_yz(f: WaveField, dt: float, cfg: SystemConfig) -> WaveField:
-    stepper = SplitStepYZ(f.grid, cfg, dt)
-    return WaveField(f.grid, stepper.step(f.values), f.t + dt)
-
-
 def _make_stepper(f0: WaveField, spec: EvolutionSpec, cfg: SystemConfig):
     if spec.method == "cn_1d":
         if not isinstance(f0.grid, Grid1D):
@@ -194,6 +184,8 @@ def evolve(f0: WaveField, spec: EvolutionSpec, cfg: SystemConfig,
     if reference is None:
         reference = f0
     ref_norm = norm(reference)
+    if ref_norm * norm(f0) == 0:   # the fidelity column divides by both
+        raise ValueError("evolve needs initial and reference fields of nonzero norm")
     record = TrajectoryRecord(columns=_record_columns(f0))
     record.rows.append(_record_row(f0, cfg, reference, ref_norm))
     values = f0.values.copy()

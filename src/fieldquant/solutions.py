@@ -39,6 +39,12 @@ def phi_electric(x, t, cfg: SystemConfig):
     """
     if cfg.geometry != "electric_1d":
         raise ConfigError("geometry", "phi_electric requires geometry electric_1d")
+    return _plane_wave(x, t, cfg)
+
+
+def _plane_wave(x, t, cfg: SystemConfig):
+    # phi_electric without the geometry guard: also the x factor of the
+    # parallel-field product solutions
     q, E, m, hbar = cfg.charge, cfg.electric, cfg.mass, cfg.hbar
     x = np.asarray(x, dtype=float)
     t = np.asarray(t, dtype=float)
@@ -139,8 +145,9 @@ def degeneracy_polynomial(j: int, cfg: SystemConfig) -> BivariatePoly:
 
         P_0 = 1,  P_{j+1} = i hbar dP_j/dt + (q^2 E^2 t^2 / 2m - q E x) P_j.
     """
-    if j > cfg.ladder_depth:
-        raise ValueError(f"ladder order {j} exceeds configured depth {cfg.ladder_depth}")
+    if not 0 <= j <= cfg.ladder_depth:
+        raise ValueError(f"ladder order {j} lies outside 0..{cfg.ladder_depth}, "
+                         "the configured depth")
     return _ladder_cache(j, cfg.hbar, cfg.mass, cfg.charge, cfg.electric)
 
 
@@ -158,7 +165,10 @@ def _taylor_coefficient(j: int, dt_shift: float, cfg: SystemConfig) -> complex:
         return 1.0 + 0.0j if j == 0 else 0.0j
     log_mag = j * math.log(abs(arg)) - math.lgamma(j + 1)
     phase = (1j ** (j % 4)) * ((1.0 if arg > 0 else -1.0) ** j)
-    return math.exp(log_mag) * phase
+    try:
+        return math.exp(log_mag) * phase
+    except OverflowError:
+        raise ValueError(f"Taylor coefficient c_{j} at dt = {dt_shift} overflows float64") from None
 
 
 def superposition_taylor(x, t, dt_shift, J: int, cfg: SystemConfig):
@@ -171,15 +181,8 @@ def superposition_taylor(x, t, dt_shift, J: int, cfg: SystemConfig):
     """
     if not 0 <= J <= 64:
         raise ValueError("superposition order must lie in 0..64")
-    x = np.asarray(x, dtype=float)
-    t = np.asarray(t, dtype=float)
-    acc = np.zeros(np.broadcast(x, t).shape, dtype=complex)
-    for j in range(J + 1):
-        cj = _taylor_coefficient(j, dt_shift, cfg)
-        if cj != 0.0:
-            acc = acc + cj * _ladder_cache(j, cfg.hbar, cfg.mass, cfg.charge,
-                                           cfg.electric).eval(x, t)
-    return acc * phi_electric(x, t, cfg)
+    coefficients = [_taylor_coefficient(j, dt_shift, cfg) for j in range(J + 1)]
+    return superposition_with_coefficients(x, t, coefficients, cfg)
 
 
 def superposition_with_coefficients(x, t, coefficients, cfg: SystemConfig):
@@ -286,18 +289,7 @@ def full_parallel_solution(x, y, z, t, family: str, n: int, cfg: SystemConfig,
         raise ValueError(f"unknown parallel solution family {family!r}")
     en = landau_level(n, cfg)
     t = np.asarray(t, dtype=float)
-    phi1 = phi_electric_parallel(x, t, cfg)
-    return phi1 * np.exp(-1j * en * t / cfg.hbar) * yz
-
-
-def phi_electric_parallel(x, t, cfg: SystemConfig):
-    """The x-factor of the parallel-field product solution; same closed form
-    as phi_electric but allowed in the parallel geometry."""
-    q, E, m, hbar = cfg.charge, cfg.electric, cfg.mass, cfg.hbar
-    x = np.asarray(x, dtype=float)
-    t = np.asarray(t, dtype=float)
-    phase = -(q * E) ** 2 * t ** 3 / (6.0 * m * hbar) + q * E * t * x / hbar
-    return _box_amplitude(cfg) * np.exp(1j * phase)
+    return _plane_wave(x, t, cfg) * np.exp(-1j * en * t / cfg.hbar) * yz
 
 
 # --- solution objects --------------------------------------------------------

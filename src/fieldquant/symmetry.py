@@ -23,11 +23,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .config import SystemConfig, cyclotron_frequency
-from .solutions import (AnalyticSolution, electric_shifted, landau_level,
-                        oscillator_eigenfunction, oscillator_scale,
-                        phi_electric_parallel)
+from .solutions import (AnalyticSolution, _plane_wave, electric_shifted, landau_level,
+                        oscillator_scale, phi2_family_y, phi2_family_z)
 from .grids import (Grid1D, Grid2D, WaveField, GridMismatchError, landau_grid,
-                    sample, apply_hamiltonian_1d, apply_hamiltonian_yz)
+                    sample, residual_samples)
 
 UNITARY_KINDS = ("Ux", "Uy", "Uz", "Ut")
 
@@ -137,20 +136,6 @@ def apply_unitary(u: Unitary, target, cfg: SystemConfig):
 
 # --- conjugation symmetry -----------------------------------------------------
 
-def _pde_residual_field(solution: AnalyticSolution, grid, t: float,
-                        dt_stencil: float, cfg: SystemConfig,
-                        scheme: str = "spectral") -> WaveField:
-    plus = sample(solution, grid, t + dt_stencil)
-    minus = sample(solution, grid, t - dt_stencil)
-    mid = sample(solution, grid, t)
-    dpsi_dt = (plus.values - minus.values) / (2.0 * dt_stencil)
-    if solution.ndim == 1:
-        h_mid = apply_hamiltonian_1d(mid, cfg, scheme=scheme)
-    else:
-        h_mid = apply_hamiltonian_yz(mid, cfg)
-    return WaveField(grid, h_mid.values - 1j * cfg.hbar * dpsi_dt, t)
-
-
 def conjugation_symmetry_check(u: Unitary, solution: AnalyticSolution, grid,
                                t: float, cfg: SystemConfig,
                                dt_stencil: float = 1e-4,
@@ -160,16 +145,14 @@ def conjugation_symmetry_check(u: Unitary, solution: AnalyticSolution, grid,
     Vanishes (to discretization accuracy) exactly when U is generated by a
     conserved operator; a phase-stripped translation fails loudly.
     """
-    transformed = apply_unitary(u, solution, cfg)
-    lhs = _pde_residual_field(transformed, grid, t, dt_stencil, cfg, scheme)
+    lhs, _ = residual_samples(apply_unitary(u, solution, cfg), grid, t, dt_stencil, scheme)
     if u.kind == "Ut":
-        rhs = _pde_residual_field(solution, grid, t - u.delta, dt_stencil, cfg, scheme)
-        rhs = WaveField(grid, rhs.values, t)
+        rhs, _ = residual_samples(solution, grid, t - u.delta, dt_stencil, scheme)
+        ref = sample(solution, grid, t)
     else:
-        base = _pde_residual_field(solution, grid, t, dt_stencil, cfg, scheme)
-        rhs = _field_transform(u, base, cfg)
-    ref = sample(solution, grid, t)
-    return float(np.linalg.norm(lhs.values - rhs.values) / np.linalg.norm(ref.values))
+        base, ref = residual_samples(solution, grid, t, dt_stencil, scheme)
+        rhs = _field_transform(u, WaveField(grid, base, t), cfg).values
+    return float(np.linalg.norm(lhs - rhs) / np.linalg.norm(ref.values))
 
 
 # --- invariance phase and quantization -----------------------------------------
@@ -256,11 +239,11 @@ def quantization_report(dx_shift: float, dt_shift: float, cfg: SystemConfig,
         raise ValueError("undefined current: dt must be nonzero")
     q, E, hbar, h = cfg.charge, cfg.electric, cfg.hbar, cfg.units.h
     n_real = q * E * dx_shift * dt_shift / (2.0 * math.pi * hbar)
-    nearest = round(n_real)
     tol_eff = tol * (1.0 + abs(n_real))  # condition of the phase grows with n
-    if tol_eff >= 0.5:
+    if not tol_eff < 0.5:   # also a non-finite n_real
         raise ValueError(f"unresolvable: tolerance {tol_eff:.3g} at n_real {n_real:.6g} "
                          "admits every real number")
+    nearest = round(n_real)
     voltage = E * dx_shift
     current = q / dt_shift
     resistance = voltage / current
@@ -279,15 +262,22 @@ def quantization_report(dx_shift: float, dt_shift: float, cfg: SystemConfig,
 
 
 def scan_quantization(dx_shift: float, dt_values, cfg: SystemConfig,
-                      tol: float = 1e-8):
-    """Quantization reports over a dt scan; dt = 0 rows yield None."""
-    reports = []
+                      tol: float = 1e-8) -> list[QuantizationReport | str]:
+    """Quantization reports over a dt scan.  A point without a verdict
+    yields its reason instead: "undefined current" at dt = 0, or the
+    unresolvable message of ``quantization_report``."""
+    if not 0 < tol < 0.5:
+        raise ValueError(f"quantization tolerance tol must lie in (0, 0.5), got {tol}")
+    out = []
     for dt_shift in dt_values:
         if dt_shift == 0:
-            reports.append(None)
-        else:
-            reports.append(quantization_report(dx_shift, dt_shift, cfg, tol))
-    return reports
+            out.append("undefined current")
+            continue
+        try:
+            out.append(quantization_report(dx_shift, float(dt_shift), cfg, tol))
+        except ValueError as exc:
+            out.append(str(exc))
+    return out
 
 
 # --- the parallel-field superposition -------------------------------------------
@@ -315,36 +305,20 @@ def build_parallel_superposition(a_coeffs, abar_coeffs, cfg: SystemConfig,
         raise ValueError("superposition coefficients must be finite")
 
     d = cfg.displacements
-    wc = cyclotron_frequency(cfg)
-    alpha = oscillator_scale(cfg)
-    hbar, m, q, E = cfg.hbar, cfg.mass, cfg.charge, cfg.electric
+    hbar, q, E = cfg.hbar, cfg.charge, cfg.electric
     if grid is None:
         grid = landau_grid(cfg)
     ly, lz = grid.y.length, grid.z.length
 
     components = []   # (coefficient, energy, yz evaluator)
     for n, a_n in enumerate(a_coeffs):
-        if a_n == 0:
-            continue
-        en = landau_level(n, cfg)
-
-        def yz_y(y, z, n=n):
-            phase = np.exp(1j * m * wc * np.asarray(z) * d.dy / hbar)
-            return phase * oscillator_eigenfunction(
-                n, alpha * (np.asarray(y) - d.dy), cfg) / math.sqrt(lz)
-
-        components.append((complex(a_n), en, yz_y))
+        if a_n != 0:
+            yz = lambda y, z, n=n: phi2_family_y(y, z, d.dy, n, cfg) / math.sqrt(lz)
+            components.append((complex(a_n), landau_level(n, cfg), yz))
     for n, a_n in enumerate(abar_coeffs):
-        if a_n == 0:
-            continue
-        en = landau_level(n, cfg)
-
-        def yz_z(y, z, n=n):
-            phase = np.exp(1j * m * wc * np.asarray(y) * (np.asarray(z) - d.dz) / hbar)
-            return phase * oscillator_eigenfunction(
-                n, alpha * (np.asarray(z) - d.dz), cfg) / math.sqrt(ly)
-
-        components.append((complex(a_n), en, yz_z))
+        if a_n != 0:
+            yz = lambda y, z, n=n: phi2_family_z(y, z, d.dz, n, cfg) / math.sqrt(ly)
+            components.append((complex(a_n), landau_level(n, cfg), yz))
 
     # Gram matrix of the transverse parts; different Landau levels are
     # orthogonal, so the time phases never enter the norm
@@ -362,7 +336,7 @@ def build_parallel_superposition(a_coeffs, abar_coeffs, cfg: SystemConfig,
     def evaluator(x, y, z, t):
         t_eff = np.asarray(t, dtype=float) - d.dt
         common = (np.exp(1j * q * E * t_eff * d.dx / hbar)
-                  * phi_electric_parallel(np.asarray(x) - d.dx, t_eff, cfg))
+                  * _plane_wave(np.asarray(x) - d.dx, t_eff, cfg))
         acc = 0.0j
         for c, en, yz in components:
             acc = acc + c * np.exp(-1j * en * t_eff / hbar) * yz(y, z)

@@ -72,27 +72,18 @@ def checks_symbolic(cfg: SystemConfig, op_text: str | None = None) -> list[Check
     out = []
     cfg_1d = natural_config()
     cfg_par = natural_config(B=1.0, geometry="parallel_eb")
-    h_1d = alg.hamiltonian_1d(cfg_1d)
-    h_par = alg.hamiltonian_parallel(cfg_par)
-    pairs = [
-        ("px - q*E*t", alg.momentum_minus_force_time(), "H_1d", h_1d),
-        ("i*hbar*dt", alg.energy_operator(), "H_1d", h_1d),
-        ("px - q*E*t", alg.momentum_minus_force_time(), "H_par", h_par),
-        ("py - m*wc*z", alg.gauge_momentum_y(), "H_par", h_par),
-        ("pz", alg.momentum_z(), "H_par", h_par),
-        ("i*hbar*dt", alg.energy_operator(), "H_par", h_par),
-    ]
+    systems = [("H_1d", cfg_1d, alg.hamiltonian_1d(cfg_1d)),
+               ("H_par", cfg_par, alg.hamiltonian_parallel(cfg_par))]
     if cfg.hamiltonian_override is not None:
-        h_over = alg.parse_operator(cfg.hamiltonian_override)
-        ops = alg.conserved_operators(cfg)
-        pairs = [(name, op, "H_override", h_over) for name, op in ops.items()]
-    for op_name, op, h_name, h in pairs:
-        res = alg.heisenberg_residual(op, h)
-        out.append(_check(
-            f"symbolic.conserved[{op_name} | {h_name}]",
-            0.0 if res.is_zero else 1.0, 0.0,
-            f"[f,H]/(i*hbar) + df/dt = 0 for f = {op_name}, residual = {alg.to_text(res)}",
-            exact=True))
+        systems = [("H_override", cfg, alg.parse_operator(cfg.hamiltonian_override))]
+    for h_name, sys_cfg, h in systems:
+        for op_name, op in alg.conserved_operators(sys_cfg).items():
+            res = alg.heisenberg_residual(op, h)
+            out.append(_check(
+                f"symbolic.conserved[{op_name} | {h_name}]",
+                0.0 if res.is_zero else 1.0, 0.0,
+                f"[f,H]/(i*hbar) + df/dt = 0 for f = {op_name}, residual = {alg.to_text(res)}",
+                exact=True))
     for j in range(6):
         res = alg.eigen_ladder_check(j)
         out.append(_check(

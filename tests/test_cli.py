@@ -1,8 +1,12 @@
 """Command-line interface: subcommands, exit codes, deterministic outputs."""
 
+import contextlib
+import io
 import json
+import pathlib
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from fieldquant.cli import main
 
@@ -226,6 +230,13 @@ def test_units_override_flag(tmp_path):
     (["evolve1d", "--sigma", "0"], "--sigma must be finite and positive"),
     (["evolve1d", "--richardson", "--dt", "1e-13"], "already converged"),
     (["evolve1d", "--dt", "nan", "--steps", "0"], "time step dt must be finite and positive"),
+    (["evolve1d", "--sigma", "1e300"], "--sigma must be finite and positive"),
+    (["evolve1d", "--sigma", "1e-200"], "--sigma must be finite and positive"),
+    (["evolve1d", "--x0", "nan"], "--x0 nan and --p0 0.0 give a packet with non-finite"),
+    (["evolve1d", "--p0", "nan"], "--x0 0.0 and --p0 nan give a packet with non-finite"),
+    (["evolve1d", "--p0", "inf"], "--x0 0.0 and --p0 inf give a packet with non-finite"),
+    (["evolve1d", "--x0", "1000"], "nonzero norm"),
+    (["evolve1d", "--x0", "inf"], "nonzero norm"),
 ])
 def test_evolve1d_bad_input_exit_2(tmp_path, capsys, args, message):
     # the case's own flags come last, so they override the defaults given here
@@ -303,3 +314,107 @@ def test_json_flag_prints_summary(tmp_path, capsys, command):
     else:
         assert payload == json.loads((as_json / summary_name).read_text())
     assert read(plain / csv_name) == read(as_json / csv_name)
+
+
+@pytest.mark.parametrize("tol", ["nan", "-1", "0", "0.5", "inf"])
+def test_quantize_bad_tolerance_exit_2(tmp_path, capsys, tol):
+    # with tol = nan or -1 even the exact integer point n_real = 1 is not quantized
+    code = run(["quantize", "--dx", "6.283185307179586", "--dt-min", "0.5", "--dt-max", "1",
+                "--dt-steps", "2", "--tol", tol, "--out-dir", str(tmp_path)])
+    assert code == 2
+    assert "tolerance tol must lie in (0, 0.5)" in capsys.readouterr().err
+    assert not list(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("args", [["--dx", "inf", "--dt-max", "1"],
+                                  ["--dx", "1e300", "--dt-max", "1e300"]])
+def test_quantize_overflowing_n_real_gets_error_cell(tmp_path, args):
+    assert run(["quantize", "--dt-min", "0", "--dt-steps", "3", "--out-dir", str(tmp_path)]
+               + args) == 0
+    lines = [line for line in (tmp_path / "quantize_scan.csv").read_text().splitlines()
+             if not line.startswith("#")]
+    errors = [line.split(",")[-1] for line in lines[1:]]
+    assert errors[0] == "undefined current"
+    assert all(e.startswith("unresolvable: tolerance inf at n_real inf") for e in errors[1:])
+
+
+def test_eval_negative_ladder_order_exit_2(tmp_path, capsys):
+    assert run(["eval", "--family", "ladder", "--n", "-1", "--out-dir", str(tmp_path)]) == 2
+    assert "ladder order -1 lies outside 0..6" in capsys.readouterr().err
+
+
+GOLDEN = pathlib.Path(__file__).parent / "data" / "verify_golden.json"
+
+
+def test_verify_matches_golden_snapshot(capsys):
+    """The full battery against the committed ``verify --json`` snapshot:
+    the same checks in the same order with the same verdicts, tolerances
+    and anchors, and every value within 1e-12 relative."""
+    assert run(["verify", "--json"]) == 0
+    got = json.loads(capsys.readouterr().out)["checks"]
+    want = json.loads(GOLDEN.read_text())["checks"]
+    fixed = ("name", "passed", "tolerance", "anchor")
+    assert [[c[k] for k in fixed] for c in got] == [[c[k] for k in fixed] for c in want]
+    for g, w in zip(got, want):
+        assert abs(g["value"] - w["value"]) <= 1e-12 * max(1.0, abs(w["value"])), g["name"]
+
+
+# --- random argv: every input ends in exit 0, 1 or 2, never a traceback ---------
+
+FLOATS = st.sampled_from(["0", "1", "-1", "0.5", "nan", "inf", "-inf", "1e300", "-1e300",
+                          "1e-300", "1000"])
+INTS = st.sampled_from(["-1", "0", "1", "2", "4", "70"])
+GRID_N = st.sampled_from(["-1", "0", "16", "32"])
+
+
+@st.composite
+def random_argv(draw, config_path):
+    command = draw(st.sampled_from(["quantize", "eval", "evolve1d", "evolve-landau"]))
+    argv = [command]
+    if command == "quantize":
+        argv += ["--dx", draw(FLOATS), "--dt-min", draw(FLOATS), "--dt-max", draw(FLOATS),
+                 "--dt-steps", draw(st.sampled_from(["-1", "0", "1", "3"]))]
+        flags = {"--tol": FLOATS}
+    elif command == "eval":
+        argv += ["--family", draw(st.sampled_from(["fundamental", "shifted", "ladder",
+                                                   "taylor", "oscillator", "family-y",
+                                                   "family-z"])),
+                 "--grid-n", draw(GRID_N)]
+        flags = {"--n": INTS, "--dt-shift": FLOATS, "--shift": FLOATS, "--ly": FLOATS,
+                 "--order": st.sampled_from(["-1", "0", "3", "65"]),
+                 "--times": st.lists(FLOATS, min_size=1, max_size=2).map(",".join),
+                 "--current": None}
+    elif command == "evolve1d":
+        argv += ["--grid-n", draw(GRID_N), "--steps", draw(st.sampled_from(["-1", "0", "1", "4"]))]
+        flags = {"--dt": FLOATS, "--sigma": FLOATS, "--x0": FLOATS, "--p0": FLOATS,
+                 "--cadence": st.sampled_from(["-1", "0", "1", "2"]), "--richardson": None}
+    else:
+        argv += ["--grid-n", draw(GRID_N), "--periods", draw(st.sampled_from(["-1", "0", "1"])),
+                 "--steps-per-period", draw(st.sampled_from(["-1", "0", "1", "4"]))]
+        flags = {"--n": INTS, "--dy": FLOATS, "--ly": FLOATS, "--richardson": None}
+    flags["--units"] = st.sampled_from(["natural", "cgs", "si"])
+    for flag in draw(st.lists(st.sampled_from(sorted(flags)), unique=True)):
+        argv += [flag] if flags[flag] is None else [flag, draw(flags[flag])]
+    if draw(st.booleans()):
+        argv += ["--config", config_path]
+    return argv
+
+
+@pytest.fixture(scope="module")
+def fuzz_dirs(tmp_path_factory):
+    root = tmp_path_factory.mktemp("fuzz")
+    (root / "par.json").write_text(json.dumps(PARALLEL_CFG))
+    return str(root / "par.json"), str(root / "out")
+
+
+@given(data=st.data())
+@settings(max_examples=1000, deadline=None, derandomize=True, database=None)
+def test_random_argv_never_raises(fuzz_dirs, data):
+    config_path, out_dir = fuzz_dirs
+    argv = data.draw(random_argv(config_path)) + ["--out-dir", out_dir]
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        try:
+            code = run(argv)
+        except SystemExit as exc:   # argparse rejects the argv
+            code = exc.code
+    assert code in (0, 1, 2), argv

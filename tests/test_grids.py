@@ -100,6 +100,15 @@ def test_snap_helpers():
     assert abs((off - g.x[0]) / g.dx - round((off - g.x[0]) / g.dx)) < 1e-12
 
 
+@pytest.mark.parametrize("length, value", [(8.0, math.inf), (8.0, -math.inf),
+                                           (8.0, math.nan), (1e-300, 1e300)])
+def test_snap_rejects_values_off_the_float_lattice(length, value):
+    g = G.Grid1D(length, 16)
+    for snap in (G.snap_shift, G.snap_offset):
+        with pytest.raises(ValueError, match="cannot snap"):
+            snap(g, value)
+
+
 # --- momentum and Hamiltonian actions --------------------------------------------
 
 def test_spectral_momentum_on_plane_wave():

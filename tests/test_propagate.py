@@ -45,9 +45,8 @@ def test_cn_requires_walls():
 def test_cn_single_step_norm():
     grid = G.Grid1D(40.0, 512, "dirichlet")
     f0 = gaussian_packet(grid)
-    f1 = P.step_crank_nicolson_1d(f0, 1e-3, CFG40)
+    f1 = G.WaveField(grid, P.CrankNicolson1D(grid, CFG40, 1e-3).step(f0.values), 1e-3)
     assert abs(G.norm(f1) - G.norm(f0)) < 1e-12
-    assert f1.t == pytest.approx(1e-3)
 
 
 def test_cn_norm_drift_over_many_steps():
@@ -129,6 +128,15 @@ def test_evolve_zero_steps_keeps_initial_row():
     assert len(rec.rows) == 1
     assert rec.rows[0][0] == 0.0
     assert rec.final.t == 0.0
+
+
+@pytest.mark.parametrize("zero", ["initial", "reference"])
+def test_evolve_rejects_zero_norm_fields(zero):
+    grid = G.Grid1D(40.0, 256, "dirichlet")
+    f0, empty = gaussian_packet(grid), G.WaveField(grid, np.zeros(256), 0.0)
+    initial, reference = (empty, f0) if zero == "initial" else (f0, empty)
+    with pytest.raises(ValueError, match="nonzero norm"):
+        P.evolve(initial, P.EvolutionSpec(dt=1e-3, steps=4), CFG40, reference=reference)
 
 
 def test_evolve_norm_column_constant():

@@ -163,6 +163,14 @@ def test_ladder_depth_guard():
         S.degeneracy_polynomial(7, CFG)
 
 
+def test_ladder_rejects_negative_order():
+    # the recursion has no floor below 0: a negative order must be refused
+    with pytest.raises(ValueError, match="ladder order -1 lies outside 0..6"):
+        S.degeneracy_polynomial(-1, CFG)
+    with pytest.raises(ValueError, match="lies outside"):
+        S.electric_ladder(CFG, -3)
+
+
 @pytest.mark.parametrize("j", [0, 1, 2, 3])
 def test_ladder_recursion_matches_time_derivative(j):
     """Central-difference oracle: i hbar d/dt (P_j phi) = P_{j+1} phi."""
@@ -186,6 +194,12 @@ def test_taylor_zero_shift_collapses():
     for J in (0, 3, 10):
         assert np.allclose(S.superposition_taylor(x, 1.0, 0.0, J, CFG),
                            S.phi_electric(x, 1.0, CFG))
+
+
+def test_taylor_coefficient_overflow_is_a_value_error():
+    # c_2 = (dt/hbar)^2 / 2 is past float64 at dt = 1e300
+    with pytest.raises(ValueError, match="c_2 at dt = 1e[+]300 overflows float64"):
+        S.superposition_taylor(0.0, 0.0, 1e300, 10, CFG)
 
 
 def test_taylor_resums_to_shifted_solution():

@@ -174,6 +174,24 @@ def test_quantization_verdict_needs_float64_resolution():
     assert Y.quantization_report(2.0 * math.pi, 1.0, CFG, tol=0.24).is_quantized
 
 
+@pytest.mark.parametrize("dx, dt", [(math.inf, 1.0), (1e300, 1e300), (math.nan, 1.0),
+                                    (-math.inf, 0.5)])
+def test_quantization_non_finite_n_real_is_unresolvable(dx, dt):
+    with pytest.raises(ValueError, match="unresolvable: tolerance"):
+        Y.quantization_report(dx, dt, CFG)
+
+
+@pytest.mark.parametrize("tol", [math.nan, -1.0, 0.0, 0.5, math.inf])
+def test_scan_rejects_bad_tolerance(tol):
+    with pytest.raises(ValueError, match="tolerance tol"):
+        Y.scan_quantization(2.0 * math.pi, [0.5, 1.0], CFG, tol)
+
+
+def test_scan_gives_the_unresolvable_reason():
+    [reason] = Y.scan_quantization(math.inf, [1.0], CFG)
+    assert reason.startswith("unresolvable: tolerance inf at n_real inf")
+
+
 def test_quantization_sign_convention():
     rep = Y.quantization_report(2.0 * math.pi, -1.0, CFG)
     assert rep.n_real == pytest.approx(-1.0)
@@ -217,7 +235,8 @@ def test_scan_quantization_integer_hits_only():
 
 def test_scan_handles_zero_dt():
     reports = Y.scan_quantization(1.0, [0.0, 0.5], CFG)
-    assert reports[0] is None and reports[1] is not None
+    assert reports[0] == "undefined current"
+    assert isinstance(reports[1], Y.QuantizationReport)
 
 
 # --- parallel superposition ----------------------------------------------------------
@@ -240,7 +259,7 @@ def test_single_term_superposition_matches_transformed_product(super_setup):
     x, y, z, t = 0.31, 0.8, -0.4, 0.65
     t_eff = t - d.dt
     expected = (cmath.exp(1j * t_eff * d.dx)
-                * S.phi_electric_parallel(x - d.dx, t_eff, cfg)
+                * S._plane_wave(x - d.dx, t_eff, cfg)
                 * cmath.exp(-1j * S.landau_level(0, cfg) * t_eff)
                 * complex(S.phi2_family_y(y, z, d.dy, 0, cfg))
                 / math.sqrt(g2.z.length))
