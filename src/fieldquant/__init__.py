@@ -4,9 +4,9 @@ numerical propagators."""
 
 from .config import (SystemConfig, ConfigError, build_config, load_config,
                      natural_config, serialize, cyclotron_frequency)
-from .algebra import (OperatorExpr, Gen, normal_order, commutator, partial_t,
-                      heisenberg_residual, adjoint, parse_operator, to_text,
-                      hamiltonian_1d, hamiltonian_parallel, eigen_ladder_check)
+from .algebra import (OperatorExpr, Gen, commutator, partial_t, heisenberg_residual,
+                      adjoint, parse_operator, to_text, hamiltonian_1d,
+                      hamiltonian_parallel, eigen_ladder_check)
 from .solutions import (phi_electric, psi_electric_shifted, degeneracy_polynomial,
                         superposition_taylor, hermite_poly, oscillator_eigenfunction,
                         landau_level, phi2_family_y, phi2_family_z,

@@ -213,12 +213,6 @@ def sym(name: str, power: int = 1) -> OperatorExpr:
 IMAG = OperatorExpr.parameter("i")
 
 
-def normal_order(expr: OperatorExpr) -> OperatorExpr:
-    """Canonical form.  Storage is normal ordered by construction, so this
-    returns a copy; kept as the public entry point."""
-    return OperatorExpr(expr.terms)
-
-
 def commutator(a: OperatorExpr, b: OperatorExpr) -> OperatorExpr:
     """a*b - b*a, from the contraction terms of the two orders alone."""
     terms = {}
@@ -247,24 +241,6 @@ def heisenberg_residual(f: OperatorExpr, H: OperatorExpr) -> OperatorExpr:
         raise ValueError("Hamiltonian must be time-local (no dt generator)")
     inv_ihbar = OperatorExpr.parameter("hbar", -1) * IMAG.scale(-1)  # 1/(i*hbar) = -i/hbar
     return inv_ihbar * commutator(f, H) + partial_t(f)
-
-
-def substitute_param(expr: OperatorExpr, name: str, value) -> OperatorExpr:
-    """Replace a symbolic parameter by an exact rational value."""
-    slot = 1 + _PARAM_INDEX[name]
-    value = Fraction(value)
-    terms = {}
-    for key, coeff in expr.terms.items():
-        exp = key[slot]
-        if exp:
-            if value == 0:
-                if exp < 0:
-                    raise ZeroDivisionError(f"{name} appears with a negative power")
-                continue
-            coeff = coeff * value ** exp
-            key = key[:slot] + (0,) + key[slot + 1:]
-        terms[key] = terms.get(key, Fraction(0)) + coeff
-    return OperatorExpr(terms)
 
 
 def adjoint(expr: OperatorExpr) -> OperatorExpr:

@@ -1,15 +1,17 @@
 """Run configuration: unit system, particle, fields, box and displacements.
 
-A ``SystemConfig`` is immutable after construction and shared by every
-other module.  Configs are built from a flat JSON-style mapping; see
-``build_config`` for the schema.
+A ``SystemConfig`` is one flat, immutable record shared by every other
+module: ``mass``, ``charge``, ``electric``, ``magnetic`` and ``geometry``
+sit beside the unit system and the box.  Configs are built from a flat
+JSON-style mapping; see ``build_config`` for the schema.  The charge may be
+negative (q = -e is the electron); levels and lengths then use |wc|.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 from . import constants
 
@@ -63,19 +65,6 @@ def unit_system(kind: str) -> UnitSystem:
 
 
 @dataclass(frozen=True)
-class ParticleSpec:
-    mass: float
-    charge: float
-
-
-@dataclass(frozen=True)
-class FieldConfig:
-    electric: float
-    magnetic: float
-    geometry: str
-
-
-@dataclass(frozen=True)
 class DisplacementParams:
     dx: float = 0.0
     dy: float = 0.0
@@ -87,48 +76,32 @@ class DisplacementParams:
 @dataclass(frozen=True)
 class SystemConfig:
     units: UnitSystem
-    particle: ParticleSpec
-    fields: FieldConfig
+    mass: float
+    charge: float
+    electric: float
+    magnetic: float
+    geometry: str
     box_length: float
     displacements: DisplacementParams = field(default_factory=DisplacementParams)
     plane_wave_norm: str = "sqrt_box"   # "sqrt_box": 1/sqrt(L) (unit L2 norm); "box": 1/L
     ladder_depth: int = 6
     hamiltonian_override: str | None = None
 
-    # frequently used shorthands
     @property
     def hbar(self) -> float:
         return self.units.hbar
-
-    @property
-    def mass(self) -> float:
-        return self.particle.mass
-
-    @property
-    def charge(self) -> float:
-        return self.particle.charge
-
-    @property
-    def electric(self) -> float:
-        return self.fields.electric
-
-    @property
-    def geometry(self) -> str:
-        return self.fields.geometry
-
-    def with_displacements(self, **kw) -> "SystemConfig":
-        return replace(self, displacements=replace(self.displacements, **kw))
 
 
 def cyclotron_frequency(cfg: SystemConfig) -> float:
     """q B / (m c), recomputed from the config every time.
 
     Gaussian-convention formula; in natural units (c = 1) it reduces to
-    q B / m.  Raises unless the geometry actually carries a magnetic field.
+    q B / m.  Signed: negative for a negative charge.  Raises unless the
+    geometry actually carries a magnetic field.
     """
-    if cfg.fields.geometry != "parallel_eb":
+    if cfg.geometry != "parallel_eb":
         raise ConfigError("geometry", "no magnetic field in this geometry")
-    return cfg.particle.charge * cfg.fields.magnetic / (cfg.particle.mass * cfg.units.c)
+    return cfg.charge * cfg.magnetic / (cfg.mass * cfg.units.c)
 
 
 def _required(raw: dict, key: str):
@@ -236,8 +209,11 @@ def build_config(raw: dict) -> SystemConfig:
 
     return SystemConfig(
         units=units,
-        particle=ParticleSpec(mass=mass, charge=charge),
-        fields=FieldConfig(electric=electric, magnetic=magnetic, geometry=geometry),
+        mass=mass,
+        charge=charge,
+        electric=electric,
+        magnetic=magnetic,
+        geometry=geometry,
         box_length=box_length,
         displacements=displacements,
         plane_wave_norm=plane_wave_norm,
@@ -250,11 +226,11 @@ def serialize(cfg: SystemConfig) -> dict:
     """Flat dict that reparses (via build_config) to an equal config."""
     out = {
         "units": cfg.units.kind,
-        "m": cfg.particle.mass,
-        "q": cfg.particle.charge,
-        "E": cfg.fields.electric,
-        "B": cfg.fields.magnetic,
-        "geometry": cfg.fields.geometry,
+        "m": cfg.mass,
+        "q": cfg.charge,
+        "E": cfg.electric,
+        "B": cfg.magnetic,
+        "geometry": cfg.geometry,
         "L": cfg.box_length,
         "dx": cfg.displacements.dx,
         "dy": cfg.displacements.dy,

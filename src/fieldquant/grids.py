@@ -130,7 +130,7 @@ def commensurate_time(cfg: SystemConfig, grid: Grid1D, k: int = 1) -> float:
 def landau_grid(cfg: SystemConfig, npoints: int = 64, ly: float = 24.0) -> Grid2D:
     """Periodic (y, z) grid commensurate with the gauge coupling.
 
-    Choosing dz = 2 pi hbar / (m wc Ly) with equal point counts makes both
+    Choosing dz = 2 pi hbar / (m |wc| Ly) with equal point counts makes both
     plane-wave phases exp(i m wc dy z / hbar) and exp(i m wc y (z - dz) / hbar)
     exactly periodic whenever dy and dz sit on the sample lattices, so both
     displaced-oscillator families and the gauge twist are alias-free.
@@ -140,7 +140,7 @@ def landau_grid(cfg: SystemConfig, npoints: int = 64, ly: float = 24.0) -> Grid2
         raise ValueError("landau_grid requires a nonzero magnetic field")
     if not (math.isfinite(ly) and ly > 0):
         raise ValueError(f"landau_grid needs a finite positive ly, got {ly}")
-    dz = 2.0 * math.pi * cfg.hbar / (cfg.mass * wc * ly)
+    dz = 2.0 * math.pi * cfg.hbar / (cfg.mass * abs(wc) * ly)
     return Grid2D(y=Grid1D(ly, npoints, "periodic"),
                   z=Grid1D(dz * npoints, npoints, "periodic"))
 
@@ -222,6 +222,16 @@ def _axis_grid(grid, axis: int) -> Grid1D:
     return (grid.y, grid.z)[axis]
 
 
+def _spectral(values: np.ndarray, axis_grid: Grid1D, multiplier, axis: int) -> np.ndarray:
+    """ifft(multiplier(k) fft(values)) along one periodic axis, with k the
+    wavenumbers of ``axis_grid``: the one Fourier-multiplier kernel behind
+    spectral momentum, kinetic energy and off-lattice translations."""
+    shape = [1] * values.ndim
+    shape[axis] = axis_grid.npoints
+    k = axis_grid.wavenumbers.reshape(shape)
+    return np.fft.ifft(multiplier(k) * np.fft.fft(values, axis=axis), axis=axis)
+
+
 def apply_momentum(f: WaveField, cfg: SystemConfig, axis: int = 0,
                    scheme: str = "spectral") -> WaveField:
     """-i hbar d/dx along the chosen axis."""
@@ -229,11 +239,7 @@ def apply_momentum(f: WaveField, cfg: SystemConfig, axis: int = 0,
     if scheme == "spectral":
         if ag.boundary != "periodic":
             raise GridMismatchError("spectral momentum requires a periodic axis")
-        k = ag.wavenumbers
-        shape = [1] * f.values.ndim
-        shape[axis] = k.size
-        fk = np.fft.fft(f.values, axis=axis)
-        out = np.fft.ifft(cfg.hbar * k.reshape(shape) * fk, axis=axis)
+        out = _spectral(f.values, ag, lambda k: cfg.hbar * k, axis)
     elif scheme == "fd4":
         out = -1j * cfg.hbar * _fd4_first(f.values, ag.dx, ag.boundary == "periodic", axis)
     else:
@@ -248,11 +254,7 @@ def apply_kinetic(f: WaveField, cfg: SystemConfig, axis: int = 0,
     if scheme == "spectral":
         if ag.boundary != "periodic":
             raise GridMismatchError("spectral kinetic term requires a periodic axis")
-        k = ag.wavenumbers
-        shape = [1] * f.values.ndim
-        shape[axis] = k.size
-        fk = np.fft.fft(f.values, axis=axis)
-        return np.fft.ifft((cfg.hbar * k.reshape(shape)) ** 2 * fk, axis=axis) / (2.0 * cfg.mass)
+        return _spectral(f.values, ag, lambda k: (cfg.hbar * k) ** 2, axis) / (2.0 * cfg.mass)
     if scheme == "fd4":
         lap = _fd4_second(f.values, ag.dx, ag.boundary == "periodic", axis)
         return -cfg.hbar ** 2 * lap / (2.0 * cfg.mass)
@@ -278,14 +280,6 @@ def gauge_twist(grid: Grid2D, cfg: SystemConfig) -> np.ndarray:
     twist = np.exp(1j * cfg.mass * wc * yy * zz / cfg.hbar)
     twist.flags.writeable = False
     return twist
-
-
-def apply_gauge_momentum_z(f: WaveField, cfg: SystemConfig) -> WaveField:
-    """(pz - m wc y) via the unitary gauge twist (alias-free)."""
-    twist = gauge_twist(f.grid, cfg)
-    inner = WaveField(f.grid, np.conj(twist) * f.values, f.t)
-    pz_inner = apply_momentum(inner, cfg, axis=1, scheme="spectral")
-    return WaveField(f.grid, twist * pz_inner.values, f.t)
 
 
 def apply_hamiltonian_yz(f: WaveField, cfg: SystemConfig) -> WaveField:
@@ -389,22 +383,13 @@ def expectation(opname: str, f: WaveField, cfg: SystemConfig) -> float:
 # --- residuals ----------------------------------------------------------------
 
 def _interior_mask(grid) -> np.ndarray | None:
-    if isinstance(grid, Grid1D):
-        if grid.boundary == "dirichlet":
-            mask = np.zeros(grid.npoints, dtype=bool)
-            mask[DIRICHLET_BAND:-DIRICHLET_BAND] = True
-            return mask
-        return None
-    masks = []
-    for ag in (grid.y, grid.z):
-        m = np.ones(ag.npoints, dtype=bool)
-        if ag.boundary == "dirichlet":
-            m[:] = False
-            m[DIRICHLET_BAND:-DIRICHLET_BAND] = True
-        masks.append(m)
-    if masks[0].all() and masks[1].all():
-        return None
-    return masks[0][:, None] & masks[1][None, :]
+    # 2D residuals run on periodic axes only: the spectral kinetic term
+    # rejects a wall axis before any mask is needed
+    if isinstance(grid, Grid1D) and grid.boundary == "dirichlet":
+        mask = np.zeros(grid.npoints, dtype=bool)
+        mask[DIRICHLET_BAND:-DIRICHLET_BAND] = True
+        return mask
+    return None
 
 
 def residual_samples(solution: AnalyticSolution, grid, t: float, dt_stencil: float,

@@ -224,4 +224,4 @@ def cyclotron_period(cfg: SystemConfig) -> float:
     wc = cyclotron_frequency(cfg)
     if wc == 0:
         raise ValueError("cyclotron period undefined for zero magnetic field")
-    return 2.0 * math.pi / wc
+    return 2.0 * math.pi / abs(wc)

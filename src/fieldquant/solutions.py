@@ -219,9 +219,9 @@ def hermite_poly(n: int, xi):
 def oscillator_eigenfunction(n: int, xi, cfg: SystemConfig):
     """Normalized oscillator eigenfunction of the dimensionless coordinate:
 
-        (2^n n!)^(-1/2) (m wc / pi hbar)^(1/4) exp(-xi^2 / 2) H_n(xi)
+        (2^n n!)^(-1/2) (m |wc| / pi hbar)^(1/4) exp(-xi^2 / 2) H_n(xi)
     """
-    wc = cyclotron_frequency(cfg)
+    wc = abs(cyclotron_frequency(cfg))
     xi = np.asarray(xi, dtype=float)
     # prefactor in log space: 2^n n! overflows float64 near n = 60
     log_norm = -0.5 * (n * math.log(2.0) + math.lgamma(n + 1))
@@ -230,17 +230,17 @@ def oscillator_eigenfunction(n: int, xi, cfg: SystemConfig):
 
 
 def landau_level(n: int, cfg: SystemConfig) -> float:
-    """E_n = hbar wc (n + 1/2)."""
+    """E_n = hbar |wc| (n + 1/2), for either sign of the charge."""
     if cfg.geometry != "parallel_eb":
         raise ConfigError("geometry", "landau_level requires geometry parallel_eb")
     if n < 0:
         raise ValueError(f"oscillator index n must be nonnegative, got {n}")
-    return cfg.hbar * cyclotron_frequency(cfg) * (n + 0.5)
+    return cfg.hbar * abs(cyclotron_frequency(cfg)) * (n + 0.5)
 
 
 def oscillator_scale(cfg: SystemConfig) -> float:
-    """sqrt(m wc / hbar), the inverse oscillator length."""
-    return math.sqrt(cfg.mass * cyclotron_frequency(cfg) / cfg.hbar)
+    """sqrt(m |wc| / hbar), the inverse oscillator length."""
+    return math.sqrt(cfg.mass * abs(cyclotron_frequency(cfg)) / cfg.hbar)
 
 
 # --- parallel-field stationary families -------------------------------------
@@ -430,7 +430,7 @@ def parallel_family_z(cfg: SystemConfig, n: int, dz_shift: float = 0.0,
         return amp * np.exp(-1j * en * t / cfg.hbar) * phi2_family_z(y, z, dz_shift, n, cfg)
 
     def kmax(t):
-        ky = cfg.mass * wc * (abs(dz_shift) + span) / cfg.hbar
+        ky = cfg.mass * abs(wc) * (abs(dz_shift) + span) / cfg.hbar
         return (ky, kz)
 
     return AnalyticSolution(

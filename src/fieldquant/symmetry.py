@@ -1,12 +1,15 @@
 """Symmetry unitaries of the two systems, the invariance phase they imprint,
 and the resistance-quantization report.
 
-The four transforms are exact shift-plus-phase maps:
+The four transforms share one form: shift a coordinate s by delta and
+multiply by exp(i rate delta w), a phase linear in a second coordinate w.
+``UNITARY_TABLE`` holds (s, w) per kind, ``_phase`` the two rates, and both
+closed-form solutions and grid fields are transformed from that one table:
 
-    Ux: psi(x) -> exp(i q E t dx / hbar) psi(x - dx)
-    Uy: psi(y, z) -> exp(i m wc z dy / hbar) psi(y - dy, z)
-    Uz: psi(z) -> psi(z - dz)
-    Ut: t -> t - dt   (solutions only; a bare grid field has no free t)
+    Ux: s = x, w = t, rate q E / hbar
+    Uy: s = y, w = z, rate m wc / hbar
+    Uz: s = z, no phase
+    Ut: s = t, no phase   (solutions only; a bare grid field has no free t)
 
 A state with a sharp conserved-momentum eigenvalue picks up the global
 phase exp(i q E dx dt / hbar) under Ux; demanding invariance quantizes
@@ -16,7 +19,6 @@ units of h / q^2.
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass
 
@@ -25,10 +27,12 @@ import numpy as np
 from .config import SystemConfig, cyclotron_frequency
 from .solutions import (AnalyticSolution, _plane_wave, electric_shifted, landau_level,
                         oscillator_scale, phi2_family_y, phi2_family_z)
-from .grids import (Grid1D, Grid2D, WaveField, GridMismatchError, landau_grid,
-                    sample, residual_samples)
+from .grids import (Grid1D, Grid2D, WaveField, GridMismatchError, _spectral,
+                    landau_grid, sample, residual_samples)
 
-UNITARY_KINDS = ("Ux", "Uy", "Uz", "Ut")
+UNITARY_TABLE = {"Ux": ("x", "t"), "Uy": ("y", "z"), "Uz": ("z", None), "Ut": ("t", None)}
+UNITARY_KINDS = tuple(UNITARY_TABLE)
+_SOLUTION_COORDS = {1: ("x", "t"), 2: ("y", "z", "t"), 3: ("x", "y", "z", "t")}
 
 
 @dataclass(frozen=True)
@@ -44,77 +48,55 @@ class Unitary:
             raise ValueError("unitary parameter must be finite")
 
 
-def _solution_transform(u: Unitary, solution: AnalyticSolution, cfg: SystemConfig):
-    d = u.delta
-    fn = solution.fn
-    if u.kind == "Ut":
-        if solution.ndim == 1:
-            return lambda x, t: fn(x, np.asarray(t) - d)
-        if solution.ndim == 2:
-            return lambda y, z, t: fn(y, z, np.asarray(t) - d)
-        return lambda x, y, z, t: fn(x, y, z, np.asarray(t) - d)
+def _phase(u: Unitary, cfg: SystemConfig, w):
+    """exp(i rate delta w), the compensating phase of Ux (rate q E / hbar)
+    or Uy (rate m wc / hbar) at phase-coordinate values ``w``."""
     if u.kind == "Ux":
-        q, E, hbar = cfg.charge, cfg.electric, cfg.hbar
-        if solution.ndim == 2:
-            raise GridMismatchError("Ux needs a solution with an x coordinate")
-        phase = (lambda t: np.exp(1j * q * E * np.asarray(t) * d / hbar)) \
-            if u.compensating_phase else (lambda t: 1.0)
-        if solution.ndim == 1:
-            return lambda x, t: phase(t) * fn(np.asarray(x) - d, t)
-        return lambda x, y, z, t: phase(t) * fn(np.asarray(x) - d, y, z, t)
-    if u.kind == "Uy":
-        wc = cyclotron_frequency(cfg)
-        coeff = cfg.mass * wc * d / cfg.hbar
-        phase = (lambda z: np.exp(1j * coeff * np.asarray(z))) \
-            if u.compensating_phase else (lambda z: 1.0)
-        if solution.ndim == 2:
-            return lambda y, z, t: phase(z) * fn(np.asarray(y) - d, z, t)
-        if solution.ndim == 3:
-            return lambda x, y, z, t: phase(z) * fn(x, np.asarray(y) - d, z, t)
-        raise GridMismatchError("Uy needs a solution with a y coordinate")
-    # Uz
-    if solution.ndim == 2:
-        return lambda y, z, t: fn(y, np.asarray(z) - d, t)
-    if solution.ndim == 3:
-        return lambda x, y, z, t: fn(x, y, np.asarray(z) - d, t)
-    raise GridMismatchError("Uz needs a solution with a z coordinate")
+        rate = cfg.charge * cfg.electric / cfg.hbar
+    else:
+        rate = cfg.mass * cyclotron_frequency(cfg) / cfg.hbar
+    return np.exp(1j * rate * u.delta * np.asarray(w))
 
 
-def _shift_axis(values: np.ndarray, grid_axis: Grid1D, delta: float, axis: int) -> np.ndarray:
-    """Periodic lattice shift (exact roll when delta sits on the lattice,
-    band-limited spectral interpolation otherwise)."""
-    if grid_axis.boundary != "periodic":
-        raise GridMismatchError("grid unitaries need periodic axes")
-    cells = delta / grid_axis.dx
-    if abs(cells - round(cells)) < 1e-9:
-        return np.roll(values, round(cells), axis=axis)
-    k = grid_axis.wavenumbers
-    shape = [1] * values.ndim
-    shape[axis] = k.size
-    return np.fft.ifft(np.exp(-1j * k.reshape(shape) * delta)
-                       * np.fft.fft(values, axis=axis), axis=axis)
+def _solution_transform(u: Unitary, solution: AnalyticSolution, cfg: SystemConfig):
+    # every solution has t, and z wherever it has y: only s can be missing
+    shifted, phased = UNITARY_TABLE[u.kind]
+    coords = _SOLUTION_COORDS[solution.ndim]
+    if shifted not in coords:
+        raise GridMismatchError(f"{u.kind} needs a solution with a {shifted} coordinate")
+    fn, d = solution.fn, u.delta
+    i = coords.index(shifted)
+    j = coords.index(phased) if phased and u.compensating_phase else None
+
+    def transformed(*args):
+        moved = list(args)
+        moved[i] = np.asarray(args[i]) - d
+        out = fn(*moved)
+        return out if j is None else _phase(u, cfg, args[j]) * out
+    return transformed
 
 
 def _field_transform(u: Unitary, f: WaveField, cfg: SystemConfig) -> WaveField:
     if u.kind == "Ut":
         raise ValueError("time shift requires analytic time dependence")
-    if u.kind == "Ux":
-        if not isinstance(f.grid, Grid1D):
-            raise GridMismatchError("grid Ux acts on 1D fields")
-        out = _shift_axis(f.values, f.grid, u.delta, 0)
-        if u.compensating_phase:
-            out = out * cmath.exp(1j * cfg.charge * cfg.electric * f.t * u.delta / cfg.hbar)
-        return WaveField(f.grid, out, f.t)
-    if not isinstance(f.grid, Grid2D):
-        raise GridMismatchError("grid Uy/Uz act on 2D fields")
-    if u.kind == "Uy":
-        out = _shift_axis(f.values, f.grid.y, u.delta, 0)
-        if u.compensating_phase:
-            wc = cyclotron_frequency(cfg)
-            zz = f.grid.z.x[None, :]
-            out = out * np.exp(1j * cfg.mass * wc * zz * u.delta / cfg.hbar)
-        return WaveField(f.grid, out, f.t)
-    out = _shift_axis(f.values, f.grid.z, u.delta, 1)
+    # a field's t is its time stamp; as for solutions, only s can be missing
+    shifted, phased = UNITARY_TABLE[u.kind]
+    axes = {"x": (0, f.grid)} if isinstance(f.grid, Grid1D) \
+        else {"y": (0, f.grid.y), "z": (1, f.grid.z)}
+    if shifted not in axes:
+        raise GridMismatchError(f"grid {u.kind} needs a field with a {shifted} axis")
+    axis, ag = axes[shifted]
+    if ag.boundary != "periodic":
+        raise GridMismatchError("grid unitaries need periodic axes")
+    # exact roll when delta sits on the lattice, band-limited interpolation otherwise
+    cells = u.delta / ag.dx
+    if abs(cells - round(cells)) < 1e-9:
+        out = np.roll(f.values, round(cells), axis=axis)
+    else:
+        out = _spectral(f.values, ag, lambda k: np.exp(-1j * k * u.delta), axis)
+    if phased and u.compensating_phase:
+        w = f.t if phased == "t" else np.expand_dims(axes[phased][1].x, 1 - axes[phased][0])
+        out = out * _phase(u, cfg, w)
     return WaveField(f.grid, out, f.t)
 
 
@@ -188,17 +170,10 @@ def invariance_phase(dx_shift: float, dt_shift: float, cfg: SystemConfig,
         state = electric_shifted(cfg, dt_shift)
     ux = Unitary("Ux", dx_shift)
     transformed = apply_unitary(ux, state, cfg)
-    ratios = []
-    weights = []
-    for point in _phase_sample_points(state, cfg):
-        base = state.fn(*point)
-        shifted = transformed.fn(*point)
-        base = np.asarray(base, dtype=complex).ravel()
-        shifted = np.asarray(shifted, dtype=complex).ravel()
-        ratios.append(shifted)
-        weights.append(base)
-    base = np.concatenate(weights)
-    shifted = np.concatenate(ratios)
+    points = _phase_sample_points(state, cfg)
+    base = np.concatenate([np.asarray(state.fn(*p), dtype=complex).ravel() for p in points])
+    shifted = np.concatenate([np.asarray(transformed.fn(*p), dtype=complex).ravel()
+                              for p in points])
     amax = np.abs(base).max()
     keep = np.abs(base) > AMPLITUDE_FLOOR * amax
     ratio = shifted[keep] / base[keep]

@@ -11,7 +11,7 @@ scan parameters.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -282,18 +282,22 @@ def checks_symmetry() -> list[CheckResult]:
 def checks_quantization(cfg: SystemConfig, dx_shift: float = 2.0 * math.pi,
                         dt_grid=None, tol: float = 1e-8) -> list[CheckResult]:
     out = []
-    scan_cfg = cfg if cfg.units.kind == "natural" else natural_config()
+    # the scan runs on the electric solutions: a natural-unit config keeps its
+    # particle and E, with the magnetic field dropped
+    scan_cfg = replace(cfg, geometry="electric_1d", magnetic=0.0) \
+        if cfg.units.kind == "natural" else natural_config()
     if scan_cfg.electric * dx_shift == 0:
         raise ValueError("quantization checks need a nonzero electric field and shift")
     if dt_grid is None:
         dt_grid = np.arange(1, 1001) * 0.005
+    dt_arr = np.asarray(list(dt_grid), dtype=float)
     hits = []
     misses_ok = True
     phase_dev_hit = 0.0
-    for dt_shift in dt_grid:
-        phase = sym.invariance_phase(dx_shift, float(dt_shift), scan_cfg)
-        report = sym.quantization_report(dx_shift, float(dt_shift), scan_cfg, tol)
-        dev = abs(phase - 1.0)
+    for report in sym.scan_quantization(dx_shift, dt_arr, scan_cfg, tol):
+        if isinstance(report, str):   # no verdict at this point
+            raise ValueError(f"quantization scan: {report}")
+        dev = abs(sym.invariance_phase(dx_shift, report.dt, scan_cfg) - 1.0)
         if report.is_quantized:
             hits.append(report.nearest)
             phase_dev_hit = max(phase_dev_hit, dev)
@@ -308,15 +312,14 @@ def checks_quantization(cfg: SystemConfig, dx_shift: float = 2.0 * math.pi,
         0.0 if misses_ok else 1.0, 0.0,
         "away from integer n the invariance phase stays away from 1",
         exact=True))
-    # integers whose quantizing dt lands on the scan grid, by pure arithmetic
-    dt_arr = np.asarray(list(dt_grid), dtype=float)
-    q, E, hbar = scan_cfg.charge, scan_cfg.electric, scan_cfg.hbar
-    n_max = int(math.floor(q * E * dx_shift * dt_arr.max() / (2.0 * math.pi * hbar))) + 1
-    expected_hits = []
-    for n in range(1, n_max + 1):
-        dt_n = 2.0 * math.pi * hbar * n / (q * E * dx_shift)
-        if np.min(np.abs(dt_arr - dt_n)) < 1e-12:
-            expected_hits.append(n)
+    # integers whose quantizing dt lands on the scan grid, by pure arithmetic;
+    # n carries the sign of q E dx (the electron's n are negative)
+    q_e_dx = scan_cfg.charge * scan_cfg.electric * dx_shift
+    two_pi_hbar = 2.0 * math.pi * scan_cfg.hbar
+    sign = 1 if q_e_dx > 0 else -1
+    n_max = int(math.floor(abs(q_e_dx) * np.abs(dt_arr).max() / two_pi_hbar)) + 1
+    expected_hits = [n for n in range(sign, sign * (n_max + 1), sign)
+                     if np.min(np.abs(dt_arr - two_pi_hbar * n / q_e_dx)) < 1e-12]
     out.append(_check(
         "quantization.integer_hits",
         0.0 if hits == expected_hits else 1.0, 0.0,

@@ -254,6 +254,47 @@ def test_verify_quantization_zero_field_exit_2(tmp_path, capsys):
     assert "nonzero electric field" in capsys.readouterr().err
 
 
+def _quantization_checks(capsys, tmp_path, cfg=None):
+    args = ["verify", "--filter", "quantization", "--json"]
+    if cfg is not None:
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(cfg))
+        args += ["--config", str(path)]
+    assert run(args) == 0
+    return json.loads(capsys.readouterr().out)["checks"]
+
+
+def test_verify_parallel_config_scans_the_electric_solutions(tmp_path, capsys):
+    default = _quantization_checks(capsys, tmp_path)
+    assert _quantization_checks(capsys, tmp_path, PARALLEL_CFG) == default
+
+
+ELECTRON_PARALLEL_CFG = {"m": 1, "q": "-e", "E": 1, "B": 1.0, "L": 8.0,
+                         "geometry": "parallel_eb"}
+
+
+@pytest.mark.parametrize("cfg", [{"m": 1, "q": -1, "E": 1, "L": 8},
+                                 {"m": 1, "q": "-e", "E": 1, "L": 8},
+                                 {"m": 1, "q": 1, "E": -1, "L": 8},
+                                 ELECTRON_PARALLEL_CFG])
+def test_verify_signed_quantum_numbers(tmp_path, capsys, cfg):
+    checks = _quantization_checks(capsys, tmp_path, cfg)
+    [hits] = [c for c in checks if c["name"] == "quantization.integer_hits"]
+    assert hits["passed"]
+    assert hits["anchor"].endswith("n = [-1, -2, -3, -4, -5]")
+
+
+@pytest.mark.parametrize("args", [
+    ["evolve-landau", "--periods", "1", "--steps-per-period", "64", "--grid-n", "32"],
+    ["eval", "--family", "family-y", "--n", "1", "--shift", "0.5", "--grid-n", "64"],
+    ["eval", "--family", "family-z", "--n", "1", "--shift", "0.5", "--grid-n", "64"],
+])
+def test_electron_parallel_commands_run(tmp_path, args):
+    path = tmp_path / "electron.json"
+    path.write_text(json.dumps(ELECTRON_PARALLEL_CFG))
+    assert run(args + ["--config", str(path), "--out-dir", str(tmp_path / "out")]) == 0
+
+
 PARALLEL_CFG = {"m": 1, "q": 1, "E": 1, "B": 1.0, "L": 8.0, "geometry": "parallel_eb"}
 
 
@@ -357,6 +398,18 @@ def test_verify_matches_golden_snapshot(capsys):
     assert [[c[k] for k in fixed] for c in got] == [[c[k] for k in fixed] for c in want]
     for g, w in zip(got, want):
         assert abs(g["value"] - w["value"]) <= 1e-12 * max(1.0, abs(w["value"])), g["name"]
+
+
+@pytest.mark.parametrize("golden, args", [
+    ("quantize_natural.csv", ["--dx", "6.283185307179586", "--dt-min", "0", "--dt-max", "3",
+                              "--dt-steps", "7"]),
+    ("quantize_si.csv", ["--units", "si", "--dx", "1", "--dt-min", "1", "--dt-max", "2",
+                         "--dt-steps", "3"]),
+])
+def test_quantize_csv_matches_committed_bytes(tmp_path, golden, args):
+    """Pure scalar arithmetic: the scan CSV is pinned byte for byte."""
+    assert run(["quantize"] + args + ["--out-dir", str(tmp_path)]) == 0
+    assert read(tmp_path / "quantize_scan.csv") == read(GOLDEN.parent / golden)
 
 
 # --- random argv: every input ends in exit 0, 1 or 2, never a traceback ---------

@@ -22,7 +22,7 @@ def test_minimal_natural_config():
 def test_defaults_applied():
     cfg = build_config({"m": 1, "q": 1, "E": 1, "L": 10})
     assert cfg.units.kind == "natural"
-    assert cfg.fields.magnetic == 0.0
+    assert cfg.magnetic == 0.0
     assert cfg.plane_wave_norm == "sqrt_box"
     assert cfg.ladder_depth == 6
 
@@ -99,7 +99,7 @@ def test_cyclotron_requires_magnetic_geometry():
 
 def test_magnetic_field_ignored_in_electric_geometry():
     cfg = build_config({"m": 1, "q": 1, "E": 1, "L": 8, "B": 5.0})
-    assert cfg.fields.magnetic == 0.0
+    assert cfg.magnetic == 0.0
 
 
 def test_von_klitzing_reference_matches_exact_constants():

@@ -161,6 +161,31 @@ def test_hamiltonian_yz_eigenstate():
     assert np.max(np.abs(hf.values - e0 * f.values)) < 1e-10 * np.max(np.abs(f.values))
 
 
+def _landau_energies(q):
+    """<H_yz> of both families, n = 0..3, on the 96^2 grid, with residuals."""
+    cfg = natural_config(B=1.0, geometry="parallel_eb", L=8.0, q=q)
+    g2 = G.landau_grid(cfg, npoints=96, ly=24.0)
+    dy, dz = G.snap_shift(g2.y, 1.0), G.snap_offset(g2.z, 0.7)
+    energies, residuals = [], []
+    for n in range(4):
+        for state in (S.parallel_family_y(cfg, n, dy, lz_box=g2.z.length),
+                      S.parallel_family_z(cfg, n, dz, ly_box=g2.y.length)):
+            energies.append(G.expectation("H", G.sample(state, g2, 0.0), cfg))
+            residuals.append(G.schrodinger_residual(state, g2, 0.3, 1e-4))
+    return cfg, np.array(energies), np.array(residuals)
+
+
+def test_electron_landau_energies_match_the_positive_charge():
+    cfg_e, e_minus, r_minus = _landau_energies(-1.0)
+    _, e_plus, r_plus = _landau_energies(1.0)
+    levels = np.repeat([S.landau_level(n, cfg_e) for n in range(4)], 2)
+    assert levels[0] == 0.5
+    assert np.all(np.abs(e_minus - levels) <= 1e-6 * levels)
+    assert np.all(np.abs(e_minus - e_plus) <= 1e-12 * levels)
+    assert np.all(r_minus < 1e-6)
+    assert np.all(np.abs(r_minus - r_plus) <= 1e-3 * r_plus)
+
+
 def test_hamiltonian_dimension_guards():
     f1 = G.WaveField(GRID, np.ones(256, dtype=complex), 0.0)
     with pytest.raises(G.GridMismatchError):

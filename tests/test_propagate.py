@@ -256,6 +256,19 @@ def test_split_eigenstate_ten_periods_fidelity(landau_eigenstate):
     assert rec.column("fidelity").min() > 1.0 - 1e-5
 
 
+def test_split_electron_ten_periods_fidelity():
+    # q = -1: the gauge kick keeps the sign of wc, the period uses |wc|
+    cfg = natural_config(B=1.0, geometry="parallel_eb", L=8.0, q=-1.0)
+    g2 = G.landau_grid(cfg, npoints=64, ly=24.0)
+    f0 = G.sample(S.parallel_family_y(cfg, 0, G.snap_shift(g2.y, 1.0), lz_box=g2.z.length),
+                  g2, 0.0)
+    period = P.cyclotron_period(cfg)
+    assert period == P.cyclotron_period(CFG_PAR)
+    rec = P.evolve(f0, P.EvolutionSpec(dt=period / 512, steps=5120, cadence=512,
+                                       method="split_yz"), cfg)
+    assert rec.column("fidelity").min() > 1.0 - 1e-5
+
+
 def test_split_energy_conserved_along_trajectory(landau_eigenstate):
     g2, f0 = landau_eigenstate
     period = P.cyclotron_period(CFG_PAR)

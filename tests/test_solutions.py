@@ -86,6 +86,21 @@ def test_landau_levels():
         S.landau_level(0, CFG)
 
 
+@pytest.mark.parametrize("q", [1.0, -1.0, -1.5])
+def test_oscillator_quantities_use_the_cyclotron_magnitude(q):
+    # q = -1 is the electron: levels hbar |wc| (n + 1/2), a real oscillator
+    # scale and a positive Nyquist bound for the family-z y wavenumber
+    cfg = natural_config(m=2.0, q=q, B=0.7, geometry="parallel_eb", L=8.0)
+    wc = abs(q) * 0.7 / 2.0
+    for n in range(5):
+        assert S.landau_level(n, cfg) == pytest.approx(wc * (n + 0.5), rel=1e-15)
+    assert S.oscillator_scale(cfg) == pytest.approx(math.sqrt(2.0 * wc), rel=1e-15)
+    assert S.parallel_family_z(cfg, 1, 0.5).kmax(0.0)[0] > 0
+    xi = np.linspace(-8.0, 8.0, 2001)
+    norm = np.sum(S.oscillator_eigenfunction(2, xi, cfg) ** 2) * (xi[1] - xi[0])
+    assert norm == pytest.approx(math.sqrt(2.0 * wc), rel=1e-12)
+
+
 # --- electric-field solution ------------------------------------------------------
 
 def test_phi_electric_at_t0():

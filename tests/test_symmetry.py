@@ -9,7 +9,7 @@ import pytest
 from fieldquant import grids as G
 from fieldquant import solutions as S
 from fieldquant import symmetry as Y
-from fieldquant.config import build_config, natural_config
+from fieldquant.config import build_config, cyclotron_frequency, natural_config
 
 CFG = natural_config(L=8.0)
 CFG_PAR = natural_config(B=1.0, geometry="parallel_eb", L=8.0)
@@ -91,6 +91,133 @@ def test_grid_unitaries_need_periodic_axes():
     f = G.WaveField(g, np.ones(64, dtype=complex), 0.0)
     with pytest.raises(G.GridMismatchError):
         Y.apply_unitary(Y.Unitary("Ux", 0.5), f, CFG)
+
+
+# --- the unitary table against the per-kind transforms it replaced -------------
+
+def _reference_solution_fn(u, solution, cfg):
+    d, fn = u.delta, solution.fn
+    if u.kind == "Ut":
+        if solution.ndim == 1:
+            return lambda x, t: fn(x, np.asarray(t) - d)
+        if solution.ndim == 2:
+            return lambda y, z, t: fn(y, z, np.asarray(t) - d)
+        return lambda x, y, z, t: fn(x, y, z, np.asarray(t) - d)
+    if u.kind == "Ux":
+        q, E, hbar = cfg.charge, cfg.electric, cfg.hbar
+        phase = (lambda t: np.exp(1j * q * E * np.asarray(t) * d / hbar)) \
+            if u.compensating_phase else (lambda t: 1.0)
+        if solution.ndim == 1:
+            return lambda x, t: phase(t) * fn(np.asarray(x) - d, t)
+        return lambda x, y, z, t: phase(t) * fn(np.asarray(x) - d, y, z, t)
+    if u.kind == "Uy":
+        coeff = cfg.mass * cyclotron_frequency(cfg) * d / cfg.hbar
+        phase = (lambda z: np.exp(1j * coeff * np.asarray(z))) \
+            if u.compensating_phase else (lambda z: 1.0)
+        if solution.ndim == 2:
+            return lambda y, z, t: phase(z) * fn(np.asarray(y) - d, z, t)
+        return lambda x, y, z, t: phase(z) * fn(x, np.asarray(y) - d, z, t)
+    if solution.ndim == 2:
+        return lambda y, z, t: fn(y, np.asarray(z) - d, t)
+    return lambda x, y, z, t: fn(x, y, np.asarray(z) - d, t)
+
+
+def _reference_shift_axis(values, grid_axis, delta, axis):
+    cells = delta / grid_axis.dx
+    if abs(cells - round(cells)) < 1e-9:
+        return np.roll(values, round(cells), axis=axis)
+    k = grid_axis.wavenumbers
+    shape = [1] * values.ndim
+    shape[axis] = k.size
+    return np.fft.ifft(np.exp(-1j * k.reshape(shape) * delta)
+                       * np.fft.fft(values, axis=axis), axis=axis)
+
+
+def _reference_field_values(u, f, cfg):
+    if u.kind == "Ux":
+        out = _reference_shift_axis(f.values, f.grid, u.delta, 0)
+        if u.compensating_phase:
+            out = out * cmath.exp(1j * cfg.charge * cfg.electric * f.t * u.delta / cfg.hbar)
+        return out
+    if u.kind == "Uy":
+        out = _reference_shift_axis(f.values, f.grid.y, u.delta, 0)
+        if u.compensating_phase:
+            zz = f.grid.z.x[None, :]
+            out = out * np.exp(1j * cfg.mass * cyclotron_frequency(cfg) * zz * u.delta / cfg.hbar)
+        return out
+    return _reference_shift_axis(f.values, f.grid.z, u.delta, 1)
+
+
+def _assert_matches(got, want, rel):
+    if rel == 0:
+        np.testing.assert_array_equal(got, want)
+    else:
+        assert np.max(np.abs(got - want)) <= rel * np.max(np.abs(want))
+
+
+# (1D config, parallel config, relative bound): bit for bit at unit parameters,
+# where the operation order of the phase cannot matter
+REFERENCE_CONFIGS = [
+    (CFG, CFG_PAR, 0.0),
+    (natural_config(m=2.0, q=-1.5, L=8.0),
+     natural_config(m=2.0, q=-1.5, B=0.7, geometry="parallel_eb", L=8.0), 1e-14),
+]
+
+
+@pytest.mark.parametrize("cfg1, cfgp, rel", REFERENCE_CONFIGS)
+@pytest.mark.parametrize("phase", [True, False])
+def test_unitary_table_matches_reference_on_solutions(cfg1, cfgp, rel, phase):
+    g2 = G.landau_grid(cfgp, npoints=64, ly=24.0)
+    x = np.linspace(-3.0, 3.0, 9)
+    y = np.linspace(-2.0, 2.0, 7)[:, None]
+    z = np.linspace(-1.0, 1.0, 5)[None, :]
+    cases = [
+        (S.electric_shifted(cfg1, 0.3), cfg1, ("Ux", "Ut"), (x, 0.55)),
+        (S.parallel_family_y(cfgp, 1, 0.5, lz_box=g2.z.length), cfgp, ("Uy", "Uz", "Ut"),
+         (y, z, 0.55)),
+        (Y.build_parallel_superposition([1.0, 0.5], [0.3j], cfgp, g2), cfgp,
+         Y.UNITARY_KINDS, (x[:, None, None], y[None], z[None], 0.55)),
+    ]
+    for solution, cfg, kinds, point in cases:
+        for kind in kinds:
+            u = Y.Unitary(kind, 0.37, phase)
+            got = Y.apply_unitary(u, solution, cfg).fn(*point)
+            _assert_matches(got, _reference_solution_fn(u, solution, cfg)(*point), rel)
+
+
+@pytest.mark.parametrize("cfg1, cfgp, rel", REFERENCE_CONFIGS)
+@pytest.mark.parametrize("phase", [True, False])
+def test_unitary_table_matches_reference_on_fields(cfg1, cfgp, rel, phase):
+    g2 = G.landau_grid(cfgp, npoints=64, ly=24.0)
+    f1 = G.sample(S.electric_fundamental(cfg1), GRID, 0.4)
+    f2 = G.sample(S.parallel_family_y(cfgp, 1, 0.5, lz_box=g2.z.length), g2, 0.2)
+    cases = [(f1, cfg1, "Ux", GRID), (f2, cfgp, "Uy", g2.y), (f2, cfgp, "Uz", g2.z)]
+    for f, cfg, kind, axis in cases:
+        for delta in (3 * axis.dx, 0.37):   # on- and off-lattice
+            u = Y.Unitary(kind, delta, phase)
+            got = Y.apply_unitary(u, f, cfg).values
+            _assert_matches(got, _reference_field_values(u, f, cfg), rel)
+
+
+@pytest.mark.parametrize("kind, ndim, coord", [
+    ("Ux", 2, "x"), ("Uy", 1, "y"), ("Uz", 1, "z")])
+def test_missing_solution_coordinate_is_a_grid_mismatch(kind, ndim, coord):
+    solution = S.electric_fundamental(CFG) if ndim == 1 \
+        else S.parallel_family_y(CFG_PAR, 0, 0.0)
+    with pytest.raises(G.GridMismatchError, match=f"{kind} needs a solution with a {coord} "):
+        Y.apply_unitary(Y.Unitary(kind, 0.5), solution, CFG_PAR)
+
+
+@pytest.mark.parametrize("kind, ndim, coord", [
+    ("Ux", 2, "x"), ("Uy", 1, "y"), ("Uz", 1, "z")])
+def test_missing_field_axis_is_a_grid_mismatch(kind, ndim, coord):
+    if ndim == 1:
+        f = G.WaveField(GRID, np.ones(GRID.npoints), 0.0)
+    else:
+        g2 = G.landau_grid(CFG_PAR, npoints=32, ly=24.0)
+        f = G.WaveField(g2, np.ones(g2.shape), 0.0)
+    with pytest.raises(G.GridMismatchError, match=f"{kind} needs a field with a {coord} axis"):
+        Y.apply_unitary(Y.Unitary(kind, 0.5), f, CFG_PAR)
 
 
 # --- conjugation symmetry ------------------------------------------------------
