@@ -7,12 +7,16 @@ gauge factor applied diagonally in the mixed (y, k_z) representation).
 Neither assumes anything about the analytic solutions they are checked
 against.
 
-Both steppers expose ``advance(values, steps)``; ``step(values)`` is one
-step of it.  Crank-Nicolson factors its constant tridiagonal matrix once,
-at construction, and each step is a single LAPACK back substitution.  The
-split stepper keeps the state in (y, k_z) for the whole advance: the
-kinetic term is diagonal in k_y and the gauge term in y, so a step costs
-one axis-0 FFT pair, and adjacent k_y half-kicks fuse into one full kick.
+Both steppers expose ``advance(values, steps)``; ``step(values)`` is
+``advance(values, 1)``.  Crank-Nicolson factors its constant tridiagonal
+matrix once, at construction (the only place scipy is imported), and each
+step is a single LAPACK back substitution; the right-hand side is built in
+two preallocated buffers used in turn, and finiteness is checked once, on
+the result of each advance.  The split stepper keeps the state in
+(y, k_z) for the whole advance, stored C-contiguous as (k_z, y) so every
+FFT runs along the last axis into one of two buffers: the kinetic term is
+diagonal in k_y and the gauge term in y, so a step costs one FFT pair, the
+kicks act in place, and adjacent k_y half-kicks fuse into one full kick.
 ``evolve`` advances one recorded row at a time, so the state returns to
 (y, z) only where a row is recorded.  A row costs one ``expectations`` call:
 one FFT in 1D and three in 2D, besides the norm and the fidelity overlap.
@@ -24,7 +28,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg.lapack import zgttrf, zgttrs
 
 from .config import SystemConfig, cyclotron_frequency
 from .grids import (Grid1D, Grid2D, WaveField, GridMismatchError,
@@ -78,6 +81,10 @@ class CrankNicolson1D:
     def __init__(self, grid: Grid1D, cfg: SystemConfig, dt: float):
         if grid.boundary != "dirichlet":
             raise GridMismatchError("Crank-Nicolson runs on wall-bounded grids")
+        # scipy is imported here, not with the module: commands that build no
+        # Crank-Nicolson stepper never pay for it
+        from scipy.linalg.lapack import zgttrf, zgttrs
+        self._zgttrs = zgttrs
         self.grid = grid
         self.cfg = cfg
         self.dt = dt
@@ -95,19 +102,33 @@ class CrankNicolson1D:
         self._b_off = -lam * kin_off
 
     def step(self, values: np.ndarray) -> np.ndarray:
-        rhs = self._b_diag * values
-        rhs[:-1] += self._b_off * values[1:]
-        rhs[1:] += self._b_off * values[:-1]
-        if not np.isfinite(rhs).all():
-            raise ValueError("array must not contain infs or NaNs")
-        out, info = zgttrs(*self._lu, rhs, overwrite_b=1)
-        if info != 0:
-            raise RuntimeError(f"tridiagonal Crank-Nicolson solve failed (info={info})")
-        return out
+        return self.advance(values, 1)
 
     def advance(self, values: np.ndarray, steps: int) -> np.ndarray:
-        for _ in range(steps):
-            values = self.step(values)
+        """``steps`` steps, each one right-hand-side product and one back
+        substitution.  The right-hand side is built in two buffers used in
+        turn (the solve overwrites one, the next product reads it into the
+        other), so no step allocates and ``values`` is never written.
+        NaN and inf survive every linear step, so one finiteness check of
+        the result covers a non-finite input and an overflow at any step."""
+        if steps == 0:
+            return values
+        n = values.shape[0]
+        bufs = (np.empty(n, dtype=complex), np.empty(n, dtype=complex))
+        tmp = np.empty(n - 1, dtype=complex)
+        b_diag, b_off, lu, zgttrs = self._b_diag, self._b_off, self._lu, self._zgttrs
+        for k in range(steps):
+            rhs = bufs[k % 2]
+            np.multiply(b_diag, values, out=rhs)
+            np.multiply(b_off, values[1:], out=tmp)
+            rhs[:-1] += tmp
+            np.multiply(b_off, values[:-1], out=tmp)
+            rhs[1:] += tmp
+            values, info = zgttrs(*lu, rhs, overwrite_b=1)
+            if info != 0:
+                raise RuntimeError(f"tridiagonal Crank-Nicolson solve failed (info={info})")
+        if not np.isfinite(values).all():
+            raise ValueError("array must not contain infs or NaNs")
         return values
 
 
@@ -132,6 +153,10 @@ class SplitStepYZ:
         self._kick_y = self._half_kick_y * self._half_kick_y  # two fused half-kicks
         gauge = (hbar * kz[None, :] - m * wc * grid.y.x[:, None]) ** 2 / (2.0 * m)
         self._kick_gauge = np.exp(-1j * self.dt * gauge / hbar)
+        # the same kicks in the (k_z, y) loop layout
+        self._half_kick_t = np.ascontiguousarray(self._half_kick_y.T)
+        self._kick_t = np.ascontiguousarray(self._kick_y.T)
+        self._kick_gauge_t = np.ascontiguousarray(self._kick_gauge.T)
 
     def step(self, values: np.ndarray) -> np.ndarray:
         return self.advance(values, 1)
@@ -139,16 +164,28 @@ class SplitStepYZ:
     def advance(self, values: np.ndarray, steps: int) -> np.ndarray:
         """``steps`` Strang steps with the state held in (k_y, k_z) between
         gauge kicks: the closing half-kick in k_y of one step and the
-        opening one of the next act as one full kick."""
+        opening one of the next act as one full kick.  Inside the loop the
+        state is stored C-contiguous as (k_z, y), so every FFT runs along
+        the last axis, into one of two buffers, and the kicks act in place."""
         if steps == 0:
             return values
-        u = self._half_kick_y * np.fft.fft(np.fft.fft(values, axis=1), axis=0)
+        fft, ifft = np.fft.fft, np.fft.ifft
+        half, kick, gauge = self._half_kick_t, self._kick_t, self._kick_gauge_t
+        u = np.ascontiguousarray(fft(values, axis=1).T)   # (k_z, y)
+        w = np.empty_like(u)
+        # a complex product can round differently with its operands swapped,
+        # so each kick's operand order is part of the result
+        np.multiply(half, fft(u, out=w), out=w)
         for _ in range(steps - 1):
-            u = np.fft.fft(self._kick_gauge * np.fft.ifft(u, axis=0), axis=0)
-            u *= self._kick_y
-        u = np.fft.fft(self._kick_gauge * np.fft.ifft(u, axis=0), axis=0)
-        u *= self._half_kick_y
-        return np.fft.ifft(np.fft.ifft(u, axis=0), axis=1)
+            np.multiply(gauge, ifft(w, out=u), out=u)
+            fft(u, out=w)
+            w *= kick
+        np.multiply(gauge, ifft(w, out=u), out=u)
+        fft(u, out=w)
+        w *= half
+        ifft(w, out=u)
+        v = np.ascontiguousarray(u.T)   # (y, k_z)
+        return ifft(v, axis=1, out=v)
 
 
 def _make_stepper(f0: WaveField, spec: EvolutionSpec, cfg: SystemConfig):

@@ -346,7 +346,10 @@ def electric_shifted(cfg: SystemConfig, dt_shift: float | None = None) -> Analyt
         dfdx=lambda x, t: (1j * cfg.charge * cfg.electric
                            * (np.asarray(t) - s * dt_shift) / cfg.hbar)
         * psi_electric_shifted(x, t, dt_shift, cfg),
-        label=f"psi(x,t)=phi(x,t-dt), dt={dt_shift}",
+        # a dt array (one state per row) is not printed: formatting it costs
+        # more than evaluating the batch
+        label="psi(x,t)=phi(x,t-dt), dt=" + (str(dt_shift) if np.ndim(dt_shift) == 0
+                                             else f"<{np.size(dt_shift)} values>"),
         time_origin=s * dt_shift)
 
 

@@ -14,7 +14,9 @@ closed-form solutions and grid fields are transformed from that one table:
 A state with a sharp conserved-momentum eigenvalue picks up the global
 phase exp(i q E dx dt / hbar) under Ux; demanding invariance quantizes
 q E dx dt / hbar in steps of 2 pi, which is resistance quantization in
-units of h / q^2.
+units of h / q^2.  ``invariance_phases`` measures that phase over a dt scan
+with dt as a leading array axis, PHASE_BATCH shifts per evaluation, bit for
+bit equal to the one-point ``invariance_phase``.
 """
 
 from __future__ import annotations
@@ -25,8 +27,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .config import SystemConfig, cyclotron_frequency
-from .solutions import (AnalyticSolution, _plane_wave, electric_shifted, landau_level,
-                        oscillator_scale, phi2_family_y, phi2_family_z)
+from .solutions import (AnalyticSolution, _eigen_sign, _plane_wave, electric_shifted,
+                        landau_level, oscillator_scale, phi2_family_y, phi2_family_z)
 from .grids import (Grid1D, Grid2D, WaveField, GridMismatchError, _spectral,
                     landau_grid, sample, residual_samples)
 
@@ -140,21 +142,75 @@ def conjugation_symmetry_check(u: Unitary, solution: AnalyticSolution, grid,
 # --- invariance phase and quantization -----------------------------------------
 
 AMPLITUDE_FLOOR = 1e-6   # fraction of the peak below which ratios are ignored
+PHASE_BATCH = 50         # dt values per batched evaluation; bounds the sample arrays
+_PHASE_X_SPAN = 0.45     # 1D samples sweep x over +-0.45 L
+_PHASE_TIMES_1D = (0.0, 0.31, 0.73)
 
 
 def _phase_sample_points(state: AnalyticSolution, cfg: SystemConfig):
     L = cfg.box_length
     if state.ndim == 1:
-        x = np.linspace(-0.45 * L, 0.45 * L, 64)
-        return [(x, 0.0), (x, 0.31), (x, 0.73)]
+        x = np.linspace(-_PHASE_X_SPAN * L, _PHASE_X_SPAN * L, 64)
+        return [(x, t) for t in _PHASE_TIMES_1D]
     # full parallel product: sweep x and the oscillator neighborhoods
     shifts = dict(state.shifts)
     alpha = oscillator_scale(cfg)
-    x = np.linspace(-0.45 * L, 0.45 * L, 16)
+    x = np.linspace(-_PHASE_X_SPAN * L, _PHASE_X_SPAN * L, 16)
     y = shifts.get("dy", 0.0) + np.linspace(-2.0, 2.0, 5) / alpha
     z = shifts.get("dz", 0.0) + np.linspace(-2.0, 2.0, 5) / alpha
     xx, yy, zz = np.meshgrid(x, y, z, indexing="ij")
     return [(xx, yy, zz, 0.0), (xx, yy, zz, 0.41)]
+
+
+def _ux_samples(dx_shift: float, state: AnalyticSolution, cfg: SystemConfig, rows: int):
+    """(Ux Psi, Psi) at the sample points, as (rows, samples) arrays; a
+    state batched over a leading axis of length ``rows`` gives one row each."""
+    transformed = apply_unitary(Unitary("Ux", dx_shift), state, cfg)
+    points = _phase_sample_points(state, cfg)
+    base = np.concatenate([np.asarray(state.fn(*p), dtype=complex).reshape(rows, -1)
+                           for p in points], axis=1)
+    shifted = np.concatenate([np.asarray(transformed.fn(*p), dtype=complex).reshape(rows, -1)
+                              for p in points], axis=1)
+    return shifted, base
+
+
+def _global_phases(shifted, base, n_real, tol: float) -> np.ndarray:
+    """Per row: the ratio shifted / base at the largest-amplitude sample,
+    checked constant (within tol (1 + |n_real|)) over all samples above the
+    amplitude floor.  The first row that is not constant raises."""
+    mag = np.abs(base)
+    amax = mag.max(axis=1)
+    if not np.all(amax > 0):
+        raise ValueError("state vanishes at every phase sample")
+    keep = mag > AMPLITUDE_FLOOR * amax[:, None]
+    ratio = shifted / np.where(keep, base, 1.0)
+    ref = ratio[np.arange(len(ratio)), np.argmax(mag, axis=1)]
+    spread = np.where(keep, np.abs(ratio - ref[:, None]), 0.0).max(axis=1)
+    bad = np.flatnonzero(spread > tol * (1.0 + np.abs(n_real)))
+    if bad.size:
+        raise ValueError(
+            f"state is not a Ux eigenvector: phase ratio varies by {spread[bad[0]]:.3e}")
+    return ref
+
+
+def invariance_phases(dx_shift: float, dt_values, cfg: SystemConfig,
+                      tol: float = 1e-8) -> np.ndarray:
+    """Measured global phases (Ux Psi) / Psi of the time-shifted solutions
+    ``electric_shifted(cfg, dt)``, one per dt.
+
+    The dt shifts ride along as a leading array axis, PHASE_BATCH at a time,
+    so a whole scan costs a few broadcast evaluations; every phase equals the
+    one-point result bit for bit.  Raises ValueError at the first dt whose
+    state is not a Ux eigenvector."""
+    dt_arr = np.asarray(dt_values, dtype=float).ravel()
+    n_real = cfg.charge * cfg.electric * dx_shift * dt_arr / (2.0 * math.pi * cfg.hbar)
+    out = np.empty(dt_arr.size, dtype=complex)
+    for lo in range(0, dt_arr.size, PHASE_BATCH):
+        chunk = dt_arr[lo:lo + PHASE_BATCH]
+        state = electric_shifted(cfg, chunk[:, None])
+        shifted, base = _ux_samples(dx_shift, state, cfg, chunk.size)
+        out[lo:lo + chunk.size] = _global_phases(shifted, base, n_real[lo:lo + chunk.size], tol)
+    return out
 
 
 def invariance_phase(dx_shift: float, dt_shift: float, cfg: SystemConfig,
@@ -164,26 +220,26 @@ def invariance_phase(dx_shift: float, dt_shift: float, cfg: SystemConfig,
 
     The ratio is taken at the largest-amplitude sample and verified constant
     over all samples above the amplitude floor; a non-constant ratio means
-    the state is not a Ux eigenvector and raises ValueError.
+    the state is not a Ux eigenvector and raises ValueError.  Without a
+    ``state`` this is the one-point call of ``invariance_phases``.
     """
     if state is None:
-        state = electric_shifted(cfg, dt_shift)
-    ux = Unitary("Ux", dx_shift)
-    transformed = apply_unitary(ux, state, cfg)
-    points = _phase_sample_points(state, cfg)
-    base = np.concatenate([np.asarray(state.fn(*p), dtype=complex).ravel() for p in points])
-    shifted = np.concatenate([np.asarray(transformed.fn(*p), dtype=complex).ravel()
-                              for p in points])
-    amax = np.abs(base).max()
-    keep = np.abs(base) > AMPLITUDE_FLOOR * amax
-    ratio = shifted[keep] / base[keep]
-    ref = ratio[int(np.argmax(np.abs(base[keep])))]
+        return complex(invariance_phases(dx_shift, [dt_shift], cfg, tol)[0])
     n_real = cfg.charge * cfg.electric * dx_shift * dt_shift / (2.0 * math.pi * cfg.hbar)
-    spread = float(np.max(np.abs(ratio - ref)))
-    if spread > tol * (1.0 + abs(n_real)):
-        raise ValueError(
-            f"state is not a Ux eigenvector: phase ratio varies by {spread:.3e}")
-    return complex(ref)
+    shifted, base = _ux_samples(dx_shift, state, cfg, 1)
+    return complex(_global_phases(shifted, base, np.array([n_real]), tol)[0])
+
+
+def largest_sampled_phase(dx_shift: float, dt_values, cfg: SystemConfig) -> float:
+    """Bound on |q E t x / hbar - (q E)^2 t^3 / (6 m hbar)|, the plane-wave
+    phase, over the points ``invariance_phases`` samples for these dt
+    (x shifted by dx included).  Its float64 spacing bounds how finely the
+    measured phases can resolve anything."""
+    dt_arr = np.asarray(dt_values, dtype=float)
+    t = float(np.abs(np.subtract.outer(_PHASE_TIMES_1D, _eigen_sign(cfg) * dt_arr)).max())
+    x = _PHASE_X_SPAN * cfg.box_length + abs(dx_shift)
+    qe = abs(cfg.charge * cfg.electric)
+    return qe ** 2 * t ** 3 / (6.0 * cfg.mass * cfg.hbar) + qe * t * x / cfg.hbar
 
 
 @dataclass(frozen=True)

@@ -291,16 +291,36 @@ def checks_quantization(cfg: SystemConfig, dx_shift: float = 2.0 * math.pi,
     if dt_grid is None:
         dt_grid = np.arange(1, 1001) * 0.005
     dt_arr = np.asarray(list(dt_grid), dtype=float)
+    # no verdict where float64 cannot resolve the sampled phases to the tolerance;
+    # this also bounds the integer enumeration below
+    phase_max = sym.largest_sampled_phase(dx_shift, dt_arr, scan_cfg)
+    if not math.ulp(phase_max) <= 1e-2 * tol:
+        raise ValueError(f"quantization scan: unresolvable: the sampled phase reaches "
+                         f"{phase_max:.3g} rad, whose float64 spacing {math.ulp(phase_max):.2g} "
+                         f"is not well below the tolerance {tol:g}")
+    # integers whose quantizing dt lands on the scan grid, by pure arithmetic;
+    # n carries the sign of q E dx (the electron's n are negative)
+    q_e_dx = scan_cfg.charge * scan_cfg.electric * dx_shift
+    two_pi_hbar = 2.0 * math.pi * scan_cfg.hbar
+    sign = 1 if q_e_dx > 0 else -1
+    n_max = int(math.floor(abs(q_e_dx) * np.abs(dt_arr).max() / two_pi_hbar)) + 1
+    expected_hits = [n for n in range(sign, sign * (n_max + 1), sign)
+                     if np.min(np.abs(dt_arr - two_pi_hbar * n / q_e_dx)) < 1e-12]
+    if not expected_hits:   # n = 0 says nothing about quantization (R = 0)
+        raise ValueError("quantization scan: no nonzero integer n lands on the dt grid "
+                         f"(|n_real| < {n_max} over the scan)")
     hits = []
     misses_ok = True
     phase_dev_hit = 0.0
-    for report in sym.scan_quantization(dx_shift, dt_arr, scan_cfg, tol):
+    reports = sym.scan_quantization(dx_shift, dt_arr, scan_cfg, tol)
+    for report in reports:
         if isinstance(report, str):   # no verdict at this point
             raise ValueError(f"quantization scan: {report}")
-        dev = abs(sym.invariance_phase(dx_shift, report.dt, scan_cfg) - 1.0)
+    devs = np.abs(sym.invariance_phases(dx_shift, [r.dt for r in reports], scan_cfg) - 1.0)
+    for report, dev in zip(reports, devs):
         if report.is_quantized:
             hits.append(report.nearest)
-            phase_dev_hit = max(phase_dev_hit, dev)
+            phase_dev_hit = max(phase_dev_hit, float(dev))
         elif dev < 1e-8:
             misses_ok = False
     out.append(_check(
@@ -312,14 +332,6 @@ def checks_quantization(cfg: SystemConfig, dx_shift: float = 2.0 * math.pi,
         0.0 if misses_ok else 1.0, 0.0,
         "away from integer n the invariance phase stays away from 1",
         exact=True))
-    # integers whose quantizing dt lands on the scan grid, by pure arithmetic;
-    # n carries the sign of q E dx (the electron's n are negative)
-    q_e_dx = scan_cfg.charge * scan_cfg.electric * dx_shift
-    two_pi_hbar = 2.0 * math.pi * scan_cfg.hbar
-    sign = 1 if q_e_dx > 0 else -1
-    n_max = int(math.floor(abs(q_e_dx) * np.abs(dt_arr).max() / two_pi_hbar)) + 1
-    expected_hits = [n for n in range(sign, sign * (n_max + 1), sign)
-                     if np.min(np.abs(dt_arr - two_pi_hbar * n / q_e_dx)) < 1e-12]
     out.append(_check(
         "quantization.integer_hits",
         0.0 if hits == expected_hits else 1.0, 0.0,

@@ -3,11 +3,15 @@
 import contextlib
 import io
 import json
+import os
 import pathlib
+import subprocess
+import sys
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import fieldquant
 from fieldquant.cli import main
 
 
@@ -252,6 +256,33 @@ def test_verify_quantization_zero_field_exit_2(tmp_path, capsys):
     path.write_text(json.dumps({"m": 1, "q": 1, "E": 0, "L": 8.0}))
     assert run(["verify", "--filter", "quant", "--config", str(path)]) == 2
     assert "nonzero electric field" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("cfg, message", [
+    ({"m": 1, "q": 1, "E": 1e-9, "L": 8}, "no nonzero integer n"),
+    ({"m": 1, "q": 1000, "E": 1000, "L": 8}, "unresolvable"),
+])
+def test_verify_quantization_without_a_verdict_exit_2(tmp_path, capsys, cfg, message):
+    """A weak field puts only n = 0 on the scan; a strong one samples phases
+    whose float64 spacing reaches the tolerance.  Neither gets a verdict."""
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg))
+    assert run(["verify", "--filter", "quantization", "--config", str(path)]) == 2
+    assert message in capsys.readouterr().err
+
+
+def test_verify_quantization_resolvable_strong_field_passes(tmp_path, capsys):
+    checks = _quantization_checks(capsys, tmp_path, {"m": 1, "q": 10, "E": 10, "L": 8})
+    assert all(c["passed"] for c in checks)
+
+
+def test_cli_import_leaves_scipy_unloaded():
+    code = "import sys, fieldquant.cli; print('scipy' in sys.modules)"
+    src = str(pathlib.Path(fieldquant.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src}
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True, timeout=60)
+    assert out.stdout.strip() == "False"
 
 
 def _quantization_checks(capsys, tmp_path, cfg=None):

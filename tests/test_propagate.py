@@ -90,6 +90,34 @@ def test_cn_rejects_non_finite_input():
         P.CrankNicolson1D(grid, CFG40, 1e-3).step(values)
 
 
+@pytest.mark.parametrize("bad", ["nan", "overflow"])
+def test_cn_advance_checks_the_result_once(bad):
+    """A NaN input, or a finite one whose right-hand side overflows (a flat
+    1e308 state meets the ~10x explicit half-step at the walls for dt = 1),
+    leaves a non-finite result that the one check per advance catches."""
+    grid = G.Grid1D(40.0, 64, "dirichlet")
+    if bad == "nan":
+        values = gaussian_packet(grid).values
+        values[10] = np.nan
+    else:
+        values = np.full(grid.npoints, 1e308 + 0j)
+    with np.errstate(over="ignore", invalid="ignore"), \
+            pytest.raises(ValueError, match="infs or NaNs"):
+        P.CrankNicolson1D(grid, CFG40, 1.0).advance(values, 5)
+
+
+def test_advance_leaves_the_input_unmodified(landau_eigenstate):
+    grid = G.Grid1D(40.0, 256, "dirichlet")
+    cases = [(P.CrankNicolson1D(grid, CFG40, 1e-3), gaussian_packet(grid, p0=0.5).values),
+             (P.SplitStepYZ(landau_eigenstate[0], CFG_PAR, 0.01), landau_eigenstate[1].values)]
+    for stepper, values in cases:
+        before = values.copy()
+        for steps in (1, 2, 7):
+            out = stepper.advance(values, steps)
+            assert not np.shares_memory(out, values)
+            assert np.array_equal(values, before)
+
+
 def test_cn_free_particle_spreads_in_place():
     cfg = natural_config(E=0.0, L=40.0)
     grid = G.Grid1D(40.0, 512, "dirichlet")

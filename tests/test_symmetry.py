@@ -265,6 +265,66 @@ def test_invariance_phase_rejects_non_eigenvector():
         Y.invariance_phase(1.0, 0.2, CFG, state=mixed)
 
 
+def _reference_invariance_phase(dx_shift, dt_shift, cfg, state=None, tol=1e-8):
+    """Reference: the scalar one-state-per-call measurement."""
+    if state is None:
+        state = S.electric_shifted(cfg, dt_shift)
+    transformed = Y.apply_unitary(Y.Unitary("Ux", dx_shift), state, cfg)
+    points = Y._phase_sample_points(state, cfg)
+    base = np.concatenate([np.asarray(state.fn(*p), dtype=complex).ravel() for p in points])
+    shifted = np.concatenate([np.asarray(transformed.fn(*p), dtype=complex).ravel()
+                              for p in points])
+    amax = np.abs(base).max()
+    keep = np.abs(base) > Y.AMPLITUDE_FLOOR * amax
+    ratio = shifted[keep] / base[keep]
+    ref = ratio[int(np.argmax(np.abs(base[keep])))]
+    n_real = cfg.charge * cfg.electric * dx_shift * dt_shift / (2.0 * math.pi * cfg.hbar)
+    spread = float(np.max(np.abs(ratio - ref)))
+    if spread > tol * (1.0 + abs(n_real)):
+        raise ValueError(
+            f"state is not a Ux eigenvector: phase ratio varies by {spread:.3e}")
+    return complex(ref)
+
+
+def _assert_bitwise(got, want):
+    assert np.array_equal(np.atleast_1d(np.asarray(got, dtype=complex)).view(float),
+                          np.atleast_1d(np.asarray(want, dtype=complex)).view(float))
+
+
+@pytest.mark.parametrize("cfg, dx, dts", [
+    (CFG, 2.0 * math.pi, np.arange(1, 1001) * 0.005),    # the verify scan
+    (build_config({"m": 2, "q": -1.5, "E": 1, "L": 8.0}), 2.0 * math.pi,
+     np.arange(1, 1001) * 0.005),
+    (CFG, 0.8, np.random.default_rng(7).uniform(-3.0, 3.0, 3 * Y.PHASE_BATCH + 17)),
+])
+def test_invariance_phases_match_scalar_reference_bit_for_bit(cfg, dx, dts):
+    got = Y.invariance_phases(dx, dts, cfg)
+    want = [_reference_invariance_phase(dx, float(dt), cfg) for dt in dts]
+    assert got.shape == (len(dts),)
+    _assert_bitwise(got, want)
+    _assert_bitwise(Y.invariance_phase(dx, float(dts[-1]), cfg), want[-1])
+
+
+def test_custom_state_phase_matches_scalar_reference_bit_for_bit(super_setup):
+    cfg, g2 = super_setup
+    psi = Y.build_parallel_superposition([1.0, 0.4], [0.5, 0.0, 0.25], cfg, g2)
+    for dx in (cfg.displacements.dx, 1.9):
+        _assert_bitwise(Y.invariance_phase(dx, 0.9, cfg, state=psi),
+                        _reference_invariance_phase(dx, 0.9, cfg, state=psi))
+
+
+def test_global_phase_kernel_raises_at_first_non_eigenvector_row():
+    rng = np.random.default_rng(5)
+    base = np.exp(1j * rng.uniform(0.0, 6.0, (6, 40)))
+    shifted = base * np.exp(0.3j)
+    shifted[2, 7] *= np.exp(1e-3j)     # ratio spread ~1e-3
+    shifted[4, 3] *= np.exp(1e-1j)     # a larger spread further on
+    with pytest.raises(ValueError, match=r"not a Ux eigenvector: phase ratio varies by 1\.000e-03"):
+        Y._global_phases(shifted, base, np.zeros(6), 1e-8)
+    phases = Y._global_phases(shifted[:2], base[:2], np.zeros(2), 1e-8)
+    assert np.allclose(phases, np.exp(0.3j), rtol=0, atol=1e-15)
+
+
 # --- quantization report -----------------------------------------------------------
 
 def test_quantization_report_basic():
