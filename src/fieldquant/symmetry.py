@@ -174,6 +174,11 @@ def _ux_samples(dx_shift: float, state: AnalyticSolution, cfg: SystemConfig, row
     return shifted, base
 
 
+def _n_real(dx_shift, dt_shift, cfg: SystemConfig):
+    """q E dx dt / (2 pi hbar), for scalar or array dt."""
+    return cfg.charge * cfg.electric * dx_shift * dt_shift / (2.0 * math.pi * cfg.hbar)
+
+
 def _global_phases(shifted, base, n_real, tol: float) -> np.ndarray:
     """Per row: the ratio shifted / base at the largest-amplitude sample,
     checked constant (within tol (1 + |n_real|)) over all samples above the
@@ -203,7 +208,7 @@ def invariance_phases(dx_shift: float, dt_values, cfg: SystemConfig,
     one-point result bit for bit.  Raises ValueError at the first dt whose
     state is not a Ux eigenvector."""
     dt_arr = np.asarray(dt_values, dtype=float).ravel()
-    n_real = cfg.charge * cfg.electric * dx_shift * dt_arr / (2.0 * math.pi * cfg.hbar)
+    n_real = _n_real(dx_shift, dt_arr, cfg)
     out = np.empty(dt_arr.size, dtype=complex)
     for lo in range(0, dt_arr.size, PHASE_BATCH):
         chunk = dt_arr[lo:lo + PHASE_BATCH]
@@ -225,9 +230,8 @@ def invariance_phase(dx_shift: float, dt_shift: float, cfg: SystemConfig,
     """
     if state is None:
         return complex(invariance_phases(dx_shift, [dt_shift], cfg, tol)[0])
-    n_real = cfg.charge * cfg.electric * dx_shift * dt_shift / (2.0 * math.pi * cfg.hbar)
     shifted, base = _ux_samples(dx_shift, state, cfg, 1)
-    return complex(_global_phases(shifted, base, np.array([n_real]), tol)[0])
+    return complex(_global_phases(shifted, base, _n_real(dx_shift, dt_shift, cfg), tol)[0])
 
 
 def largest_sampled_phase(dx_shift: float, dt_values, cfg: SystemConfig) -> float:
@@ -268,8 +272,8 @@ def quantization_report(dx_shift: float, dt_shift: float, cfg: SystemConfig,
     then lies within it of an integer, so no verdict can be given."""
     if dt_shift == 0:
         raise ValueError("undefined current: dt must be nonzero")
-    q, E, hbar, h = cfg.charge, cfg.electric, cfg.hbar, cfg.units.h
-    n_real = q * E * dx_shift * dt_shift / (2.0 * math.pi * hbar)
+    q, E, h = cfg.charge, cfg.electric, cfg.units.h
+    n_real = _n_real(dx_shift, dt_shift, cfg)
     tol_eff = tol * (1.0 + abs(n_real))  # condition of the phase grows with n
     if not tol_eff < 0.5:   # also a non-finite n_real
         raise ValueError(f"unresolvable: tolerance {tol_eff:.3g} at n_real {n_real:.6g} "
