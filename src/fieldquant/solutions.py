@@ -42,14 +42,18 @@ def phi_electric(x, t, cfg: SystemConfig):
     return _plane_wave(x, t, cfg)
 
 
-def _plane_wave(x, t, cfg: SystemConfig):
-    # phi_electric without the geometry guard: also the x factor of the
-    # parallel-field product solutions
+def _plane_wave_phase(x, t, cfg: SystemConfig):
+    """-(q E)^2 t^3 / (6 m hbar) + q E t x / hbar, the phase of phi_electric."""
     q, E, m, hbar = cfg.charge, cfg.electric, cfg.mass, cfg.hbar
     x = np.asarray(x, dtype=float)
     t = np.asarray(t, dtype=float)
-    phase = -(q * E) ** 2 * t ** 3 / (6.0 * m * hbar) + q * E * t * x / hbar
-    return _box_amplitude(cfg) * np.exp(1j * phase)
+    return -(q * E) ** 2 * t ** 3 / (6.0 * m * hbar) + q * E * t * x / hbar
+
+
+def _plane_wave(x, t, cfg: SystemConfig):
+    # phi_electric without the geometry guard: also the x factor of the
+    # parallel-field product solutions
+    return _box_amplitude(cfg) * np.exp(1j * _plane_wave_phase(x, t, cfg))
 
 
 def psi_electric_shifted(x, t, dt_shift, cfg: SystemConfig):

@@ -27,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .config import SystemConfig, cyclotron_frequency
-from .solutions import (AnalyticSolution, _eigen_sign, _plane_wave, electric_shifted,
+from .solutions import (AnalyticSolution, _plane_wave, _plane_wave_phase, electric_shifted,
                         landau_level, oscillator_scale, phi2_family_y, phi2_family_z)
 from .grids import (Grid1D, Grid2D, WaveField, GridMismatchError, _spectral,
                     landau_grid, sample, residual_samples)
@@ -143,19 +143,17 @@ def conjugation_symmetry_check(u: Unitary, solution: AnalyticSolution, grid,
 
 AMPLITUDE_FLOOR = 1e-6   # fraction of the peak below which ratios are ignored
 PHASE_BATCH = 50         # dt values per batched evaluation; bounds the sample arrays
-_PHASE_X_SPAN = 0.45     # 1D samples sweep x over +-0.45 L
-_PHASE_TIMES_1D = (0.0, 0.31, 0.73)
 
 
 def _phase_sample_points(state: AnalyticSolution, cfg: SystemConfig):
     L = cfg.box_length
     if state.ndim == 1:
-        x = np.linspace(-_PHASE_X_SPAN * L, _PHASE_X_SPAN * L, 64)
-        return [(x, t) for t in _PHASE_TIMES_1D]
+        x = np.linspace(-0.45 * L, 0.45 * L, 64)
+        return [(x, 0.0), (x, 0.31), (x, 0.73)]
     # full parallel product: sweep x and the oscillator neighborhoods
     shifts = dict(state.shifts)
     alpha = oscillator_scale(cfg)
-    x = np.linspace(-_PHASE_X_SPAN * L, _PHASE_X_SPAN * L, 16)
+    x = np.linspace(-0.45 * L, 0.45 * L, 16)
     y = shifts.get("dy", 0.0) + np.linspace(-2.0, 2.0, 5) / alpha
     z = shifts.get("dz", 0.0) + np.linspace(-2.0, 2.0, 5) / alpha
     xx, yy, zz = np.meshgrid(x, y, z, indexing="ij")
@@ -235,15 +233,12 @@ def invariance_phase(dx_shift: float, dt_shift: float, cfg: SystemConfig,
 
 
 def largest_sampled_phase(dx_shift: float, dt_values, cfg: SystemConfig) -> float:
-    """Bound on |q E t x / hbar - (q E)^2 t^3 / (6 m hbar)|, the plane-wave
-    phase, over the points ``invariance_phases`` samples for these dt
-    (x shifted by dx included).  Its float64 spacing bounds how finely the
-    measured phases can resolve anything."""
-    dt_arr = np.asarray(dt_values, dtype=float)
-    t = float(np.abs(np.subtract.outer(_PHASE_TIMES_1D, _eigen_sign(cfg) * dt_arr)).max())
-    x = _PHASE_X_SPAN * cfg.box_length + abs(dx_shift)
-    qe = abs(cfg.charge * cfg.electric)
-    return qe ** 2 * t ** 3 / (6.0 * cfg.mass * cfg.hbar) + qe * t * x / cfg.hbar
+    """Largest |plane-wave phase| that ``invariance_phases`` evaluates for
+    these dt, at the samples of Psi and of Ux Psi (at x - dx).  Its float64
+    spacing bounds how finely the measured phases can resolve anything."""
+    state = electric_shifted(cfg, np.asarray(dt_values, dtype=float).reshape(-1, 1))
+    return max(float(np.abs(_plane_wave_phase(xs, t - state.time_origin, cfg)).max())
+               for x, t in _phase_sample_points(state, cfg) for xs in (x, x - dx_shift))
 
 
 @dataclass(frozen=True)

@@ -291,12 +291,13 @@ def checks_quantization(cfg: SystemConfig, dx_shift: float = 2.0 * math.pi,
     if dt_grid is None:
         dt_grid = np.arange(1, 1001) * 0.005
     dt_arr = np.asarray(list(dt_grid), dtype=float)
-    # no verdict where float64 cannot resolve the sampled phases to the tolerance:
-    # the measured deviation runs at about one spacing of the largest phase
-    # (2.9e-11 at q = E = 10), so ask for 100x headroom.  This also bounds the
-    # integer enumeration below
+    # no verdict where float64 cannot resolve the sampled phases to the tolerance.
+    # Rounding the largest phase moves the measured deviation at a hit by up to
+    # about one float64 spacing of that phase (0.44-1.0 spacings measured from
+    # q = E = 10 to 1000), so the spacing must stay below tol / 10.  This also
+    # bounds the integer enumeration below
     phase_max = sym.largest_sampled_phase(dx_shift, dt_arr, scan_cfg)
-    if not math.ulp(phase_max) <= 1e-2 * tol:
+    if not math.ulp(phase_max) <= tol / 10:
         raise ValueError(f"quantization scan: unresolvable: the sampled phase reaches "
                          f"{phase_max:.3g} rad, whose float64 spacing {math.ulp(phase_max):.2g} "
                          f"is not well below the tolerance {tol:g}")

@@ -260,19 +260,23 @@ def test_verify_quantization_zero_field_exit_2(tmp_path, capsys):
 
 @pytest.mark.parametrize("cfg, message", [
     ({"m": 1, "q": 1, "E": 1e-9, "L": 8}, "no nonzero integer n"),
+    ({"m": 1, "q": 30, "E": 30, "L": 8}, "unresolvable"),
     ({"m": 1, "q": 1000, "E": 1000, "L": 8}, "unresolvable"),
 ])
 def test_verify_quantization_without_a_verdict_exit_2(tmp_path, capsys, cfg, message):
     """A weak field puts only n = 0 on the scan; a strong one samples phases
-    whose float64 spacing reaches the tolerance.  Neither gets a verdict."""
+    whose float64 spacing exceeds a tenth of the tolerance (3.7e-9 at
+    q = E = 30).  Neither gets a verdict."""
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps(cfg))
     assert run(["verify", "--filter", "quantization", "--config", str(path)]) == 2
     assert message in capsys.readouterr().err
 
 
-def test_verify_quantization_resolvable_strong_field_passes(tmp_path, capsys):
-    checks = _quantization_checks(capsys, tmp_path, {"m": 1, "q": 10, "E": 10, "L": 8})
+@pytest.mark.parametrize("qe", [10, 20, 25])
+def test_verify_quantization_resolvable_strong_field_passes(tmp_path, capsys, qe):
+    """Phase spacing 2.9e-11, 4.7e-10 and 9.3e-10: inside tol / 10 = 1e-9."""
+    checks = _quantization_checks(capsys, tmp_path, {"m": 1, "q": qe, "E": qe, "L": 8})
     assert all(c["passed"] for c in checks)
 
 
