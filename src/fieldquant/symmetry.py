@@ -236,9 +236,15 @@ def largest_sampled_phase(dx_shift: float, dt_values, cfg: SystemConfig) -> floa
     """Largest |plane-wave phase| that ``invariance_phases`` evaluates for
     these dt, at the samples of Psi and of Ux Psi (at x - dx).  Its float64
     spacing bounds how finely the measured phases can resolve anything."""
-    state = electric_shifted(cfg, np.asarray(dt_values, dtype=float).reshape(-1, 1))
-    return max(float(np.abs(_plane_wave_phase(xs, t - state.time_origin, cfg)).max())
-               for x, t in _phase_sample_points(state, cfg) for xs in (x, x - dx_shift))
+    dt_arr = np.asarray(dt_values, dtype=float).ravel()
+    largest = 0.0
+    for lo in range(0, dt_arr.size, PHASE_BATCH):
+        state = electric_shifted(cfg, dt_arr[lo:lo + PHASE_BATCH, None])
+        for x, t in _phase_sample_points(state, cfg):
+            for xs in (x, x - dx_shift):
+                phase = _plane_wave_phase(xs, t - state.time_origin, cfg)
+                largest = max(largest, float(np.abs(phase).max()))
+    return largest
 
 
 @dataclass(frozen=True)
