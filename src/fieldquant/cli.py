@@ -19,8 +19,8 @@ import sys
 import numpy as np
 
 from . import algebra as alg
-from .config import (ConfigError, SystemConfig, build_config, load_config,
-                     natural_config, serialize)
+from .config import (ConfigError, SystemConfig, build_config, natural_config,
+                     read_document, serialize)
 from . import solutions as sol
 from . import grids as gr
 from . import propagate as prop
@@ -53,15 +53,11 @@ def _write_json(path: str, payload: dict) -> None:
 
 
 def _load_cfg(args) -> SystemConfig:
-    if args.config:
-        cfg = load_config(args.config)
-    else:
-        cfg = natural_config()
-    if getattr(args, "units", None):
-        raw = serialize(cfg)
-        raw["units"] = args.units
-        cfg = build_config(raw)
-    return cfg
+    raw = read_document(args.config) if args.config else serialize(natural_config())
+    if getattr(args, "units", None) and isinstance(raw, dict):
+        # the document's numbers, and a charge "e" or "-e", read in the new system
+        raw = {**raw, "units": args.units}
+    return build_config(raw)
 
 
 def _config_metadata(cfg: SystemConfig, command: str) -> dict:

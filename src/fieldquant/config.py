@@ -245,15 +245,19 @@ def serialize(cfg: SystemConfig) -> dict:
     return out
 
 
-def load_config(path: str) -> SystemConfig:
+def read_document(path: str):
+    """The JSON config document at ``path``, not yet validated."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            raw = json.load(fh)
+            return json.load(fh)
     except OSError as exc:
         raise ConfigError("document", f"cannot read config file: {exc}") from None
     except json.JSONDecodeError as exc:
         raise ConfigError("document", f"config file is not valid JSON: {exc}") from None
-    return build_config(raw)
+
+
+def load_config(path: str) -> SystemConfig:
+    return build_config(read_document(path))
 
 
 def natural_config(E: float = 1.0, B: float = 0.0, geometry: str = "electric_1d",

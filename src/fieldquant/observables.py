@@ -41,26 +41,24 @@ def _numeric_dfdx(solution: AnalyticSolution, x, t, step: float):
         / (2.0 * step)
 
 
-def probability_current_1d(target, cfg: SystemConfig, t: float | None = None,
-                           x=None) -> CurrentProfile:
+def probability_current_1d(target, cfg: SystemConfig, t: float | None = None) -> CurrentProfile:
     """J = (i hbar / 2m)(psi dpsi*/dx - psi* dpsi/dx) with density and drift.
 
-    Accepts an analytic solution (closed-form derivative when available)
-    or a 1D grid field (fourth-order stencil derivative).
+    Accepts an analytic solution, sampled at 257 points across the box
+    (closed-form derivative when available), or a 1D grid field
+    (fourth-order stencil derivative).
     """
     if isinstance(target, AnalyticSolution):
         if target.ndim != 1:
             raise ValueError("probability_current_1d needs a 1D solution")
         if t is None:
             raise ValueError("an evaluation time is required for analytic input")
-        if x is None:
-            L = cfg.box_length
-            x = np.linspace(-0.5 * L, 0.5 * L, 257)
+        x = np.linspace(-0.5 * cfg.box_length, 0.5 * cfg.box_length, 257)
         psi = np.asarray(target.fn(x, t))
         if target.dfdx is not None:
             dpsi = np.asarray(target.dfdx(x, t))
         else:
-            dpsi = _numeric_dfdx(target, np.asarray(x, dtype=float), t, 1e-6)
+            dpsi = _numeric_dfdx(target, x, t, 1e-6)
         return _profile(x, psi, dpsi, cfg)
     if isinstance(target, WaveField):
         if not isinstance(target.grid, Grid1D):

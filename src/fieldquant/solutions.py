@@ -42,12 +42,23 @@ def phi_electric(x, t, cfg: SystemConfig):
     return _plane_wave(x, t, cfg)
 
 
+def _force_squared(q: float, E: float) -> float:
+    """(q E)^2; a field whose square float64 cannot hold raises ValueError."""
+    try:
+        out = (q * E) ** 2
+    except OverflowError:
+        out = math.inf
+    if out == math.inf:
+        raise ValueError(f"field too strong: (q E)^2 overflows float64 at q E = {q * E:.3g}")
+    return out
+
+
 def _plane_wave_phase(x, t, cfg: SystemConfig):
     """-(q E)^2 t^3 / (6 m hbar) + q E t x / hbar, the phase of phi_electric."""
     q, E, m, hbar = cfg.charge, cfg.electric, cfg.mass, cfg.hbar
     x = np.asarray(x, dtype=float)
     t = np.asarray(t, dtype=float)
-    return -(q * E) ** 2 * t ** 3 / (6.0 * m * hbar) + q * E * t * x / hbar
+    return -_force_squared(q, E) * t ** 3 / (6.0 * m * hbar) + q * E * t * x / hbar
 
 
 def _plane_wave(x, t, cfg: SystemConfig):
@@ -139,7 +150,7 @@ def _ladder_cache(j: int, hbar: float, m: float, q: float, E: float) -> Bivariat
     if j == 0:
         return BivariatePoly(np.ones((1, 1)))
     prev = _ladder_cache(j - 1, hbar, m, q, E)
-    gen = BivariatePoly(np.array([[0.0, 0.0, (q * E) ** 2 / (2.0 * m)],
+    gen = BivariatePoly(np.array([[0.0, 0.0, _force_squared(q, E) / (2.0 * m)],
                                   [-q * E, 0.0, 0.0]]))
     return prev.deriv_t().scale(1j * hbar) + gen * prev
 
@@ -338,9 +349,7 @@ def electric_fundamental(cfg: SystemConfig) -> AnalyticSolution:
         label="phi(x,t)")
 
 
-def electric_shifted(cfg: SystemConfig, dt_shift: float | None = None) -> AnalyticSolution:
-    if dt_shift is None:
-        dt_shift = cfg.displacements.dt
+def electric_shifted(cfg: SystemConfig, dt_shift) -> AnalyticSolution:
     s = _eigen_sign(cfg)
     return AnalyticSolution(
         family="electric_1d_shifted", ndim=1,
@@ -420,17 +429,16 @@ def parallel_family_y(cfg: SystemConfig, n: int, dy_shift: float = 0.0,
 
 
 def parallel_family_z(cfg: SystemConfig, n: int, dz_shift: float = 0.0,
-                      ly_box: float | None = None,
-                      z_extent: float | None = None) -> AnalyticSolution:
+                      ly_box: float | None = None) -> AnalyticSolution:
     """Time-dependent family-z solution; carries a y wavenumber that grows
-    with |z - dz|, so the sampling bound uses the supplied z extent."""
+    with |z - dz|, so the sampling bound uses the state's z extent."""
     en = landau_level(n, cfg)
     wc = cyclotron_frequency(cfg)
     alpha = oscillator_scale(cfg)
     amp = 1.0 / math.sqrt(ly_box) if ly_box else 1.0
     kz = alpha * math.sqrt(2.0 * n + 1.0) + 3.0 * alpha
     # amplitude-weighted extent: beyond it the Gaussian factor is < ~1e-6
-    span = z_extent if z_extent is not None else (math.sqrt(2.0 * n + 1.0) + 5.0) / alpha
+    span = (math.sqrt(2.0 * n + 1.0) + 5.0) / alpha
 
     def fn(y, z, t):
         t = np.asarray(t, dtype=float)

@@ -16,7 +16,8 @@ phase exp(i q E dx dt / hbar) under Ux; demanding invariance quantizes
 q E dx dt / hbar in steps of 2 pi, which is resistance quantization in
 units of h / q^2.  ``invariance_phases`` measures that phase over a dt scan
 with dt as a leading array axis, PHASE_BATCH shifts per evaluation, bit for
-bit equal to the one-point ``invariance_phase``.
+bit equal to the one-point ``invariance_phase``.  It refuses a scan whose
+sampled plane-wave phases float64 cannot resolve to a tenth of PHASE_TOL.
 """
 
 from __future__ import annotations
@@ -121,20 +122,19 @@ def apply_unitary(u: Unitary, target, cfg: SystemConfig):
 # --- conjugation symmetry -----------------------------------------------------
 
 def conjugation_symmetry_check(u: Unitary, solution: AnalyticSolution, grid,
-                               t: float, cfg: SystemConfig,
-                               dt_stencil: float = 1e-4,
-                               scheme: str = "spectral") -> float:
+                               t: float, cfg: SystemConfig) -> float:
     """|| (H - i hbar d/dt)(U psi) - U((H - i hbar d/dt) psi) ||_2 / ||psi||_2.
 
     Vanishes (to discretization accuracy) exactly when U is generated by a
     conserved operator; a phase-stripped translation fails loudly.
     """
-    lhs, _ = residual_samples(apply_unitary(u, solution, cfg), grid, t, dt_stencil, scheme)
+    h = 1e-4   # centered time step of the residuals; spectral derivatives in space
+    lhs, _ = residual_samples(apply_unitary(u, solution, cfg), grid, t, h)
     if u.kind == "Ut":
-        rhs, _ = residual_samples(solution, grid, t - u.delta, dt_stencil, scheme)
+        rhs, _ = residual_samples(solution, grid, t - u.delta, h)
         ref = sample(solution, grid, t)
     else:
-        base, ref = residual_samples(solution, grid, t, dt_stencil, scheme)
+        base, ref = residual_samples(solution, grid, t, h)
         rhs = _field_transform(u, WaveField(grid, base, t), cfg).values
     return float(np.linalg.norm(lhs - rhs) / np.linalg.norm(ref.values))
 
@@ -143,6 +143,7 @@ def conjugation_symmetry_check(u: Unitary, solution: AnalyticSolution, grid,
 
 AMPLITUDE_FLOOR = 1e-6   # fraction of the peak below which ratios are ignored
 PHASE_BATCH = 50         # dt values per batched evaluation; bounds the sample arrays
+PHASE_TOL = 1e-8         # allowed spread of the phase ratio, scaled by (1 + |n_real|)
 
 
 def _phase_sample_points(state: AnalyticSolution, cfg: SystemConfig):
@@ -196,29 +197,40 @@ def _global_phases(shifted, base, n_real, tol: float) -> np.ndarray:
     return ref
 
 
-def invariance_phases(dx_shift: float, dt_values, cfg: SystemConfig,
-                      tol: float = 1e-8) -> np.ndarray:
+def invariance_phases(dx_shift: float, dt_values, cfg: SystemConfig) -> np.ndarray:
     """Measured global phases (Ux Psi) / Psi of the time-shifted solutions
     ``electric_shifted(cfg, dt)``, one per dt.
 
     The dt shifts ride along as a leading array axis, PHASE_BATCH at a time,
     so a whole scan costs a few broadcast evaluations; every phase equals the
-    one-point result bit for bit.  Raises ValueError at the first dt whose
-    state is not a Ux eigenvector."""
+    one-point result bit for bit.  Before measuring a batch, its largest
+    sampled plane-wave phase must have a float64 spacing within PHASE_TOL / 10;
+    the first batch that float64 cannot resolve raises ValueError
+    ("unresolvable"), and so does the first dt whose state is not a Ux
+    eigenvector."""
     dt_arr = np.asarray(dt_values, dtype=float).ravel()
     n_real = _n_real(dx_shift, dt_arr, cfg)
     out = np.empty(dt_arr.size, dtype=complex)
     for lo in range(0, dt_arr.size, PHASE_BATCH):
         chunk = dt_arr[lo:lo + PHASE_BATCH]
         state = electric_shifted(cfg, chunk[:, None])
+        # rounding the largest sampled phase (Psi at x, Ux Psi at x - dx) moves the
+        # measured deviation at a hit by up to about one float64 spacing of it
+        # (0.44-1.0 spacings measured from q = E = 10 to 1000)
+        largest = max(float(np.abs(_plane_wave_phase(xs, t - state.time_origin, cfg)).max())
+                      for x, t in _phase_sample_points(state, cfg) for xs in (x, x - dx_shift))
+        if not math.ulp(largest) <= PHASE_TOL / 10:
+            raise ValueError(f"unresolvable: the sampled phase reaches {largest:.3g} rad, whose "
+                             f"float64 spacing {math.ulp(largest):.2g} is not well below "
+                             f"the tolerance {PHASE_TOL:g}")
         shifted, base = _ux_samples(dx_shift, state, cfg, chunk.size)
-        out[lo:lo + chunk.size] = _global_phases(shifted, base, n_real[lo:lo + chunk.size], tol)
+        out[lo:lo + chunk.size] = _global_phases(shifted, base, n_real[lo:lo + chunk.size],
+                                                 PHASE_TOL)
     return out
 
 
 def invariance_phase(dx_shift: float, dt_shift: float, cfg: SystemConfig,
-                     state: AnalyticSolution | None = None,
-                     tol: float = 1e-8) -> complex:
+                     state: AnalyticSolution | None = None) -> complex:
     """Measured global phase (Ux Psi) / Psi of the time-shifted solution.
 
     The ratio is taken at the largest-amplitude sample and verified constant
@@ -227,24 +239,10 @@ def invariance_phase(dx_shift: float, dt_shift: float, cfg: SystemConfig,
     ``state`` this is the one-point call of ``invariance_phases``.
     """
     if state is None:
-        return complex(invariance_phases(dx_shift, [dt_shift], cfg, tol)[0])
+        return complex(invariance_phases(dx_shift, [dt_shift], cfg)[0])
     shifted, base = _ux_samples(dx_shift, state, cfg, 1)
-    return complex(_global_phases(shifted, base, _n_real(dx_shift, dt_shift, cfg), tol)[0])
-
-
-def largest_sampled_phase(dx_shift: float, dt_values, cfg: SystemConfig) -> float:
-    """Largest |plane-wave phase| that ``invariance_phases`` evaluates for
-    these dt, at the samples of Psi and of Ux Psi (at x - dx).  Its float64
-    spacing bounds how finely the measured phases can resolve anything."""
-    dt_arr = np.asarray(dt_values, dtype=float).ravel()
-    largest = 0.0
-    for lo in range(0, dt_arr.size, PHASE_BATCH):
-        state = electric_shifted(cfg, dt_arr[lo:lo + PHASE_BATCH, None])
-        for x, t in _phase_sample_points(state, cfg):
-            for xs in (x, x - dx_shift):
-                phase = _plane_wave_phase(xs, t - state.time_origin, cfg)
-                largest = max(largest, float(np.abs(phase).max()))
-    return largest
+    return complex(_global_phases(shifted, base, _n_real(dx_shift, dt_shift, cfg),
+                                  PHASE_TOL)[0])
 
 
 @dataclass(frozen=True)

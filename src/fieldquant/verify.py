@@ -60,10 +60,10 @@ class VerifyReport:
         }
 
 
-def _check(name, value, tolerance, anchor, exact=False) -> CheckResult:
-    passed = (value == 0) if exact else (value <= tolerance)
-    return CheckResult(name=name, passed=bool(passed), value=float(value),
-                       tolerance=0.0 if exact else float(tolerance), anchor=anchor)
+def _check(name, value, tolerance, anchor) -> CheckResult:
+    # an exact check records 0 or 1 against tolerance 0
+    return CheckResult(name=name, passed=bool(value <= tolerance), value=float(value),
+                       tolerance=float(tolerance), anchor=anchor)
 
 
 # --- symbolic -----------------------------------------------------------------
@@ -82,15 +82,13 @@ def checks_symbolic(cfg: SystemConfig, op_text: str | None = None) -> list[Check
             out.append(_check(
                 f"symbolic.conserved[{op_name} | {h_name}]",
                 0.0 if res.is_zero else 1.0, 0.0,
-                f"[f,H]/(i*hbar) + df/dt = 0 for f = {op_name}, residual = {alg.to_text(res)}",
-                exact=True))
+                f"[f,H]/(i*hbar) + df/dt = 0 for f = {op_name}, residual = {alg.to_text(res)}"))
     for j in range(6):
         res = alg.eigen_ladder_check(j)
         out.append(_check(
             f"symbolic.ladder[j={j}]",
             0.0 if res.is_zero else 1.0, 0.0,
-            f"[f, Eop^{j + 1}] = i*hbar*q*E*{j + 1}*Eop^{j} exactly",
-            exact=True))
+            f"[f, Eop^{j + 1}] = i*hbar*q*E*{j + 1}*Eop^{j} exactly"))
     f_op = alg.momentum_minus_force_time()
     e_op = alg.energy_operator()
     prod = f_op * e_op
@@ -98,16 +96,14 @@ def checks_symbolic(cfg: SystemConfig, op_text: str | None = None) -> list[Check
     out.append(_check(
         "symbolic.adjoint[fE not hermitian]",
         0.0 if (not defect.is_zero and defect == alg.commutator(f_op, e_op)) else 1.0, 0.0,
-        "fE - (fE)^dagger = [f, Eop] = i*hbar*q*E, so fE admits imaginary eigenvalues",
-        exact=True))
+        "fE - (fE)^dagger = [f, Eop] = i*hbar*q*E, so fE admits imaginary eigenvalues"))
     if op_text:
         op = alg.parse_operator(op_text)
         res = alg.heisenberg_residual(op, alg.system_hamiltonian(cfg))
         out.append(_check(
             f"symbolic.adhoc[{op_text}]",
             0.0 if res.is_zero else 1.0, 0.0,
-            f"[f,H]/(i*hbar) + df/dt for f = {op_text}, residual = {alg.to_text(res)}",
-            exact=True))
+            f"[f,H]/(i*hbar) + df/dt for f = {op_text}, residual = {alg.to_text(res)}"))
     return out
 
 
@@ -153,8 +149,7 @@ def checks_residual() -> list[CheckResult]:
     out.append(_check(
         "residual.electric[flipped-phase witness]",
         1.0 if r_bad <= 1e-1 else 0.0, 0.0,
-        f"sign-flipped cubic phase is not a solution (residual {r_bad:.3f} > 0.1)",
-        exact=True))
+        f"sign-flipped cubic phase is not a solution (residual {r_bad:.3f} > 0.1)"))
     return out
 
 
@@ -205,8 +200,7 @@ def checks_resummation() -> list[CheckResult]:
     monotone = all(errors[k + 1] <= errors[k] * (1 + 1e-12) for k in range(10))
     out.append(_check(
         "resummation.monotone[J=0..10]", 0.0 if monotone else 1.0, 0.0,
-        "partial-sum error is nonincreasing in the truncation order",
-        exact=True))
+        "partial-sum error is nonincreasing in the truncation order"))
     return out
 
 
@@ -274,33 +268,26 @@ def checks_symmetry() -> list[CheckResult]:
     out.append(_check(
         "symmetry.conjugation[phase-stripped witness]",
         1.0 if broken <= 1e-2 else 0.0, 0.0,
-        f"translation without the gauge phase breaks the symmetry (residual {broken:.3f} > 0.01)",
-        exact=True))
+        f"translation without the gauge phase breaks the symmetry (residual {broken:.3f} > 0.01)"))
     return out
 
 
-def checks_quantization(cfg: SystemConfig, dx_shift: float = 2.0 * math.pi,
-                        dt_grid=None, tol: float = 1e-8) -> list[CheckResult]:
+def checks_quantization(cfg: SystemConfig) -> list[CheckResult]:
     out = []
+    dx_shift = 2.0 * math.pi
+    dt_arr = np.arange(1, 1001) * 0.005
     # the scan runs on the electric solutions: a natural-unit config keeps its
     # particle and E, with the magnetic field dropped
     scan_cfg = replace(cfg, geometry="electric_1d", magnetic=0.0) \
         if cfg.units.kind == "natural" else natural_config()
-    if scan_cfg.electric * dx_shift == 0:
+    if scan_cfg.electric == 0:
         raise ValueError("quantization checks need a nonzero electric field and shift")
-    if dt_grid is None:
-        dt_grid = np.arange(1, 1001) * 0.005
-    dt_arr = np.asarray(list(dt_grid), dtype=float)
-    # no verdict where float64 cannot resolve the sampled phases to the tolerance.
-    # Rounding the largest phase moves the measured deviation at a hit by up to
-    # about one float64 spacing of that phase (0.44-1.0 spacings measured from
-    # q = E = 10 to 1000), so the spacing must stay below tol / 10.  This also
-    # bounds the integer enumeration below
-    phase_max = sym.largest_sampled_phase(dx_shift, dt_arr, scan_cfg)
-    if not math.ulp(phase_max) <= tol / 10:
-        raise ValueError(f"quantization scan: unresolvable: the sampled phase reaches "
-                         f"{phase_max:.3g} rad, whose float64 spacing {math.ulp(phase_max):.2g} "
-                         f"is not well below the tolerance {tol:g}")
+    # no verdict where float64 cannot resolve the sampled phases to the
+    # tolerance; that guard also bounds the integer enumeration below
+    try:
+        devs = np.abs(sym.invariance_phases(dx_shift, dt_arr, scan_cfg) - 1.0)
+    except ValueError as exc:
+        raise ValueError(f"quantization scan: {exc}") from None
     # integers whose quantizing dt lands on the scan grid, by pure arithmetic;
     # n carries the sign of q E dx (the electron's n are negative)
     q_e_dx = scan_cfg.charge * scan_cfg.electric * dx_shift
@@ -315,12 +302,9 @@ def checks_quantization(cfg: SystemConfig, dx_shift: float = 2.0 * math.pi,
     hits = []
     misses_ok = True
     phase_dev_hit = 0.0
-    reports = sym.scan_quantization(dx_shift, dt_arr, scan_cfg, tol)
-    for report in reports:
+    for report, dev in zip(sym.scan_quantization(dx_shift, dt_arr, scan_cfg), devs):
         if isinstance(report, str):   # no verdict at this point
             raise ValueError(f"quantization scan: {report}")
-    devs = np.abs(sym.invariance_phases(dx_shift, [r.dt for r in reports], scan_cfg) - 1.0)
-    for report, dev in zip(reports, devs):
         if report.is_quantized:
             hits.append(report.nearest)
             phase_dev_hit = max(phase_dev_hit, float(dev))
@@ -333,13 +317,11 @@ def checks_quantization(cfg: SystemConfig, dx_shift: float = 2.0 * math.pi,
     out.append(_check(
         "quantization.no_false_hits",
         0.0 if misses_ok else 1.0, 0.0,
-        "away from integer n the invariance phase stays away from 1",
-        exact=True))
+        "away from integer n the invariance phase stays away from 1"))
     out.append(_check(
         "quantization.integer_hits",
         0.0 if hits == expected_hits else 1.0, 0.0,
-        f"scan marks exactly the integer points, n = {hits}",
-        exact=True))
+        f"scan marks exactly the integer points, n = {hits}"))
     report = sym.quantization_report(dx_shift, 1.0, scan_cfg)
     h_over_q2 = scan_cfg.units.h / scan_cfg.charge ** 2
     ulp_err = abs(report.resistance - h_over_q2 * report.n_real) \

@@ -3,6 +3,7 @@
 import contextlib
 import io
 import json
+import math
 import os
 import pathlib
 import subprocess
@@ -229,6 +230,35 @@ def test_units_override_flag(tmp_path):
     assert "# config.units=cgs" in text
 
 
+@pytest.mark.parametrize("doc_units, q, units, charge", [
+    ("natural", "e", "si", "1.6021766339999999e-19"),
+    ("natural", "e", "cgs", "4.8032047125702634e-10"),
+    ("si", "-e", "natural", "-1"),
+])
+def test_units_override_resolves_a_symbolic_charge(tmp_path, doc_units, q, units, charge):
+    """--units reads the document, so "e" / "-e" become the new system's charge."""
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"m": 1, "q": q, "E": 1, "L": 8, "units": doc_units}))
+    assert run(["quantize", "--config", str(path), "--units", units, "--dx", "1",
+                "--dt-min", "1", "--dt-max", "2", "--dt-steps", "3",
+                "--out-dir", str(tmp_path)]) == 0
+    text = (tmp_path / "quantize_scan.csv").read_text()
+    assert f"# config.units={units}\n" in text
+    assert f"# config.q={charge}\n" in text
+
+
+@pytest.mark.parametrize("args", [
+    ["verify", "--filter", "quantization"],
+    ["eval", "--family", "fundamental", "--current"],
+    ["eval", "--family", "ladder"],
+])
+def test_field_whose_square_overflows_exit_2(tmp_path, capsys, args):
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps({"m": 1, "q": 1, "E": 1e300, "L": 8}))
+    assert run(args + ["--config", str(path), "--out-dir", str(tmp_path)]) == 2
+    assert "field too strong: (q E)^2 overflows float64" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("args, message", [
     (["evolve1d", "--dt", "nan"], "time step dt must be finite and positive"),
     (["evolve1d", "--sigma", "0"], "--sigma must be finite and positive"),
@@ -265,8 +295,8 @@ def test_verify_quantization_zero_field_exit_2(tmp_path, capsys):
 ])
 def test_verify_quantization_without_a_verdict_exit_2(tmp_path, capsys, cfg, message):
     """A weak field puts only n = 0 on the scan; a strong one samples phases
-    whose float64 spacing exceeds a tenth of the tolerance (3.7e-9 at
-    q = E = 30).  Neither gets a verdict."""
+    whose float64 spacing exceeds a tenth of the tolerance (1.9e-9 in the
+    first refused batch at q = E = 30).  Neither gets a verdict."""
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps(cfg))
     assert run(["verify", "--filter", "quantization", "--config", str(path)]) == 2
@@ -506,3 +536,47 @@ def test_random_argv_never_raises(fuzz_dirs, data):
         except SystemExit as exc:   # argparse rejects the argv
             code = exc.code
     assert code in (0, 1, 2), argv
+
+
+# --- random config documents: the same guarantee for every config -------------
+
+CHARGES = st.sampled_from(["e", "-e", 1, -1, 2.5, -0.3, 1e3])
+FIELDS = st.sampled_from([0, 1, -1, 0.5, 30, 1e150, 1e300, -1e300,
+                          math.nan, math.inf, -math.inf])
+CONFIG_COMMANDS = [
+    ["verify", "--filter", "quantization"],
+    ["eval", "--family", "fundamental", "--current", "--times", "0,0.5"],
+    ["eval", "--family", "ladder", "--n", "2", "--times", "0.5"],
+    ["eval", "--family", "shifted", "--dt-shift", "0.3", "--current"],
+    ["eval", "--family", "oscillator", "--n", "1"],
+    ["eval", "--family", "family-y", "--n", "1", "--shift", "0.5", "--grid-n", "32"],
+    ["eval", "--family", "family-z", "--n", "1", "--shift", "0.5", "--grid-n", "32"],
+    ["quantize", "--dx", "1", "--dt-min", "0.5", "--dt-max", "2", "--dt-steps", "3"],
+    ["evolve1d", "--steps", "4", "--grid-n", "64"],
+    ["evolve-landau", "--periods", "1", "--steps-per-period", "4", "--grid-n", "16"],
+]
+
+
+@st.composite
+def random_config_argv(draw):
+    """(config document, argv without --config)."""
+    doc = {"m": 1, "q": draw(CHARGES), "E": draw(FIELDS), "L": 8,
+           "units": draw(st.sampled_from(["natural", "cgs", "si"])),
+           "geometry": draw(st.sampled_from(["electric_1d", "parallel_eb"]))}
+    if draw(st.booleans()):
+        doc["B"] = draw(FIELDS)
+    argv = list(draw(st.sampled_from(CONFIG_COMMANDS)))
+    units = draw(st.sampled_from([None, "natural", "cgs", "si"]))
+    return doc, argv + (["--units", units] if units else [])
+
+
+@given(data=st.data())
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+def test_random_config_documents_never_raise(fuzz_dirs, data):
+    par_path, out_dir = fuzz_dirs
+    doc, argv = data.draw(random_config_argv())
+    path = pathlib.Path(par_path).with_name("random.json")
+    path.write_text(json.dumps(doc))   # NaN and Infinity as JSON tokens
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        code = run(argv + ["--config", str(path), "--out-dir", out_dir])
+    assert code in (0, 1, 2), (argv, doc)

@@ -11,7 +11,7 @@ from scipy.linalg import solve_banded
 from fieldquant import grids as G
 from fieldquant import propagate as P
 from fieldquant import solutions as S
-from fieldquant.config import natural_config
+from fieldquant.config import cyclotron_frequency, natural_config
 from test_grids import random_band_limited, reference_expectation
 
 CFG40 = natural_config(L=40.0)
@@ -158,13 +158,10 @@ def test_evolve_zero_steps_keeps_initial_row():
     assert rec.final.t == 0.0
 
 
-@pytest.mark.parametrize("zero", ["initial", "reference"])
-def test_evolve_rejects_zero_norm_fields(zero):
-    grid = G.Grid1D(40.0, 256, "dirichlet")
-    f0, empty = gaussian_packet(grid), G.WaveField(grid, np.zeros(256), 0.0)
-    initial, reference = (empty, f0) if zero == "initial" else (f0, empty)
+def test_evolve_rejects_zero_norm_fields():
+    empty = G.WaveField(G.Grid1D(40.0, 256, "dirichlet"), np.zeros(256), 0.0)
     with pytest.raises(ValueError, match="nonzero norm"):
-        P.evolve(initial, P.EvolutionSpec(dt=1e-3, steps=4), CFG40, reference=reference)
+        P.evolve(empty, P.EvolutionSpec(dt=1e-3, steps=4), CFG40)
 
 
 def test_evolve_norm_column_constant():
@@ -201,11 +198,15 @@ def landau_eigenstate():
     return g2, G.sample(state, g2, 0.0)
 
 
-def six_fft_strang_step(stepper, values):
-    """Reference: one unfused Strang step back in (y, z)."""
-    half = stepper._half_kick_y
+def six_fft_strang_step(grid, cfg, dt, values):
+    """Reference: one unfused Strang step back in (y, z), its kicks built from
+    A = (hbar k_y)^2 / 2m and B = (hbar k_z - m wc y)^2 / 2m."""
+    hbar, m, wc = cfg.hbar, cfg.mass, cyclotron_frequency(cfg)
+    half = np.exp(-0.5j * dt * (hbar * grid.y.wavenumbers[:, None]) ** 2 / (2.0 * m * hbar))
+    gauge = np.exp(-1j * dt * (hbar * grid.z.wavenumbers[None, :] - m * wc * grid.y.x[:, None]) ** 2
+                   / (2.0 * m * hbar))
     v = np.fft.ifft(half * np.fft.fft(values, axis=0), axis=0)
-    v = np.fft.ifft(stepper._kick_gauge * np.fft.fft(v, axis=1), axis=1)
+    v = np.fft.ifft(gauge * np.fft.fft(v, axis=1), axis=1)
     return np.fft.ifft(half * np.fft.fft(v, axis=0), axis=0)
 
 
@@ -214,11 +215,11 @@ def test_split_advance_matches_unfused_steps(landau_eigenstate, steps):
     g2, f0 = landau_eigenstate
     rng = np.random.default_rng(3)
     v = f0.values * np.exp(1j * rng.uniform(0.0, 0.1, size=g2.shape))
-    stepper = P.SplitStepYZ(g2, CFG_PAR, P.cyclotron_period(CFG_PAR) / 512)
+    dt = P.cyclotron_period(CFG_PAR) / 512
     ref = v
     for _ in range(steps):
-        ref = six_fft_strang_step(stepper, ref)
-    got = stepper.advance(v, steps)
+        ref = six_fft_strang_step(g2, CFG_PAR, dt, ref)
+    got = P.SplitStepYZ(g2, CFG_PAR, dt).advance(v, steps)
     assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(v))
 
 

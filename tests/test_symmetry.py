@@ -305,6 +305,16 @@ def test_invariance_phases_match_scalar_reference_bit_for_bit(cfg, dx, dts):
     _assert_bitwise(Y.invariance_phase(dx, float(dts[-1]), cfg), want[-1])
 
 
+def test_invariance_phases_refuse_phases_float64_cannot_resolve():
+    """At the verify scan, q = E = 25 samples phases whose float64 spacing
+    stays within PHASE_TOL / 10; at q = E = 30 a later batch exceeds it."""
+    dts = np.arange(1, 1001) * 0.005
+    phases = Y.invariance_phases(2.0 * math.pi, dts, natural_config(E=25, q=25, L=8.0))
+    assert phases.shape == (1000,)
+    with pytest.raises(ValueError, match="unresolvable: the sampled phase reaches 8.68e"):
+        Y.invariance_phases(2.0 * math.pi, dts, natural_config(E=30, q=30, L=8.0))
+
+
 def test_custom_state_phase_matches_scalar_reference_bit_for_bit(super_setup):
     cfg, g2 = super_setup
     psi = Y.build_parallel_superposition([1.0, 0.4], [0.5, 0.0, 0.25], cfg, g2)
