@@ -8,8 +8,11 @@ gauge twist so that it stays alias-free for states whose gauge momentum
 grows with position.  The twist is cached per (grid, config).
 
 Expectation values of momentum and energy are spectral moments (Parseval):
-``expectations`` takes one FFT per axis of a field, plus one for the gauge
-term, and no inverse transform, whatever the number of observables.
+one FFT per axis of a field, plus one for the gauge term, and no inverse
+transform, whatever the number of observables.  ``stack_expectations``
+measures a stack of fields (leading axis) in one call, every reduction and
+transform running over the trailing field axes; ``expectations`` is its
+one-field call.
 """
 
 from __future__ import annotations
@@ -304,10 +307,21 @@ def _cell_volume(grid) -> float:
     return grid.dx if isinstance(grid, Grid1D) else grid.cell
 
 
+def _field_axes(grid) -> tuple[int, ...]:
+    """The trailing axes holding one field, alone or in a stack of fields;
+    axis a of a field is axis ``_field_axes(grid)[a]`` of the array."""
+    return (-1,) if isinstance(grid, Grid1D) else (-2, -1)
+
+
+def _overlaps(a: np.ndarray, b: np.ndarray, grid) -> np.ndarray:
+    """<a|b> over the trailing field axes; either side may be a stack."""
+    return np.sum(np.conj(a) * b, axis=_field_axes(grid)) * _cell_volume(grid)
+
+
 def inner_product(a: WaveField, b: WaveField) -> complex:
     if a.grid != b.grid:
         raise GridMismatchError("inner product needs a common grid")
-    return complex(np.sum(np.conj(a.values) * b.values) * _cell_volume(a.grid))
+    return complex(_overlaps(a.values, b.values, a.grid))
 
 
 def norm(f: WaveField) -> float:
@@ -318,65 +332,81 @@ _OBSERVABLES = {1: ("x", "px", "pi_x", "H"),
                 2: ("y", "z", "py", "pz", "pi_y", "pi_z", "H")}
 
 
-def expectations(names, f: WaveField, cfg: SystemConfig) -> list[float]:
-    """Normalized expectation values of the named observables, in order.
+def stack_expectations(names, grid, stack: np.ndarray, times, cfg: SystemConfig,
+                       reference: np.ndarray | None = None):
+    """Norms and normalized expectation values of a stack of fields.
 
-    Supported: x, px, H, pi_x (uses the field time stamp), and for 2D
+    ``stack`` holds one field of ``grid`` per leading index, at the matching
+    entry of ``times``.  Returns ``(norms, values, overlaps)``: the norm of
+    each field, ``values[i]`` the i-th named observable of every field, and
+    <reference|f> per field (None without a reference).
+
+    Supported names: x, px, H, pi_x (uses the field's time), and for 2D
     fields y, z, py, pz, pi_y, pi_z.  Momentum and kinetic energy are
     spectral moments (Parseval): sum conj(v) ifft(g fft(v)) dv = sum g w
-    with w = |fft(v)|^2 dv / N along one axis.  The norm and at most one
+    with w = |fft(v)|^2 dv / N along one axis.  One norm and at most one
     weight per axis (plus one of conj(G) v for the 2D gauge term) serve
-    every name.  The samples are transformed whatever the boundary tag;
-    wall-bounded fields must stay clear of the walls.
+    every name, each one array operation over the trailing field axes; a
+    field of the stack measures bit for bit as it would alone.  The samples
+    are transformed whatever the boundary tag; wall-bounded fields must stay
+    clear of the walls.
     """
-    n2 = inner_product(f, f).real
-    if n2 <= 0:
+    n2 = _overlaps(stack, stack, grid).real
+    if np.any(n2 <= 0):
         raise ValueError("expectation of an empty field")
-    ndim = f.values.ndim
-    dv = _cell_volume(f.grid)
-    axes = (f.grid,) if ndim == 1 else (f.grid.y, f.grid.z)
-    coords = (f.grid.x,) if ndim == 1 else (f.grid.y.x[:, None], f.grid.z.x[None, :])
+    ndim = 1 if isinstance(grid, Grid1D) else 2
+    dv = _cell_volume(grid)
+    fax = _field_axes(grid)
+    axes = (grid,) if ndim == 1 else (grid.y, grid.z)
+    coords = (grid.x,) if ndim == 1 else (grid.y.x[:, None], grid.z.x[None, :])
     cache = {}
 
     def position(axis):
         if "density" not in cache:
-            cache["density"] = np.abs(f.values) ** 2
-        return float(np.sum(coords[axis] * cache["density"]) * dv / n2)
+            cache["density"] = np.abs(stack) ** 2
+        return np.sum(coords[axis] * cache["density"], axis=fax) * dv / n2
 
     def moment(axis, power, twisted=False):
         if (axis, twisted) not in cache:
-            v = np.conj(gauge_twist(f.grid, cfg)) * f.values if twisted else f.values
-            w = np.abs(np.fft.fft(v, axis=axis)) ** 2
+            v = np.conj(gauge_twist(grid, cfg)) * stack if twisted else stack
+            w = np.abs(np.fft.fft(v, axis=fax[axis])) ** 2
             if ndim == 2:
-                w = w.sum(axis=1 - axis)
+                w = w.sum(axis=fax[1 - axis])
             cache[axis, twisted] = w * (dv / axes[axis].npoints)
-        hk = cfg.hbar * axes[axis].wavenumbers
-        return float(np.dot(hk ** power, cache[axis, twisted])) / n2
+        hk = (cfg.hbar * axes[axis].wavenumbers) ** power
+        # one dot per field: a stacked matrix-vector product sums in another order
+        return np.array([np.dot(hk, w) for w in cache[axis, twisted]]) / n2
 
-    out = []
-    for name in names:
+    values = np.empty((len(names), n2.size))
+    for i, name in enumerate(names):
         if name not in _OBSERVABLES[ndim]:
             raise ValueError(f"unknown {ndim}D observable {name!r}")
         axis = 1 if name.endswith("z") else 0
         if name in ("x", "y", "z"):
-            val = position(axis)
+            values[i] = position(axis)
         elif name in ("px", "py", "pz", "pi_z"):
-            val = moment(axis, 1)
+            values[i] = moment(axis, 1)
         elif name == "pi_x":
-            val = moment(0, 1) - cfg.charge * cfg.electric * f.t
+            values[i] = moment(0, 1) - cfg.charge * cfg.electric * np.asarray(times, dtype=float)
         elif name == "pi_y":
-            val = moment(0, 1) - cfg.mass * cyclotron_frequency(cfg) * position(1)
+            values[i] = moment(0, 1) - cfg.mass * cyclotron_frequency(cfg) * position(1)
         elif ndim == 1:
-            val = moment(0, 2) / (2.0 * cfg.mass) - cfg.charge * cfg.electric * position(0)
+            values[i] = moment(0, 2) / (2.0 * cfg.mass) - cfg.charge * cfg.electric * position(0)
         else:
-            val = (moment(0, 2) + moment(1, 2, twisted=True)) / (2.0 * cfg.mass)
-        out.append(val)
-    return out
+            values[i] = (moment(0, 2) + moment(1, 2, twisted=True)) / (2.0 * cfg.mass)
+    overlaps = None if reference is None else _overlaps(reference, stack, grid)
+    return np.sqrt(n2), values, overlaps
+
+
+def expectations(names, f: WaveField, cfg: SystemConfig) -> list[float]:
+    """Normalized expectation values of the named observables of one field,
+    in order: the one-field call of ``stack_expectations``."""
+    return stack_expectations(names, f.grid, f.values[None], (f.t,), cfg)[1][:, 0].tolist()
 
 
 def expectation(opname: str, f: WaveField, cfg: SystemConfig) -> float:
     """Normalized expectation value of one named observable; see
-    ``expectations`` for the names and the method."""
+    ``stack_expectations`` for the names and the method."""
     return expectations((opname,), f, cfg)[0]
 
 

@@ -262,6 +262,20 @@ class QuantizationReport:
     resistance_ohms: float | None = None
 
 
+def _charge_squared(cfg: SystemConfig) -> float:
+    """q^2 of the resistance unit h / q^2; a charge for which float64 cannot
+    hold q^2 or h / q^2 raises ValueError."""
+    q = cfg.charge
+    try:
+        out = q ** 2
+    except OverflowError:
+        out = math.inf
+    if not (0 < out < math.inf and cfg.units.h / out < math.inf):
+        raise ValueError(f"charge out of range: float64 cannot hold q^2 and h/q^2 "
+                         f"at q = {q:.3g}")
+    return out
+
+
 def quantization_report(dx_shift: float, dt_shift: float, cfg: SystemConfig,
                         tol: float = 1e-8) -> QuantizationReport:
     """Quantization verdict for q E dx dt / (2 pi hbar) plus the electrical
@@ -281,9 +295,10 @@ def quantization_report(dx_shift: float, dt_shift: float, cfg: SystemConfig,
     voltage = E * dx_shift
     current = q / dt_shift
     resistance = voltage / current
-    klitzing = resistance * q ** 2 / h
+    q2 = _charge_squared(cfg)
+    klitzing = resistance * q2 / h
     # consistency guard: V/I must equal (h/q^2) n_real identically
-    if abs(resistance - (h / q ** 2) * n_real) > 4 * math.ulp(abs(resistance) + 1.0):
+    if abs(resistance - (h / q2) * n_real) > 4 * math.ulp(abs(resistance) + 1.0):
         raise AssertionError("resistance bookkeeping out of ulp budget")
     return QuantizationReport(
         dx=dx_shift, dt=dt_shift, electric=E, charge=q,
@@ -302,6 +317,7 @@ def scan_quantization(dx_shift: float, dt_values, cfg: SystemConfig,
     unresolvable message of ``quantization_report``."""
     if not 0 < tol < 0.5:
         raise ValueError(f"quantization tolerance tol must lie in (0, 0.5), got {tol}")
+    _charge_squared(cfg)   # every point needs it: refuse the scan, not each point
     out = []
     for dt_shift in dt_values:
         if dt_shift == 0:

@@ -323,7 +323,7 @@ def checks_quantization(cfg: SystemConfig) -> list[CheckResult]:
         0.0 if hits == expected_hits else 1.0, 0.0,
         f"scan marks exactly the integer points, n = {hits}"))
     report = sym.quantization_report(dx_shift, 1.0, scan_cfg)
-    h_over_q2 = scan_cfg.units.h / scan_cfg.charge ** 2
+    h_over_q2 = scan_cfg.units.h / sym._charge_squared(scan_cfg)
     ulp_err = abs(report.resistance - h_over_q2 * report.n_real) \
         / math.ulp(abs(report.resistance) + 1.0)
     out.append(_check(

@@ -259,6 +259,20 @@ def test_field_whose_square_overflows_exit_2(tmp_path, capsys, args):
     assert "field too strong: (q E)^2 overflows float64" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("charge, field", [(1e200, 1e-200), (1e-200, 1e200), (1e-160, 1e160)])
+@pytest.mark.parametrize("args", [
+    ["quantize", "--dx", "1", "--dt-min", "1", "--dt-max", "2", "--dt-steps", "2"],
+    ["verify", "--filter", "quantization"],
+])
+def test_charge_whose_square_float64_cannot_hold_exit_2(tmp_path, capsys, args, charge, field):
+    """q^2 overflows at 1e200 and underflows to 0 at 1e-200; at 1e-160 it is
+    subnormal and h/q^2 overflows, so the resistance reads inf."""
+    path = tmp_path / "charge.json"
+    path.write_text(json.dumps({"m": 1, "q": charge, "E": field, "L": 8}))
+    assert run(args + ["--config", str(path), "--out-dir", str(tmp_path)]) == 2
+    assert "charge out of range: float64 cannot hold q^2 and h/q^2" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("args, message", [
     (["evolve1d", "--dt", "nan"], "time step dt must be finite and positive"),
     (["evolve1d", "--sigma", "0"], "--sigma must be finite and positive"),
@@ -540,7 +554,7 @@ def test_random_argv_never_raises(fuzz_dirs, data):
 
 # --- random config documents: the same guarantee for every config -------------
 
-CHARGES = st.sampled_from(["e", "-e", 1, -1, 2.5, -0.3, 1e3])
+CHARGES = st.sampled_from(["e", "-e", 1, -1, 2.5, -0.3, 1e3, 1e200, 1e-200])
 FIELDS = st.sampled_from([0, 1, -1, 0.5, 30, 1e150, 1e300, -1e300,
                           math.nan, math.inf, -math.inf])
 CONFIG_COMMANDS = [

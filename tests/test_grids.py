@@ -343,6 +343,54 @@ def reference_expectation(opname, f, cfg):
     return G.inner_product(f, G.apply_hamiltonian_yz(f, cfg)).real / n2
 
 
+# Reference: the one-field spectral-moment kernel as it was before fields
+# were measured in stacks; the stacked kernel must equal it bit for bit.
+
+def one_field_inner_product(a, b):
+    return complex(np.sum(np.conj(a.values) * b.values) * G._cell_volume(a.grid))
+
+
+def one_field_norm(f):
+    return math.sqrt(max(one_field_inner_product(f, f).real, 0.0))
+
+
+def one_field_expectations(names, f, cfg):
+    n2 = one_field_inner_product(f, f).real
+    ndim = f.values.ndim
+    dv = G._cell_volume(f.grid)
+    axes = (f.grid,) if ndim == 1 else (f.grid.y, f.grid.z)
+    coords = (f.grid.x,) if ndim == 1 else (f.grid.y.x[:, None], f.grid.z.x[None, :])
+
+    def position(axis):
+        return float(np.sum(coords[axis] * np.abs(f.values) ** 2) * dv / n2)
+
+    def moment(axis, power, twisted=False):
+        v = np.conj(G.gauge_twist(f.grid, cfg)) * f.values if twisted else f.values
+        w = np.abs(np.fft.fft(v, axis=axis)) ** 2
+        if ndim == 2:
+            w = w.sum(axis=1 - axis)
+        w = w * (dv / axes[axis].npoints)
+        return float(np.dot((cfg.hbar * axes[axis].wavenumbers) ** power, w)) / n2
+
+    out = []
+    for name in names:
+        axis = 1 if name.endswith("z") else 0
+        if name in ("x", "y", "z"):
+            val = position(axis)
+        elif name in ("px", "py", "pz", "pi_z"):
+            val = moment(axis, 1)
+        elif name == "pi_x":
+            val = moment(0, 1) - cfg.charge * cfg.electric * f.t
+        elif name == "pi_y":
+            val = moment(0, 1) - cfg.mass * cyclotron_frequency(cfg) * position(1)
+        elif ndim == 1:
+            val = moment(0, 2) / (2.0 * cfg.mass) - cfg.charge * cfg.electric * position(0)
+        else:
+            val = (moment(0, 2) + moment(1, 2, twisted=True)) / (2.0 * cfg.mass)
+        out.append(val)
+    return out
+
+
 NAMES_1D = ("x", "px", "pi_x", "H")
 NAMES_2D = ("y", "z", "py", "pz", "pi_y", "pi_z", "H")
 
@@ -384,6 +432,31 @@ def test_expectations_match_reference_measurement(label, grid, cfg, names, seed)
     # one kernel call equals the per-name calls bit for bit, in any order
     assert got == [G.expectation(name, f, cfg) for name in names]
     assert G.expectations(names[::-1], f, cfg) == got[::-1]
+
+
+@pytest.mark.parametrize("label, grid, cfg, names", KERNEL_CASES, ids=[c[0] for c in KERNEL_CASES])
+def test_stacked_expectations_equal_one_field_calls(label, grid, cfg, names):
+    """Five fields at five times measured in one stacked call equal the
+    one-field kernel on each, bit for bit: every name (pi_x reads each
+    field's own time), the norms and the overlaps with a reference."""
+    fields = [random_band_limited(grid, seed, t=0.3 * seed - 0.4) for seed in range(5)]
+    stack = np.array([f.values for f in fields])
+    reference = random_band_limited(grid, 11)
+    norms, values, overlaps = G.stack_expectations(
+        names, grid, stack, [f.t for f in fields], cfg, reference=reference.values)
+    assert values.shape == (len(names), len(fields))
+    for i, f in enumerate(fields):
+        assert values[:, i].tolist() == one_field_expectations(names, f, cfg)
+        assert values[:, i].tolist() == G.expectations(names, f, cfg)
+        assert norms[i] == one_field_norm(f) == G.norm(f)
+        assert complex(overlaps[i]) == one_field_inner_product(reference, f)
+        assert complex(overlaps[i]) == G.inner_product(reference, f)
+
+
+def test_stacked_expectations_refuse_an_empty_field():
+    fields = np.array([random_band_limited(GRID, 1).values, np.zeros(GRID.npoints)])
+    with pytest.raises(ValueError, match="empty field"):
+        G.stack_expectations(("x",), GRID, fields, [0.0, 0.0], CFG)
 
 
 def test_gauge_twist_is_cached_and_read_only():

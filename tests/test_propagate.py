@@ -12,7 +12,8 @@ from fieldquant import grids as G
 from fieldquant import propagate as P
 from fieldquant import solutions as S
 from fieldquant.config import cyclotron_frequency, natural_config
-from test_grids import random_band_limited, reference_expectation
+from test_grids import (one_field_expectations, one_field_inner_product, one_field_norm,
+                        random_band_limited, reference_expectation)
 
 CFG40 = natural_config(L=40.0)
 CFG_PAR = natural_config(B=1.0, geometry="parallel_eb", L=8.0)
@@ -262,6 +263,79 @@ def test_evolve_rows_match_reference_measurement(method):
         assert np.array_equal(got[:, col], ref[:, col])
     scale = np.max(np.abs(ref), axis=0)
     assert np.all(np.abs(got - ref) <= 1e-13 * scale)
+
+
+# Reference: evolve as it was before rows were measured in blocks, one row
+# at a time through the one-field kernel.
+
+def _record_row(f, cfg, reference, ref_norm):
+    n = one_field_norm(f)
+    fid = abs(one_field_inner_product(reference, f)) / (ref_norm * n)
+    return [f.t, n, *one_field_expectations(P._ROW_OBSERVABLES[f.values.ndim], f, cfg), fid]
+
+
+def row_by_row_evolve(f0, spec, cfg):
+    stepper = P._make_stepper(f0, spec, cfg)
+    ref_norm = one_field_norm(f0)
+    rows = [_record_row(f0, cfg, f0, ref_norm)]
+    values, t = f0.values.copy(), f0.t
+    for row in range(1, spec.steps // spec.cadence + 1):
+        values = stepper.advance(values, spec.cadence)
+        t = f0.t + row * spec.cadence * spec.dt
+        rows.append(_record_row(G.WaveField(f0.grid, values, t), cfg, f0, ref_norm))
+    return rows, G.WaveField(f0.grid, values, t)
+
+
+BLOCK_CASES = [
+    # (grid points or "landau", steps, cadence): rows per block 32, 8 and 1
+    (256, 64, 1), (1024, 64, 1), (8192, 12, 1),
+    # 11 rows in blocks of 8, so the last block is partial
+    (1024, 99, 9),
+    (256, 0, 1),
+    # blocks of 2 at 64^2: 65 and 9 rows, both ending on a partial block
+    ("landau", 64, 1), ("landau", 64, 8),
+]
+
+
+@pytest.mark.parametrize("n, steps, cadence", BLOCK_CASES,
+                         ids=[f"{n}-{steps}-{c}" for n, steps, c in BLOCK_CASES])
+def test_evolve_rows_match_row_by_row_measurement_bit_for_bit(landau_eigenstate, n, steps, cadence):
+    if n == "landau":
+        g2 = landau_eigenstate[0]
+        f0, cfg = random_band_limited(g2, 5, t=0.25), CFG_PAR
+        spec = P.EvolutionSpec(dt=P.cyclotron_period(cfg) / 64, steps=steps, cadence=cadence,
+                               method="split_yz")
+    else:
+        f0 = gaussian_packet(G.Grid1D(40.0, n, "dirichlet"), sigma=0.7, x0=0.3, p0=0.8)
+        f0, cfg = G.WaveField(f0.grid, f0.values, 0.25), CFG40
+        spec = P.EvolutionSpec(dt=1e-3, steps=steps, cadence=cadence)
+    rows, final = row_by_row_evolve(f0, spec, cfg)
+    rec = P.evolve(f0, spec, cfg)
+    assert rec.rows == rows
+    assert np.array_equal(rec.final.values, final.values)
+    assert rec.final.t == final.t
+    assert not np.shares_memory(rec.final.values, f0.values)
+
+
+def test_evolve_raises_on_a_non_finite_state_inside_a_block(monkeypatch):
+    """A stepper whose fifth advance alone returns a NaN, so the final field
+    is finite again: the block of 32 rows the NaN lands in is refused."""
+    f0 = gaussian_packet(G.Grid1D(40.0, 256, "dirichlet"))
+    assert P.ROW_BLOCK_BYTES // f0.values.nbytes == 32
+
+    class NanOnFifthAdvance:
+        calls = 0
+
+        def advance(self, values, steps):
+            self.calls += 1
+            out = f0.values.copy()
+            if self.calls == 5:
+                out[7] = np.nan
+            return out
+
+    monkeypatch.setattr(P, "_make_stepper", lambda f0, spec, cfg: NanOnFifthAdvance())
+    with pytest.raises(ValueError, match="field contains non-finite samples"):
+        P.evolve(f0, P.EvolutionSpec(dt=1e-3, steps=20), CFG40)
 
 
 def test_split_eigenstate_one_period(landau_eigenstate):
