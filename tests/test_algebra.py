@@ -361,18 +361,21 @@ def test_parse_print_parse_fixed_point(text):
 # --- ring properties (randomized) --------------------------------------------------------
 
 _GEN_EXPRS = [gen(g) for g in Gen]
-_ATOMS = _GEN_EXPRS + [sym("hbar"), sym("q"), sym("E"), IMAG,
+_ATOMS = _GEN_EXPRS + [sym("hbar"), sym("q"), sym("E"), sym("m", -1), sym("wc"), IMAG,
                        OperatorExpr.rational(Fraction(1, 2)), OperatorExpr.rational(-2)]
 
 
+_TIME_LOCAL_ATOMS = [a for a in _ATOMS if not a.contains_generator(Gen.DT)]
+
+
 @st.composite
-def small_exprs(draw):
+def small_exprs(draw, atoms=_ATOMS):
     n_terms = draw(st.integers(1, 3))
     expr = OperatorExpr.zero()
     for _ in range(n_terms):
         term = OperatorExpr.rational(draw(st.integers(-3, 3)))
         for _ in range(draw(st.integers(0, 3))):
-            term = term * draw(st.sampled_from(_ATOMS))
+            term = term * draw(st.sampled_from(atoms))
         expr = expr + term
     return expr
 
@@ -384,6 +387,19 @@ def test_ring_axioms(a, b, c):
     assert a * (b + c) == a * b + a * c
     assert (a + b) * c == a * c + b * c
     assert (a * OperatorExpr.zero()).is_zero
+
+
+@given(small_exprs(), small_exprs())
+@settings(max_examples=100, deadline=None)
+def test_commutator_equals_product_difference(a, b):
+    assert A.commutator(a, b) == a * b - b * a
+
+
+@given(small_exprs(), small_exprs(_TIME_LOCAL_ATOMS))
+@settings(max_examples=100, deadline=None)
+def test_heisenberg_residual_equals_its_definition(f, h):
+    minus_i_over_hbar = (IMAG * sym("hbar", -1)).scale(-1)
+    assert A.heisenberg_residual(f, h) == minus_i_over_hbar * (f * h - h * f) + A.partial_t(f)
 
 
 @given(st.lists(st.sampled_from(list(Gen)), min_size=1, max_size=3),
