@@ -346,6 +346,10 @@ class ParseError(ValueError):
 
 _ATOM_NAMES = dict(NAME_TO_GEN)
 
+# parentheses deeper than this are refused; each level costs the recursive
+# descent four stack frames, so the limit stays well inside Python's default
+MAX_NESTING = 100
+
 
 def _tokenize(text: str):
     tokens = []
@@ -392,6 +396,7 @@ class _Parser:
         self.text = text
         self.tokens = _tokenize(text)
         self.k = 0
+        self.depth = 0
 
     def peek(self):
         return self.tokens[self.k]
@@ -469,15 +474,20 @@ class _Parser:
                 return OperatorExpr.parameter(val)
             raise ParseError(f"unknown identifier {val!r}", off)
         if kind == "op" and val == "(":
+            if self.depth == MAX_NESTING:
+                raise ParseError(f"nested too deeply (limit {MAX_NESTING})", off)
+            self.depth += 1
             inner = self.parse_expr()
             self.expect_op(")")
+            self.depth -= 1
             return inner
         raise ParseError(f"unexpected token {val!r}", off)
 
 
 def parse_operator(text: str) -> OperatorExpr:
     """Parse operator text over atoms {x,y,z,t,px,py,pz,dt,hbar,m,q,E,wc,c,i}
-    and rational literals, with operators + - * ^ and parentheses."""
+    and rational literals, with operators + - * ^ and parentheses nested at
+    most ``MAX_NESTING`` deep."""
     return _Parser(text).parse()
 
 

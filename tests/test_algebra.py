@@ -338,6 +338,15 @@ def test_parse_zero_denominator():
         A.parse_operator("1/0*px")
 
 
+def test_parse_refuses_nesting_past_the_limit():
+    assert A.parse_operator("(" * A.MAX_NESTING + "x" + ")" * A.MAX_NESTING) == X
+    deep = 300
+    text = "(" * deep + "x" + ")" * deep
+    with pytest.raises(A.ParseError, match="nested too deeply") as err:
+        A.parse_operator(text)
+    assert err.value.offset == A.MAX_NESTING
+
+
 ROUND_TRIP_SAMPLES = [
     "px - q*E*t",
     "i*hbar*dt",

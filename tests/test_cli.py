@@ -81,6 +81,17 @@ def test_operator_parse_error_exit_code():
     assert run(["verify", "--filter", "symbolic", "--op", "px + @"]) == 2
 
 
+def test_deeply_nested_operator_exit_2(tmp_path, capsys):
+    text = "(" * 300 + "x" + ")" * 300
+    assert run(["verify", "--filter", "symbolic", "--op", text]) == 2
+    assert "nested too deeply" in capsys.readouterr().err
+    path = tmp_path / "nested.json"
+    path.write_text(json.dumps({"m": 1, "q": 1, "E": 1, "L": 8.0,
+                                "hamiltonian_override": text}))
+    assert run(["verify", "--filter", "symbolic", "--config", str(path)]) == 2
+    assert "nested too deeply" in capsys.readouterr().err
+
+
 def test_usage_error_is_exit_2():
     with pytest.raises(SystemExit) as err:
         run(["quantize"])  # missing required flags
