@@ -27,8 +27,9 @@ into the one-pair closed form
 
 (with +1 in place of -i*hbar for dt, t).  The k = 0 terms of a*b and b*a are
 the same exponent sum, so ``commutator`` forms only the contraction terms of
-the two orders.  ``dt`` is the formal derivative with respect to explicit
-time; the energy operator is i*hbar*dt.
+the two orders, and visits only the term pairs that have one.  ``dt`` is the
+formal derivative with respect to explicit time; the energy operator is
+i*hbar*dt.
 """
 
 from __future__ import annotations
@@ -213,14 +214,38 @@ def sym(name: str, power: int = 1) -> OperatorExpr:
 IMAG = OperatorExpr.parameter("i")
 
 
+def _with_pair_masks(expr: OperatorExpr):
+    """(key, coeff, positions, momenta) per term; bit j of a mask is set when
+    the term carries the position, or the momentum, of ``_PAIRS[j]``."""
+    out = []
+    for key, coeff in expr.terms.items():
+        positions = momenta = 0
+        for bit, (xs, ps, _) in enumerate(_PAIRS):
+            if key[xs]:
+                positions |= 1 << bit
+            if key[ps]:
+                momenta |= 1 << bit
+        out.append((key, coeff, positions, momenta))
+    return out
+
+
 def commutator(a: OperatorExpr, b: OperatorExpr) -> OperatorExpr:
-    """a*b - b*a, from the contraction terms of the two orders alone."""
+    """a*b - b*a, from the contraction terms of the two orders alone.
+
+    ka*kb has contraction terms only where a momentum of ka meets its own
+    position in kb, so a pair whose masks share no pair in either order
+    contributes nothing and is skipped before its coefficient is formed."""
     terms = {}
-    for ka, ca in a.terms.items():
-        for kb, cb in b.terms.items():
-            c = ca * cb
-            _accumulate(terms, ka, kb, c, contractions_only=True)
-            _accumulate(terms, kb, ka, -c, contractions_only=True)
+    b_masked = _with_pair_masks(b)
+    for ka, ca, xa, pa in _with_pair_masks(a):
+        for kb, cb, xb, pb in b_masked:
+            ab, ba = pa & xb, pb & xa
+            if ab or ba:
+                c = ca * cb
+                if ab:
+                    _accumulate(terms, ka, kb, c, contractions_only=True)
+                if ba:
+                    _accumulate(terms, kb, ka, -c, contractions_only=True)
     return OperatorExpr(terms)
 
 

@@ -220,6 +220,34 @@ def test_residual_of_conserved_products_is_zero():
             assert A.heisenberg_residual(f ** k * e_op ** l, h).is_zero, (k, l)
 
 
+def _contracting_orders(ka, kb):
+    """Orders (ka*kb, kb*ka) of a term pair that have a contraction term."""
+    def meets(left, right):
+        return any(left[ps] and right[xs] for xs, ps, _ in A._PAIRS)
+    return meets(ka, kb) + meets(kb, ka)
+
+
+def test_commutator_visits_only_pairs_that_contract(monkeypatch):
+    # P is a combination of the parallel-field conserved operators with
+    # nonzero rational coefficients, as in the symbolic benchmark
+    ops = (A.momentum_minus_force_time(), A.gauge_momentum_y(), A.momentum_z(),
+           A.energy_operator())
+    poly = OperatorExpr.zero()
+    for c, op in zip((Fraction(3, 7), Fraction(-2, 5), Fraction(5, 3), Fraction(-1, 9)), ops):
+        poly = poly + op.scale(c)
+    a, h = poly ** 5, A.hamiltonian_parallel(CFG_PAR)
+    contracting = sum(_contracting_orders(ka, kb) for ka in a.terms for kb in h.terms)
+    assert (contracting, 2 * len(a.terms) * len(h.terms)) == (855, 4584)
+    calls = []
+    accumulate = A._accumulate
+    monkeypatch.setattr(A, "_accumulate",
+                        lambda *args, **kw: calls.append(1) or accumulate(*args, **kw))
+    result = A.commutator(a, h)
+    monkeypatch.undo()
+    assert len(calls) <= contracting
+    assert result == a * h - h * a
+
+
 def test_bare_momentum_is_not_conserved():
     residual = A.heisenberg_residual(PX, A.hamiltonian_1d(CFG_1D))
     assert residual == sym("q") * sym("E")
