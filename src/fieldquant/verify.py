@@ -32,6 +32,9 @@ class CheckResult:
     value: float
     tolerance: float
     anchor: str
+    # a witness passes when its residual exceeds a bound; it records both
+    measured: float | None = None
+    bound: float | None = None
 
 
 @dataclass
@@ -50,20 +53,27 @@ class VerifyReport:
         return 0 if self.all_passed else 1
 
     def as_dict(self) -> dict:
-        return {
-            "all_passed": self.all_passed,
-            "checks": [
-                {"name": c.name, "passed": c.passed, "value": c.value,
-                 "tolerance": c.tolerance, "anchor": c.anchor}
-                for c in self.checks
-            ],
-        }
+        return {"all_passed": self.all_passed, "checks": [_check_dict(c) for c in self.checks]}
+
+
+def _check_dict(c: CheckResult) -> dict:
+    out = {"name": c.name, "passed": c.passed, "value": c.value,
+           "tolerance": c.tolerance, "anchor": c.anchor}
+    if c.measured is not None:
+        out.update(measured=c.measured, bound=c.bound)
+    return out
 
 
 def _check(name, value, tolerance, anchor) -> CheckResult:
     # an exact check records 0 or 1 against tolerance 0
     return CheckResult(name=name, passed=bool(value <= tolerance), value=float(value),
                        tolerance=float(tolerance), anchor=anchor)
+
+
+def _witness(name, measured, bound, anchor) -> CheckResult:
+    # an exact check that passes when the measured residual exceeds its bound
+    return replace(_check(name, 1.0 if measured <= bound else 0.0, 0.0, anchor),
+                   measured=float(measured), bound=float(bound))
 
 
 # --- symbolic -----------------------------------------------------------------
@@ -146,9 +156,8 @@ def checks_residual() -> list[CheckResult]:
                                            + np.asarray(t) * np.asarray(x))),
         cfg=cfg, kmax=lambda t: (abs(t),))
     r_bad = gr.schrodinger_residual(bad, grid, t1, 1e-4)
-    out.append(_check(
-        "residual.electric[flipped-phase witness]",
-        1.0 if r_bad <= 1e-1 else 0.0, 0.0,
+    out.append(_witness(
+        "residual.electric[flipped-phase witness]", r_bad, 1e-1,
         f"sign-flipped cubic phase is not a solution (residual {r_bad:.3f} > 0.1)"))
     return out
 
@@ -265,9 +274,8 @@ def checks_symmetry() -> list[CheckResult]:
         1e-6, "H - Eop commutes with the z translation Uz"))
     broken = sym.conjugation_symmetry_check(
         sym.Unitary("Uy", dy, compensating_phase=False), fam_z, grid2, 0.4, cfgp)
-    out.append(_check(
-        "symmetry.conjugation[phase-stripped witness]",
-        1.0 if broken <= 1e-2 else 0.0, 0.0,
+    out.append(_witness(
+        "symmetry.conjugation[phase-stripped witness]", broken, 1e-2,
         f"translation without the gauge phase breaks the symmetry (residual {broken:.3f} > 0.01)"))
     return out
 

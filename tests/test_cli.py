@@ -490,6 +490,25 @@ def test_verify_matches_golden_snapshot(capsys):
         assert abs(g["value"] - w["value"]) <= 1e-12 * max(1.0, abs(w["value"])), g["name"]
 
 
+WITNESS_BOUNDS = {"residual.electric[flipped-phase witness]": 0.1,
+                  "symmetry.conjugation[phase-stripped witness]": 0.01}
+
+
+def test_witness_checks_record_measured_residual_and_bound(capsys, tmp_path):
+    assert run(["verify", "--filter", "residual", "--filter", "symmetry", "--json",
+                "--out-dir", str(tmp_path)]) == 0
+    checks = json.loads(capsys.readouterr().out)["checks"]
+    assert json.loads((tmp_path / "verify_report.json").read_text())["checks"] == checks
+    witnesses = {c["name"]: c for c in checks if "measured" in c}
+    assert set(witnesses) == set(WITNESS_BOUNDS)
+    for name, c in witnesses.items():
+        assert c["bound"] == WITNESS_BOUNDS[name]
+        assert c["measured"] > c["bound"]
+        assert (c["value"], c["tolerance"], c["passed"]) == (0.0, 0.0, True)
+        assert f"(residual {c['measured']:.3f} > {c['bound']:g})" in c["anchor"]
+    assert all("bound" not in c for c in checks if c["name"] not in WITNESS_BOUNDS)
+
+
 @pytest.mark.parametrize("golden, args", [
     ("quantize_natural.csv", ["--dx", "6.283185307179586", "--dt-min", "0", "--dt-max", "3",
                               "--dt-steps", "7"]),
