@@ -374,6 +374,8 @@ _ATOM_NAMES = dict(NAME_TO_GEN)
 # parentheses deeper than this are refused; each level costs the recursive
 # descent four stack frames, so the limit stays well inside Python's default
 MAX_NESTING = 100
+# exponents above this are refused: a power is that many exact products
+MAX_POWER = 1000
 
 
 def _tokenize(text: str):
@@ -485,6 +487,8 @@ class _Parser:
             self.next()
             if val.denominator != 1:
                 raise ParseError("exponent must be an integer", off)
+            if val > MAX_POWER:
+                raise ParseError(f"exponent too large (limit {MAX_POWER})", off)
             return base ** int(val)
         return base
 
@@ -512,7 +516,7 @@ class _Parser:
 def parse_operator(text: str) -> OperatorExpr:
     """Parse operator text over atoms {x,y,z,t,px,py,pz,dt,hbar,m,q,E,wc,c,i}
     and rational literals, with operators + - * ^ and parentheses nested at
-    most ``MAX_NESTING`` deep."""
+    most ``MAX_NESTING`` deep; an exponent is an integer up to ``MAX_POWER``."""
     return _Parser(text).parse()
 
 

@@ -1,28 +1,12 @@
 """Independent numerical time evolution used to validate the closed forms.
 
-Two second-order methods: Crank-Nicolson with a tridiagonal kinetic stencil
-for the 1D linear-potential problem (wall-bounded, exactly norm preserving),
-and Strang splitting for the transverse gauge problem (periodic, with the
-gauge factor applied diagonally in the mixed (y, k_z) representation).
-Neither assumes anything about the analytic solutions they are checked
-against.
-
-Both steppers expose ``advance(values, steps)``; ``step(values)`` is
-``advance(values, 1)``.  Crank-Nicolson factors its constant tridiagonal
-matrix once, at construction (the only place scipy is imported), and each
-step is a single LAPACK back substitution; the right-hand side is built in
-two preallocated buffers used in turn, and finiteness is checked once, on
-the result of each advance.  The split stepper keeps the state in
-(y, k_z) for the whole advance, stored C-contiguous as (k_z, y) so every
-FFT runs along the last axis into one of two buffers: the kinetic term is
-diagonal in k_y and the gauge term in y, so a step costs one FFT pair, the
-kicks act in place, and adjacent k_y half-kicks fuse into one full kick.
-``evolve`` advances one recorded row at a time, so the state returns to
-(y, z) only where a row is recorded.  It steps the rows into a stack of at
-most ``ROW_BLOCK_BYTES`` of states, checks the stack for finiteness once,
-and measures it with one ``stack_expectations`` call: one FFT per row in 1D
-and three in 2D, each an array operation over the whole stack, with the
-rows bit-identical to measuring each state alone.
+Two second-order methods: Crank-Nicolson for the 1D linear-potential
+problem (wall-bounded, exactly norm preserving) and Strang splitting for
+the transverse gauge problem (periodic).  Neither assumes anything about
+the analytic solutions they are checked against.  Both steppers expose
+``advance(values, steps)``; ``step(values)`` is ``advance(values, 1)``.
+``evolve`` records a trajectory row every ``cadence`` steps, and
+``estimate_order`` gives the Richardson convergence order of either method.
 """
 
 from __future__ import annotations
@@ -142,7 +126,15 @@ class SplitStepYZ:
     """Strang splitting exp(-i dt A / 2 hbar) exp(-i dt B / hbar)
     exp(-i dt A / 2 hbar) with A = py^2/2m diagonal in k_y and
     B = (hbar k_z - m wc y)^2 / 2m diagonal in the mixed (y, k_z)
-    representation, so no 2D transform is ever needed."""
+    representation, so no 2D transform is ever needed.
+
+    A step costs one y-FFT pair and two in-place multiplies.  All three
+    kicks are stored at the full C-contiguous (N_z, N_y) shape of the
+    stepping buffers, so each multiply is one contiguous loop.  The k_y
+    kicks are pre-scaled by 1/N_y, the normalization of the inverse
+    y-transform that follows each of them.  At a power-of-two N_y that
+    division is exact and the states are bit-identical to scaled inverse
+    transforms; at other sizes they differ at roundoff level."""
 
     def __init__(self, grid: Grid2D, cfg: SystemConfig, dt: float):
         if grid.y.boundary != "periodic" or grid.z.boundary != "periodic":
@@ -152,10 +144,13 @@ class SplitStepYZ:
         self.dt = dt
         hbar, m = cfg.hbar, cfg.mass
         wc = cyclotron_frequency(cfg)
-        # the kicks in the (k_z, y) layout of the stepping loop
+        # the kicks at the full (k_z, y) shape of the stepping buffers; the k_y
+        # kicks carry the 1/N_y of the inverse y-transform after each of them
         a = (hbar * grid.y.wavenumbers) ** 2 / (2.0 * m)
-        self._half_kick = np.exp(-0.5j * self.dt * a / hbar)[None, :]
-        self._kick = self._half_kick * self._half_kick  # two fused half-kicks
+        half = np.exp(-0.5j * self.dt * a / hbar)
+        rows, ny = (grid.z.npoints, 1), grid.y.npoints
+        self._half_kick = np.tile(half / ny, rows)
+        self._kick = np.tile(half * half / ny, rows)  # two fused half-kicks
         gauge = (hbar * grid.z.wavenumbers[:, None] - m * wc * grid.y.x[None, :]) ** 2 / (2.0 * m)
         self._kick_gauge = np.exp(-1j * self.dt * gauge / hbar)
 
@@ -167,7 +162,9 @@ class SplitStepYZ:
         gauge kicks: the closing half-kick in k_y of one step and the
         opening one of the next act as one full kick.  Inside the loop the
         state is stored C-contiguous as (k_z, y), so every FFT runs along
-        the last axis, into one of two buffers, and the kicks act in place."""
+        the last axis, into one of two buffers, and the kicks act in place.
+        The inverse y-transforms run unscaled (``norm="forward"``), since the
+        k_y kick before each carries its 1/N_y."""
         if steps == 0:
             return values
         fft, ifft = np.fft.fft, np.fft.ifft
@@ -178,13 +175,13 @@ class SplitStepYZ:
         # so each kick's operand order is part of the result
         np.multiply(half, fft(u, out=w), out=w)
         for _ in range(steps - 1):
-            np.multiply(gauge, ifft(w, out=u), out=u)
+            np.multiply(gauge, ifft(w, out=u, norm="forward"), out=u)
             fft(u, out=w)
             w *= kick
-        np.multiply(gauge, ifft(w, out=u), out=u)
+        np.multiply(gauge, ifft(w, out=u, norm="forward"), out=u)
         fft(u, out=w)
         w *= half
-        ifft(w, out=u)
+        ifft(w, out=u, norm="forward")
         v = np.ascontiguousarray(u.T)   # (y, k_z)
         return ifft(v, axis=1, out=v)
 

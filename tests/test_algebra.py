@@ -375,6 +375,14 @@ def test_parse_refuses_nesting_past_the_limit():
     assert err.value.offset == A.MAX_NESTING
 
 
+def test_parse_refuses_exponents_past_the_limit():
+    assert A.parse_operator(f"x^{A.MAX_POWER}") == X ** A.MAX_POWER
+    for text in (f"x^{A.MAX_POWER + 1}", "x^99999999999999999999"):
+        with pytest.raises(A.ParseError, match="exponent too large") as err:
+            A.parse_operator(text)
+        assert err.value.offset == 2
+
+
 ROUND_TRIP_SAMPLES = [
     "px - q*E*t",
     "i*hbar*dt",

@@ -14,6 +14,7 @@ from hypothesis import given, settings, strategies as st
 
 import fieldquant
 from fieldquant.cli import main
+from fieldquant.verify import _witness
 
 
 def run(args):
@@ -90,6 +91,17 @@ def test_deeply_nested_operator_exit_2(tmp_path, capsys):
                                 "hamiltonian_override": text}))
     assert run(["verify", "--filter", "symbolic", "--config", str(path)]) == 2
     assert "nested too deeply" in capsys.readouterr().err
+
+
+def test_huge_operator_exponent_exits_2_in_time():
+    """The exponent is refused when parsed, before any product is formed."""
+    src = str(pathlib.Path(fieldquant.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src}
+    out = subprocess.run([sys.executable, "-m", "fieldquant.cli", "verify", "--filter",
+                          "symbolic", "--op", "x^99999999999999999999"],
+                         env=env, capture_output=True, text=True, timeout=60)
+    assert out.returncode == 2
+    assert "exponent too large" in out.stderr
 
 
 def test_usage_error_is_exit_2():
@@ -507,6 +519,17 @@ def test_witness_checks_record_measured_residual_and_bound(capsys, tmp_path):
         assert (c["value"], c["tolerance"], c["passed"]) == (0.0, 0.0, True)
         assert f"(residual {c['measured']:.3f} > {c['bound']:g})" in c["anchor"]
     assert all("bound" not in c for c in checks if c["name"] not in WITNESS_BOUNDS)
+
+
+@pytest.mark.parametrize("measured, passed", [
+    (0.5, True), (0.1, False), (0.05, False),
+    (float("nan"), False), (float("inf"), True), (float("-inf"), False),
+])
+def test_witness_passes_only_when_the_residual_exceeds_its_bound(measured, passed):
+    """A witness residual that cannot be measured (NaN) fails the witness."""
+    check = _witness("w", measured, 0.1, "a")
+    assert check.passed is passed
+    assert check.value == (0.0 if passed else 1.0)
 
 
 @pytest.mark.parametrize("golden, args", [

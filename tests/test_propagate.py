@@ -211,9 +211,20 @@ def six_fft_strang_step(grid, cfg, dt, values):
     return np.fft.ifft(half * np.fft.fft(v, axis=0), axis=0)
 
 
-@pytest.mark.parametrize("steps", [1, 2, 512])
-def test_split_advance_matches_unfused_steps(landau_eigenstate, steps):
-    g2, f0 = landau_eigenstate
+def landau_state(npoints):
+    g2 = G.landau_grid(CFG_PAR, npoints=npoints, ly=24.0)
+    state = S.parallel_family_y(CFG_PAR, 0, G.snap_shift(g2.y, 1.0), lz_box=g2.z.length)
+    return g2, G.sample(state, g2, 0.0)
+
+
+# the 64^2 cases keep their bare step-count ids; 48^2 is not a power of two
+UNFUSED_CASES = [pytest.param(64, steps, id=str(steps)) for steps in (1, 2, 512)] \
+    + [pytest.param(48, steps, id=f"48-{steps}") for steps in (1, 2, 512)]
+
+
+@pytest.mark.parametrize("npoints, steps", UNFUSED_CASES)
+def test_split_advance_matches_unfused_steps(landau_eigenstate, npoints, steps):
+    g2, f0 = landau_eigenstate if npoints == 64 else landau_state(npoints)
     rng = np.random.default_rng(3)
     v = f0.values * np.exp(1j * rng.uniform(0.0, 0.1, size=g2.shape))
     dt = P.cyclotron_period(CFG_PAR) / 512
@@ -222,6 +233,69 @@ def test_split_advance_matches_unfused_steps(landau_eigenstate, steps):
         ref = six_fft_strang_step(g2, CFG_PAR, dt, ref)
     got = P.SplitStepYZ(g2, CFG_PAR, dt).advance(v, steps)
     assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(v))
+
+
+# Reference: the stepping loop as it was before its kicks were stored at full
+# shape with the 1/N_y of the inverse y-transform folded in: (1, N_y) row
+# kicks broadcast over k_z, and scaled inverse transforms.
+
+def broadcast_kick_advance(grid, cfg, dt, values, steps):
+    hbar, m, wc = cfg.hbar, cfg.mass, cyclotron_frequency(cfg)
+    a = (hbar * grid.y.wavenumbers) ** 2 / (2.0 * m)
+    half = np.exp(-0.5j * dt * a / hbar)[None, :]
+    kick = half * half
+    b = (hbar * grid.z.wavenumbers[:, None] - m * wc * grid.y.x[None, :]) ** 2 / (2.0 * m)
+    gauge = np.exp(-1j * dt * b / hbar)
+    fft, ifft = np.fft.fft, np.fft.ifft
+    u = np.ascontiguousarray(fft(values, axis=1).T)
+    w = np.empty_like(u)
+    np.multiply(half, fft(u, out=w), out=w)
+    for _ in range(steps - 1):
+        np.multiply(gauge, ifft(w, out=u), out=u)
+        fft(u, out=w)
+        w *= kick
+    np.multiply(gauge, ifft(w, out=u), out=u)
+    fft(u, out=w)
+    w *= half
+    ifft(w, out=u)
+    v = np.ascontiguousarray(u.T)
+    return ifft(v, axis=1, out=v)
+
+
+def test_split_kicks_are_full_shape_and_prescaled():
+    g2 = G.Grid2D(G.Grid1D(24.0, 48), G.Grid1D(16.0, 32))
+    stepper = P.SplitStepYZ(g2, CFG_PAR, 0.01)
+    for kick in (stepper._half_kick, stepper._kick, stepper._kick_gauge):
+        assert kick.shape == (32, 48) and kick.flags.c_contiguous
+    # every row is the same k_y kick, scaled by 1/N_y
+    assert np.allclose(np.abs(stepper._half_kick), 1.0 / 48, rtol=0, atol=1e-15)
+    assert np.array_equal(stepper._kick, np.broadcast_to(stepper._kick[0], (32, 48)))
+
+
+@pytest.mark.parametrize("npoints", [32, 64])
+@pytest.mark.parametrize("steps", [1, 2, 512])
+def test_split_advance_matches_broadcast_kick_loop_bit_for_bit(npoints, steps):
+    """At a power-of-two N_y, dividing by N_y is exact, so folding it into the
+    kicks changes no bit."""
+    g2 = G.landau_grid(CFG_PAR, npoints=npoints, ly=24.0)
+    v = random_band_limited(g2, 11).values
+    dt = P.cyclotron_period(CFG_PAR) / 512
+    got = P.SplitStepYZ(g2, CFG_PAR, dt).advance(v, steps)
+    assert np.array_equal(got, broadcast_kick_advance(g2, CFG_PAR, dt, v, steps))
+
+
+@pytest.mark.parametrize("grid", [
+    pytest.param(G.landau_grid(CFG_PAR, npoints=48, ly=24.0), id="48x48"),
+    pytest.param(G.Grid2D(G.Grid1D(24.0, 48), G.Grid1D(16.0, 32)), id="48x32"),
+])
+@pytest.mark.parametrize("steps", [1, 2, 512])
+def test_split_advance_matches_broadcast_kick_loop_at_roundoff(grid, steps):
+    """At other N_y the prescaled kicks move the state at roundoff level."""
+    v = random_band_limited(grid, 11).values
+    dt = P.cyclotron_period(CFG_PAR) / 512
+    got = P.SplitStepYZ(grid, CFG_PAR, dt).advance(v, steps)
+    ref = broadcast_kick_advance(grid, CFG_PAR, dt, v, steps)
+    assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref))
 
 
 @pytest.mark.parametrize("method", ["cn_1d", "split_yz"])
