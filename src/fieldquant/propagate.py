@@ -128,13 +128,16 @@ class SplitStepYZ:
     B = (hbar k_z - m wc y)^2 / 2m diagonal in the mixed (y, k_z)
     representation, so no 2D transform is ever needed.
 
-    A step costs one y-FFT pair and two in-place multiplies.  All three
-    kicks are stored at the full C-contiguous (N_z, N_y) shape of the
-    stepping buffers, so each multiply is one contiguous loop.  The k_y
-    kicks are pre-scaled by 1/N_y, the normalization of the inverse
-    y-transform that follows each of them.  At a power-of-two N_y that
-    division is exact and the states are bit-identical to scaled inverse
-    transforms; at other sizes they differ at roundoff level."""
+    A step costs one y-FFT pair and two in-place multiplies.  The two
+    per-step kicks (gauge and fused k_y) are stored at the full C-contiguous
+    (N_z, N_y) shape of the stepping buffers, so each multiply is one
+    contiguous loop; the k_y half-kick, which acts twice per advance, stays
+    a (1, N_y) row and costs no third state of memory.  The k_y kicks are
+    pre-scaled by 1/N_y, the normalization of the inverse y-transform that
+    follows each of them, so those transforms run unscaled
+    (``norm="forward"``).  At a power-of-two N_y that division is exact and
+    the states are bit-identical to scaled inverse transforms; at other
+    sizes they differ at roundoff level."""
 
     def __init__(self, grid: Grid2D, cfg: SystemConfig, dt: float):
         if grid.y.boundary != "periodic" or grid.z.boundary != "periodic":
@@ -144,13 +147,10 @@ class SplitStepYZ:
         self.dt = dt
         hbar, m = cfg.hbar, cfg.mass
         wc = cyclotron_frequency(cfg)
-        # the kicks at the full (k_z, y) shape of the stepping buffers; the k_y
-        # kicks carry the 1/N_y of the inverse y-transform after each of them
         a = (hbar * grid.y.wavenumbers) ** 2 / (2.0 * m)
-        half = np.exp(-0.5j * self.dt * a / hbar)
-        rows, ny = (grid.z.npoints, 1), grid.y.npoints
-        self._half_kick = np.tile(half / ny, rows)
-        self._kick = np.tile(half * half / ny, rows)  # two fused half-kicks
+        half, ny = np.exp(-0.5j * self.dt * a / hbar), grid.y.npoints
+        self._half_kick = (half / ny)[None, :]
+        self._kick = np.tile(half * half / ny, (grid.z.npoints, 1))  # two fused half-kicks
         gauge = (hbar * grid.z.wavenumbers[:, None] - m * wc * grid.y.x[None, :]) ** 2 / (2.0 * m)
         self._kick_gauge = np.exp(-1j * self.dt * gauge / hbar)
 
@@ -163,14 +163,15 @@ class SplitStepYZ:
         opening one of the next act as one full kick.  Inside the loop the
         state is stored C-contiguous as (k_z, y), so every FFT runs along
         the last axis, into one of two buffers, and the kicks act in place.
-        The inverse y-transforms run unscaled (``norm="forward"``), since the
-        k_y kick before each carries its 1/N_y."""
+        The first transform's output is the second buffer and, transposed
+        back, the result, so an advance allocates no third state."""
         if steps == 0:
             return values
         fft, ifft = np.fft.fft, np.fft.ifft
         half, kick, gauge = self._half_kick, self._kick, self._kick_gauge
-        u = np.ascontiguousarray(fft(values, axis=1).T)   # (k_z, y)
-        w = np.empty_like(u)
+        v = fft(values, axis=1)   # (y, k_z)
+        u = np.ascontiguousarray(v.T)   # (k_z, y)
+        w = v.reshape(u.shape)
         # a complex product can round differently with its operands swapped,
         # so each kick's operand order is part of the result
         np.multiply(half, fft(u, out=w), out=w)
@@ -182,7 +183,7 @@ class SplitStepYZ:
         fft(u, out=w)
         w *= half
         ifft(w, out=u, norm="forward")
-        v = np.ascontiguousarray(u.T)   # (y, k_z)
+        v[...] = u.T
         return ifft(v, axis=1, out=v)
 
 

@@ -262,14 +262,16 @@ def broadcast_kick_advance(grid, cfg, dt, values, steps):
     return ifft(v, axis=1, out=v)
 
 
-def test_split_kicks_are_full_shape_and_prescaled():
+def test_split_per_step_kicks_are_full_shape_and_k_y_kicks_prescaled():
     g2 = G.Grid2D(G.Grid1D(24.0, 48), G.Grid1D(16.0, 32))
     stepper = P.SplitStepYZ(g2, CFG_PAR, 0.01)
-    for kick in (stepper._half_kick, stepper._kick, stepper._kick_gauge):
+    for kick in (stepper._kick, stepper._kick_gauge):
         assert kick.shape == (32, 48) and kick.flags.c_contiguous
-    # every row is the same k_y kick, scaled by 1/N_y
-    assert np.allclose(np.abs(stepper._half_kick), 1.0 / 48, rtol=0, atol=1e-15)
+    # every row of the fused kick is the same k_y kick; both carry 1/N_y
     assert np.array_equal(stepper._kick, np.broadcast_to(stepper._kick[0], (32, 48)))
+    assert stepper._half_kick.shape == (1, 48)
+    for kick in (stepper._half_kick, stepper._kick):
+        assert np.allclose(np.abs(kick), 1.0 / 48, rtol=0, atol=1e-15)
 
 
 @pytest.mark.parametrize("npoints", [32, 64])
