@@ -191,12 +191,15 @@ def test_split_free_plane_wave_exact():
     assert np.max(np.abs(rec.final.values - expected)) < 1e-12
 
 
+def landau_state(npoints):
+    g2 = G.landau_grid(CFG_PAR, npoints=npoints, ly=24.0)
+    state = S.parallel_family_y(CFG_PAR, 0, G.snap_shift(g2.y, 1.0), lz_box=g2.z.length)
+    return g2, G.sample(state, g2, 0.0)
+
+
 @pytest.fixture(scope="module")
 def landau_eigenstate():
-    g2 = G.landau_grid(CFG_PAR, npoints=64, ly=24.0)
-    dy = G.snap_shift(g2.y, 1.0)
-    state = S.parallel_family_y(CFG_PAR, 0, dy, lz_box=g2.z.length)
-    return g2, G.sample(state, g2, 0.0)
+    return landau_state(64)
 
 
 def six_fft_strang_step(grid, cfg, dt, values):
@@ -209,12 +212,6 @@ def six_fft_strang_step(grid, cfg, dt, values):
     v = np.fft.ifft(half * np.fft.fft(values, axis=0), axis=0)
     v = np.fft.ifft(gauge * np.fft.fft(v, axis=1), axis=1)
     return np.fft.ifft(half * np.fft.fft(v, axis=0), axis=0)
-
-
-def landau_state(npoints):
-    g2 = G.landau_grid(CFG_PAR, npoints=npoints, ly=24.0)
-    state = S.parallel_family_y(CFG_PAR, 0, G.snap_shift(g2.y, 1.0), lz_box=g2.z.length)
-    return g2, G.sample(state, g2, 0.0)
 
 
 # the 64^2 cases keep their bare step-count ids; 48^2 is not a power of two
