@@ -148,7 +148,8 @@ class SplitStepYZ:
         hbar, m = cfg.hbar, cfg.mass
         wc = cyclotron_frequency(cfg)
         a = (hbar * grid.y.wavenumbers) ** 2 / (2.0 * m)
-        half, ny = np.exp(-0.5j * self.dt * a / hbar), grid.y.npoints
+        half = np.exp(-0.5j * self.dt * a / hbar)
+        ny = grid.y.npoints
         self._half_kick = (half / ny)[None, :]
         self._kick = np.tile(half * half / ny, (grid.z.npoints, 1))  # two fused half-kicks
         gauge = (hbar * grid.z.wavenumbers[:, None] - m * wc * grid.y.x[None, :]) ** 2 / (2.0 * m)
