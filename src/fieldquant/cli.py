@@ -149,7 +149,7 @@ def cmd_evolve_landau(args) -> int:
         raise ValueError("--steps-per-period must be at least 1")
     grid = gr.landau_grid(cfg, npoints=args.grid_n, ly=args.ly)
     dy = gr.snap_shift(grid.y, args.dy)
-    state = sol.parallel_family_y(cfg, args.n, dy, lz_box=grid.z.length)
+    state = sol.parallel_family(cfg, "family_y", args.n, dy, box=grid.z.length)
     f0 = gr.sample(state, grid, 0.0)
     period = prop.cyclotron_period(cfg)
     steps = args.periods * args.steps_per_period
@@ -247,11 +247,10 @@ def cmd_eval(args) -> int:
             raise ConfigError("geometry", f"{family} requires geometry parallel_eb")
         grid = gr.landau_grid(cfg, npoints=args.grid_n, ly=args.ly)
         if family == "family-y":
-            shift = gr.snap_shift(grid.y, args.shift)
-            state = sol.parallel_family_y(cfg, args.n, shift, lz_box=grid.z.length)
+            shift, box = gr.snap_shift(grid.y, args.shift), grid.z.length
         else:
-            shift = gr.snap_offset(grid.z, args.shift)
-            state = sol.parallel_family_z(cfg, args.n, shift, ly_box=grid.y.length)
+            shift, box = gr.snap_offset(grid.z, args.shift), grid.y.length
+        state = sol.parallel_family(cfg, family.replace("-", "_"), args.n, shift, box)
         header = ["y", "z", "t", "re", "im", "abs2"]
         rows = []
         for t in times:

@@ -19,6 +19,9 @@ GEOMETRIES = ("electric_1d", "parallel_eb")
 UNIT_KINDS = ("natural", "cgs", "si")
 EIGEN_SIGNS = ("plus", "minus")
 PLANE_WAVE_NORMS = ("sqrt_box", "box")
+# highest ladder_depth and Taylor resummation order; the ladder recursion
+# nests one call per order, so a deeper order ends in a RecursionError
+MAX_LADDER_DEPTH = 64
 
 
 class ConfigError(ValueError):
@@ -34,34 +37,25 @@ class UnitSystem:
     kind: str
     hbar: float
     c: float
+    elementary_charge: float
 
     @property
     def h(self) -> float:
         return 2.0 * math.pi * self.hbar
 
-    @property
-    def elementary_charge(self) -> float:
-        return _ELEMENTARY_CHARGE[self.kind]
 
-
+# (hbar, c, e) per unit system
 _UNIT_TABLE = {
-    "natural": (1.0, 1.0),
-    "cgs": (constants.HBAR_CGS, constants.SPEED_OF_LIGHT_CGS),
-    "si": (constants.HBAR_SI, constants.SPEED_OF_LIGHT_SI),
-}
-
-_ELEMENTARY_CHARGE = {
-    "natural": 1.0,
-    "cgs": constants.ELEMENTARY_CHARGE_CGS,
-    "si": constants.ELEMENTARY_CHARGE_SI,
+    "natural": (1.0, 1.0, 1.0),
+    "cgs": (constants.HBAR_CGS, constants.SPEED_OF_LIGHT_CGS, constants.ELEMENTARY_CHARGE_CGS),
+    "si": (constants.HBAR_SI, constants.SPEED_OF_LIGHT_SI, constants.ELEMENTARY_CHARGE_SI),
 }
 
 
 def unit_system(kind: str) -> UnitSystem:
     if kind not in UNIT_KINDS:
         raise ConfigError("units", f"unknown unit system {kind!r}; expected one of {UNIT_KINDS}")
-    hbar, c = _UNIT_TABLE[kind]
-    return UnitSystem(kind=kind, hbar=hbar, c=c)
+    return UnitSystem(kind, *_UNIT_TABLE[kind])
 
 
 @dataclass(frozen=True)
@@ -136,7 +130,7 @@ def build_config(raw: dict) -> SystemConfig:
         dx, dy, dz, dt   displacement parameters         (default 0)
         eigen_sign       plus | minus                    (default minus)
         plane_wave_norm  sqrt_box | box                  (default sqrt_box)
-        ladder_depth     max degeneracy-ladder order     (default 6)
+        ladder_depth     max ladder order, 0..64         (default 6)
         hamiltonian_override  operator text replacing the
                               built-in Hamiltonian in symbolic
                               conservation checks (default null)
@@ -202,6 +196,9 @@ def build_config(raw: dict) -> SystemConfig:
     ladder_depth = raw.get("ladder_depth", 6)
     if isinstance(ladder_depth, bool) or not isinstance(ladder_depth, int) or ladder_depth < 0:
         raise ConfigError("ladder_depth", "ladder_depth must be a nonnegative integer")
+    if ladder_depth > MAX_LADDER_DEPTH:
+        raise ConfigError("ladder_depth",
+                          f"ladder_depth must be at most {MAX_LADDER_DEPTH}, got {ladder_depth}")
 
     override = raw.get("hamiltonian_override")
     if override is not None and not isinstance(override, str):

@@ -11,7 +11,7 @@ from typing import Callable
 
 import numpy as np
 
-from .config import SystemConfig, ConfigError, cyclotron_frequency
+from .config import MAX_LADDER_DEPTH, SystemConfig, ConfigError, cyclotron_frequency
 
 MAX_OSCILLATOR_N = 64
 LADDER_CACHE_SIZE = 256     # ladder polynomials kept across configs
@@ -81,11 +81,7 @@ class BivariatePoly:
     coeffs: np.ndarray  # shape (deg_x + 1, deg_t + 1)
 
     def __post_init__(self):
-        self.coeffs = np.atleast_2d(np.asarray(self.coeffs, dtype=complex))
-        self._trim()
-
-    def _trim(self):
-        c = self.coeffs
+        c = np.atleast_2d(np.asarray(self.coeffs, dtype=complex))
         while c.shape[0] > 1 and not c[-1].any():
             c = c[:-1]
         while c.shape[1] > 1 and not c[:, -1].any():
@@ -95,10 +91,6 @@ class BivariatePoly:
     @property
     def degree_x(self) -> int:
         return self.coeffs.shape[0] - 1
-
-    @property
-    def degree_t(self) -> int:
-        return self.coeffs.shape[1] - 1
 
     def eval(self, x, t):
         """Horner evaluation, x-major: coefficients in t evaluated first."""
@@ -110,49 +102,24 @@ class BivariatePoly:
             out = out * x + row
         return out
 
-    def deriv_t(self) -> "BivariatePoly":
-        if self.degree_t == 0:
-            return BivariatePoly(np.zeros((1, 1)))
-        b = np.arange(1, self.degree_t + 1)
-        return BivariatePoly(self.coeffs[:, 1:] * b)
-
     def deriv_x(self) -> "BivariatePoly":
         if self.degree_x == 0:
             return BivariatePoly(np.zeros((1, 1)))
         a = np.arange(1, self.degree_x + 1)
         return BivariatePoly(self.coeffs[1:, :] * a[:, None])
 
-    def __mul__(self, other: "BivariatePoly") -> "BivariatePoly":
-        out = np.zeros((self.degree_x + other.degree_x + 1,
-                        self.degree_t + other.degree_t + 1), dtype=complex)
-        for a in range(self.coeffs.shape[0]):
-            for b in range(self.coeffs.shape[1]):
-                c = self.coeffs[a, b]
-                if c != 0:
-                    out[a:a + other.coeffs.shape[0],
-                        b:b + other.coeffs.shape[1]] += c * other.coeffs
-        return BivariatePoly(out)
-
-    def __add__(self, other: "BivariatePoly") -> "BivariatePoly":
-        nx = max(self.coeffs.shape[0], other.coeffs.shape[0])
-        nt = max(self.coeffs.shape[1], other.coeffs.shape[1])
-        out = np.zeros((nx, nt), dtype=complex)
-        out[:self.coeffs.shape[0], :self.coeffs.shape[1]] += self.coeffs
-        out[:other.coeffs.shape[0], :other.coeffs.shape[1]] += other.coeffs
-        return BivariatePoly(out)
-
-    def scale(self, value) -> "BivariatePoly":
-        return BivariatePoly(self.coeffs * value)
-
 
 @lru_cache(maxsize=LADDER_CACHE_SIZE)
 def _ladder_cache(j: int, hbar: float, m: float, q: float, E: float) -> BivariatePoly:
     if j == 0:
         return BivariatePoly(np.ones((1, 1)))
-    prev = _ladder_cache(j - 1, hbar, m, q, E)
-    gen = BivariatePoly(np.array([[0.0, 0.0, _force_squared(q, E) / (2.0 * m)],
-                                  [-q * E, 0.0, 0.0]]))
-    return prev.deriv_t().scale(1j * hbar) + gen * prev
+    p = _ladder_cache(j - 1, hbar, m, q, E).coeffs
+    nx, nt = p.shape
+    out = np.zeros((nx + 1, nt + 2), dtype=complex)
+    out[:nx, 2:] += (_force_squared(q, E) / (2.0 * m)) * p    # (q E)^2 t^2 / 2m
+    out[1:, :nt] += (-q * E) * p                               # - q E x
+    out[:nx, :nt - 1] += (p[:, 1:] * np.arange(1, nt)) * (1j * hbar)   # i hbar d/dt
+    return BivariatePoly(out)
 
 
 def degeneracy_polynomial(j: int, cfg: SystemConfig) -> BivariatePoly:
@@ -194,8 +161,8 @@ def superposition_taylor(x, t, dt_shift, J: int, cfg: SystemConfig):
     (the numeric polynomial table grows mildly); the log-space coefficients
     keep J up to 64 overflow-free.
     """
-    if not 0 <= J <= 64:
-        raise ValueError("superposition order must lie in 0..64")
+    if not 0 <= J <= MAX_LADDER_DEPTH:
+        raise ValueError(f"superposition order must lie in 0..{MAX_LADDER_DEPTH}")
     coefficients = [_taylor_coefficient(j, dt_shift, cfg) for j in range(J + 1)]
     return superposition_with_coefficients(x, t, coefficients, cfg)
 
@@ -258,6 +225,12 @@ def oscillator_scale(cfg: SystemConfig) -> float:
     return math.sqrt(cfg.mass * abs(cyclotron_frequency(cfg)) / cfg.hbar)
 
 
+def _oscillator_k(n: int, alpha: float) -> float:
+    # wavenumber bound of phi_n(alpha u): its turning-point wavenumber
+    # alpha sqrt(2n + 1) plus a margin of 3 alpha
+    return alpha * math.sqrt(2.0 * n + 1.0) + 3.0 * alpha
+
+
 # --- parallel-field stationary families -------------------------------------
 
 def phi2_family_y(y, z, dy_shift, n: int, cfg: SystemConfig):
@@ -296,15 +269,8 @@ def phi2_family_z(y, z, dz_shift, n: int, cfg: SystemConfig):
 def full_parallel_solution(x, y, z, t, family: str, n: int, cfg: SystemConfig,
                            dy_shift: float = 0.0, dz_shift: float = 0.0):
     """Product solution phi1(x, t) * exp(-i E_n t / hbar) * phi2(y, z)."""
-    if family == "family_y":
-        yz = phi2_family_y(y, z, dy_shift, n, cfg)
-    elif family == "family_z":
-        yz = phi2_family_z(y, z, dz_shift, n, cfg)
-    else:
-        raise ValueError(f"unknown parallel solution family {family!r}")
-    en = landau_level(n, cfg)
-    t = np.asarray(t, dtype=float)
-    return _plane_wave(x, t, cfg) * np.exp(-1j * en * t / cfg.hbar) * yz
+    shift = dy_shift if family == "family_y" else dz_shift
+    return _plane_wave(x, t, cfg) * parallel_family(cfg, family, n, shift).fn(y, z, t)
 
 
 # --- solution objects --------------------------------------------------------
@@ -395,7 +361,7 @@ def oscillator_1d(cfg: SystemConfig, n: int) -> AnalyticSolution:
     orthogonality checks, not a solution of the 1D electric problem."""
     alpha = oscillator_scale(cfg)
     en = landau_level(n, cfg)
-    kline = alpha * math.sqrt(2.0 * n + 1.0) + 3.0 * alpha
+    kline = _oscillator_k(n, alpha)
 
     def fn(x, t):
         # unit L2 norm in x: the (m wc / pi hbar)^(1/4) prefactor absorbs alpha
@@ -407,48 +373,38 @@ def oscillator_1d(cfg: SystemConfig, n: int) -> AnalyticSolution:
         kmax=lambda t: (kline,), label=f"oscillator n={n}")
 
 
-def parallel_family_y(cfg: SystemConfig, n: int, dy_shift: float = 0.0,
-                      lz_box: float | None = None) -> AnalyticSolution:
-    """Time-dependent family-y solution of the transverse problem, box
-    normalized along z when the box length is supplied."""
+def parallel_family(cfg: SystemConfig, family: str, n: int, shift: float = 0.0,
+                    box: float | None = None) -> AnalyticSolution:
+    """Time-dependent solution exp(-i E_n t / hbar) phi2(y, z) of the
+    transverse problem, box normalized along the free axis when its length
+    ``box`` is supplied.
+
+    ``family`` is "family_y" (``shift`` is dy, the box runs along z) or
+    "family_z" (``shift`` is dz, the box runs along y).  Family z carries a
+    y wavenumber that grows with |z - dz|, so its sampling bound uses the
+    state's z extent.
+    """
     en = landau_level(n, cfg)
     wc = cyclotron_frequency(cfg)
     alpha = oscillator_scale(cfg)
-    amp = 1.0 / math.sqrt(lz_box) if lz_box else 1.0
-    kz = abs(cfg.mass * wc * dy_shift / cfg.hbar)
-    ky = alpha * math.sqrt(2.0 * n + 1.0) + 3.0 * alpha
+    amp = 1.0 / math.sqrt(box) if box else 1.0
+    k_osc = _oscillator_k(n, alpha)
+    if family == "family_y":
+        phi2, axis = phi2_family_y, "y"
+        bound = (k_osc, abs(cfg.mass * wc * shift / cfg.hbar))
+    elif family == "family_z":
+        phi2, axis = phi2_family_z, "z"
+        # amplitude-weighted extent: beyond it the Gaussian factor is < ~1e-6
+        span = (math.sqrt(2.0 * n + 1.0) + 5.0) / alpha
+        bound = (cfg.mass * abs(wc) * (abs(shift) + span) / cfg.hbar, k_osc)
+    else:
+        raise ValueError(f"unknown parallel solution family {family!r}")
 
     def fn(y, z, t):
         t = np.asarray(t, dtype=float)
-        return amp * np.exp(-1j * en * t / cfg.hbar) * phi2_family_y(y, z, dy_shift, n, cfg)
+        return amp * np.exp(-1j * en * t / cfg.hbar) * phi2(y, z, shift, n, cfg)
 
     return AnalyticSolution(
-        family="parallel_family_y", ndim=2, fn=fn, cfg=cfg, n=n,
-        shifts=(("dy", dy_shift),),
-        kmax=lambda t: (ky, kz), label=f"family-y n={n}, dy={dy_shift}")
-
-
-def parallel_family_z(cfg: SystemConfig, n: int, dz_shift: float = 0.0,
-                      ly_box: float | None = None) -> AnalyticSolution:
-    """Time-dependent family-z solution; carries a y wavenumber that grows
-    with |z - dz|, so the sampling bound uses the state's z extent."""
-    en = landau_level(n, cfg)
-    wc = cyclotron_frequency(cfg)
-    alpha = oscillator_scale(cfg)
-    amp = 1.0 / math.sqrt(ly_box) if ly_box else 1.0
-    kz = alpha * math.sqrt(2.0 * n + 1.0) + 3.0 * alpha
-    # amplitude-weighted extent: beyond it the Gaussian factor is < ~1e-6
-    span = (math.sqrt(2.0 * n + 1.0) + 5.0) / alpha
-
-    def fn(y, z, t):
-        t = np.asarray(t, dtype=float)
-        return amp * np.exp(-1j * en * t / cfg.hbar) * phi2_family_z(y, z, dz_shift, n, cfg)
-
-    def kmax(t):
-        ky = cfg.mass * abs(wc) * (abs(dz_shift) + span) / cfg.hbar
-        return (ky, kz)
-
-    return AnalyticSolution(
-        family="parallel_family_z", ndim=2, fn=fn, cfg=cfg, n=n,
-        shifts=(("dz", dz_shift),), kmax=kmax,
-        label=f"family-z n={n}, dz={dz_shift}")
+        family=f"parallel_{family}", ndim=2, fn=fn, cfg=cfg, n=n,
+        shifts=((f"d{axis}", shift),), kmax=lambda t: bound,
+        label=f"family-{axis} n={n}, d{axis}={shift}")

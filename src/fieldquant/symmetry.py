@@ -29,7 +29,7 @@ import numpy as np
 
 from .config import SystemConfig, cyclotron_frequency
 from .solutions import (AnalyticSolution, _plane_wave, _plane_wave_phase, electric_shifted,
-                        landau_level, oscillator_scale, phi2_family_y, phi2_family_z)
+                        oscillator_scale, parallel_family)
 from .grids import (Grid1D, Grid2D, WaveField, GridMismatchError, _spectral,
                     landau_grid, sample, residual_samples)
 
@@ -358,26 +358,19 @@ def build_parallel_superposition(a_coeffs, abar_coeffs, cfg: SystemConfig,
     hbar, q, E = cfg.hbar, cfg.charge, cfg.electric
     if grid is None:
         grid = landau_grid(cfg)
-    ly, lz = grid.y.length, grid.z.length
+    components = [(complex(c), parallel_family(cfg, fam, n, shift, box).fn)
+                  for fam, coeffs, shift, box in (("family_y", a_coeffs, d.dy, grid.z.length),
+                                                  ("family_z", abar_coeffs, d.dz, grid.y.length))
+                  for n, c in enumerate(coeffs) if c != 0]
 
-    components = []   # (coefficient, energy, yz evaluator)
-    for n, a_n in enumerate(a_coeffs):
-        if a_n != 0:
-            yz = lambda y, z, n=n: phi2_family_y(y, z, d.dy, n, cfg) / math.sqrt(lz)
-            components.append((complex(a_n), landau_level(n, cfg), yz))
-    for n, a_n in enumerate(abar_coeffs):
-        if a_n != 0:
-            yz = lambda y, z, n=n: phi2_family_z(y, z, d.dz, n, cfg) / math.sqrt(ly)
-            components.append((complex(a_n), landau_level(n, cfg), yz))
-
-    # Gram matrix of the transverse parts; different Landau levels are
-    # orthogonal, so the time phases never enter the norm
+    # Gram matrix of the transverse parts at t = 0; different Landau levels
+    # are orthogonal, so the time phases never enter the norm
     yy = grid.y.x[:, None]
     zz = grid.z.x[None, :]
-    sampled = [fn(yy, zz) for (_, _, fn) in components]
+    sampled = [fn(yy, zz, 0.0) for _, fn in components]
     gram = np.array([[np.sum(np.conj(si) * sj) * grid.cell for sj in sampled]
                      for si in sampled])
-    cvec = np.array([c for (c, _, _) in components])
+    cvec = np.array([c for c, _ in components])
     total = float(np.real(np.conj(cvec) @ gram @ cvec))
     if total <= 0:
         raise ValueError("superposition has vanishing norm")
@@ -388,8 +381,8 @@ def build_parallel_superposition(a_coeffs, abar_coeffs, cfg: SystemConfig,
         common = (np.exp(1j * q * E * t_eff * d.dx / hbar)
                   * _plane_wave(np.asarray(x) - d.dx, t_eff, cfg))
         acc = 0.0j
-        for c, en, yz in components:
-            acc = acc + c * np.exp(-1j * en * t_eff / hbar) * yz(y, z)
+        for c, fn in components:
+            acc = acc + c * fn(y, z, t_eff)
         return scale * common * acc
 
     return AnalyticSolution(

@@ -65,15 +65,19 @@ def _check_dict(c: CheckResult) -> dict:
 
 
 def _check(name, value, tolerance, anchor) -> CheckResult:
-    # an exact check records 0 or 1 against tolerance 0
     return CheckResult(name=name, passed=bool(value <= tolerance), value=float(value),
                        tolerance=float(tolerance), anchor=anchor)
+
+
+def _exact(name, ok, anchor) -> CheckResult:
+    # an exact check records 0 (holds) or 1 against tolerance 0
+    return _check(name, 0.0 if ok else 1.0, 0.0, anchor)
 
 
 def _witness(name, measured, bound, anchor) -> CheckResult:
     # an exact check that passes when the measured residual exceeds its bound;
     # a residual that cannot be measured (NaN) fails
-    return replace(_check(name, 0.0 if measured > bound else 1.0, 0.0, anchor),
+    return replace(_exact(name, measured > bound, anchor),
                    measured=float(measured), bound=float(bound))
 
 
@@ -90,30 +94,27 @@ def checks_symbolic(cfg: SystemConfig, op_text: str | None = None) -> list[Check
     for h_name, sys_cfg, h in systems:
         for op_name, op in alg.conserved_operators(sys_cfg).items():
             res = alg.heisenberg_residual(op, h)
-            out.append(_check(
-                f"symbolic.conserved[{op_name} | {h_name}]",
-                0.0 if res.is_zero else 1.0, 0.0,
+            out.append(_exact(
+                f"symbolic.conserved[{op_name} | {h_name}]", res.is_zero,
                 f"[f,H]/(i*hbar) + df/dt = 0 for f = {op_name}, residual = {alg.to_text(res)}"))
     for j in range(6):
         res = alg.eigen_ladder_check(j)
-        out.append(_check(
-            f"symbolic.ladder[j={j}]",
-            0.0 if res.is_zero else 1.0, 0.0,
+        out.append(_exact(
+            f"symbolic.ladder[j={j}]", res.is_zero,
             f"[f, Eop^{j + 1}] = i*hbar*q*E*{j + 1}*Eop^{j} exactly"))
     f_op = alg.momentum_minus_force_time()
     e_op = alg.energy_operator()
     prod = f_op * e_op
     defect = prod - alg.adjoint(prod)
-    out.append(_check(
+    out.append(_exact(
         "symbolic.adjoint[fE not hermitian]",
-        0.0 if (not defect.is_zero and defect == alg.commutator(f_op, e_op)) else 1.0, 0.0,
+        not defect.is_zero and defect == alg.commutator(f_op, e_op),
         "fE - (fE)^dagger = [f, Eop] = i*hbar*q*E, so fE admits imaginary eigenvalues"))
     if op_text:
         op = alg.parse_operator(op_text)
         res = alg.heisenberg_residual(op, alg.system_hamiltonian(cfg))
-        out.append(_check(
-            f"symbolic.adhoc[{op_text}]",
-            0.0 if res.is_zero else 1.0, 0.0,
+        out.append(_exact(
+            f"symbolic.adhoc[{op_text}]", res.is_zero,
             f"[f,H]/(i*hbar) + df/dt for f = {op_text}, residual = {alg.to_text(res)}"))
     return out
 
@@ -208,8 +209,8 @@ def checks_resummation(*_) -> list[CheckResult]:
         "resummation.sup_error[J=10]", errors[-1], 1e-6,
         "sum_j c_j Eop^j phi resums to phi(x, t - dt)"))
     monotone = all(errors[k + 1] <= errors[k] * (1 + 1e-12) for k in range(10))
-    out.append(_check(
-        "resummation.monotone[J=0..10]", 0.0 if monotone else 1.0, 0.0,
+    out.append(_exact(
+        "resummation.monotone[J=0..10]", monotone,
         "partial-sum error is nonincreasing in the truncation order"))
     return out
 
@@ -221,12 +222,12 @@ def checks_landau(*_) -> list[CheckResult]:
     dz = gr.snap_offset(grid.z, 0.7)
     for n in range(4):
         e_n = sol.landau_level(n, cfg)
-        fy = gr.sample(sol.parallel_family_y(cfg, n, dy, lz_box=grid.z.length), grid, 0.0)
+        fy = gr.sample(sol.parallel_family(cfg, "family_y", n, dy, box=grid.z.length), grid, 0.0)
         rel_y = abs(gr.expectation("H", fy, cfg) - e_n) / e_n
         out.append(_check(
             f"landau.energy[family-y n={n}]", rel_y, 1e-6,
             f"<H_yz> = hbar*wc*(n + 1/2) = {e_n}"))
-        fz = gr.sample(sol.parallel_family_z(cfg, n, dz, ly_box=grid.y.length), grid, 0.0)
+        fz = gr.sample(sol.parallel_family(cfg, "family_z", n, dz, box=grid.y.length), grid, 0.0)
         rel_z = abs(gr.expectation("H", fz, cfg) - e_n) / e_n
         out.append(_check(
             f"landau.energy[family-z n={n}]", rel_z, 1e-6,
@@ -234,7 +235,7 @@ def checks_landau(*_) -> list[CheckResult]:
     period = prop.cyclotron_period(cfg)
     cfg64, grid64 = _setup_landau(npoints=64)
     dy64 = gr.snap_shift(grid64.y, 1.0)
-    f0 = gr.sample(sol.parallel_family_y(cfg64, 0, dy64, lz_box=grid64.z.length),
+    f0 = gr.sample(sol.parallel_family(cfg64, "family_y", 0, dy64, box=grid64.z.length),
                    grid64, 0.0)
     spec = prop.EvolutionSpec(dt=period / 512, steps=5120, cadence=512, method="split_yz")
     rec = prop.evolve(f0, spec, cfg64)
@@ -262,8 +263,8 @@ def checks_symmetry(*_) -> list[CheckResult]:
     cfgp, grid2 = _setup_landau()
     dy = gr.snap_shift(grid2.y, 0.5)
     dz_state = gr.snap_offset(grid2.z, 0.7)
-    fam_y = sol.parallel_family_y(cfgp, 1, 0.0, lz_box=grid2.z.length)
-    fam_z = sol.parallel_family_z(cfgp, 1, dz_state, ly_box=grid2.y.length)
+    fam_y = sol.parallel_family(cfgp, "family_y", 1, 0.0, box=grid2.z.length)
+    fam_z = sol.parallel_family(cfgp, "family_z", 1, dz_state, box=grid2.y.length)
     out.append(_check(
         "symmetry.conjugation[Uy]",
         sym.conjugation_symmetry_check(sym.Unitary("Uy", dy), fam_y, grid2, 0.4, cfgp),
@@ -323,13 +324,11 @@ def checks_quantization(cfg: SystemConfig, *_) -> list[CheckResult]:
         "quantization.phase_at_integers",
         phase_dev_hit, 1e-8,
         "Ux imprints exp(i q E dx dt / hbar) = 1 exactly at integer n"))
-    out.append(_check(
-        "quantization.no_false_hits",
-        0.0 if misses_ok else 1.0, 0.0,
+    out.append(_exact(
+        "quantization.no_false_hits", misses_ok,
         "away from integer n the invariance phase stays away from 1"))
-    out.append(_check(
-        "quantization.integer_hits",
-        0.0 if hits == expected_hits else 1.0, 0.0,
+    out.append(_exact(
+        "quantization.integer_hits", hits == expected_hits,
         f"scan marks exactly the integer points, n = {hits}"))
     report = sym.quantization_report(dx_shift, 1.0, scan_cfg)
     h_over_q2 = scan_cfg.units.h / sym._charge_squared(scan_cfg)

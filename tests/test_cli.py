@@ -486,6 +486,15 @@ def test_eval_negative_ladder_order_exit_2(tmp_path, capsys):
     assert "ladder order -1 lies outside 0..6" in capsys.readouterr().err
 
 
+def test_eval_ladder_beyond_the_depth_cap_exit_2(tmp_path, capsys):
+    # an order far past the recursion limit: refused before any array is built
+    path = tmp_path / "deep.json"
+    path.write_text(json.dumps({"m": 1, "q": 1, "E": 1, "L": 8, "ladder_depth": 5000}))
+    assert run(["eval", "--config", str(path), "--family", "ladder", "--n", "2000",
+                "--grid-n", "16", "--out-dir", str(tmp_path)]) == 2
+    assert "config error [ladder_depth]: ladder_depth must be at most 64" in capsys.readouterr().err
+
+
 GOLDEN = pathlib.Path(__file__).parent / "data" / "verify_golden.json"
 
 

@@ -46,6 +46,17 @@ def test_validation_errors(raw, bad_field, message):
     assert message in str(err.value)
 
 
+def test_ladder_depth_is_bounded():
+    """The ladder recursion runs down to order 0, so a depth is capped at the
+    resummation's order bound instead of ending in a RecursionError."""
+    assert build_config({"m": 1, "q": 1, "E": 1, "L": 8, "ladder_depth": 64}).ladder_depth == 64
+    for depth in (65, 5000):
+        with pytest.raises(ConfigError) as err:
+            build_config({"m": 1, "q": 1, "E": 1, "L": 8, "ladder_depth": depth})
+        assert err.value.field == "ladder_depth"
+        assert str(err.value) == f"ladder_depth must be at most 64, got {depth}"
+
+
 def test_si_elementary_charge():
     cfg = build_config({"m": 9.1e-31, "q": "e", "E": 1.0, "L": 1.0, "units": "si"})
     assert cfg.hbar == constants.HBAR_SI

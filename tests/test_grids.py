@@ -154,7 +154,7 @@ def test_hamiltonian_1d_on_plane_wave():
 
 def test_hamiltonian_yz_eigenstate():
     g2 = G.landau_grid(CFG_PAR, npoints=64, ly=24.0)
-    state = S.parallel_family_y(CFG_PAR, 0, G.snap_shift(g2.y, 0.5), lz_box=g2.z.length)
+    state = S.parallel_family(CFG_PAR, "family_y", 0, G.snap_shift(g2.y, 0.5), box=g2.z.length)
     f = G.sample(state, g2, 0.0)
     hf = G.apply_hamiltonian_yz(f, CFG_PAR)
     e0 = S.landau_level(0, CFG_PAR)
@@ -168,8 +168,8 @@ def _landau_energies(q):
     dy, dz = G.snap_shift(g2.y, 1.0), G.snap_offset(g2.z, 0.7)
     energies, residuals = [], []
     for n in range(4):
-        for state in (S.parallel_family_y(cfg, n, dy, lz_box=g2.z.length),
-                      S.parallel_family_z(cfg, n, dz, ly_box=g2.y.length)):
+        for state in (S.parallel_family(cfg, "family_y", n, dy, box=g2.z.length),
+                      S.parallel_family(cfg, "family_z", n, dz, box=g2.y.length)):
             energies.append(G.expectation("H", G.sample(state, g2, 0.0), cfg))
             residuals.append(G.schrodinger_residual(state, g2, 0.3, 1e-4))
     return cfg, np.array(energies), np.array(residuals)
@@ -259,7 +259,7 @@ def test_momentum_expectation_tracks_field():
 
 def test_landau_energy_expectation():
     g2 = G.landau_grid(CFG_PAR, npoints=64, ly=24.0)
-    state = S.parallel_family_y(CFG_PAR, 2, G.snap_shift(g2.y, 1.0), lz_box=g2.z.length)
+    state = S.parallel_family(CFG_PAR, "family_y", 2, G.snap_shift(g2.y, 1.0), box=g2.z.length)
     f = G.sample(state, g2, 0.0)
     assert G.expectation("H", f, CFG_PAR) == pytest.approx(2.5, abs=1e-6)
 
@@ -267,10 +267,10 @@ def test_landau_energy_expectation():
 def test_gauge_momentum_expectations():
     g2 = G.landau_grid(CFG_PAR, npoints=64, ly=24.0)
     dy = G.snap_shift(g2.y, 0.75)
-    fy = G.sample(S.parallel_family_y(CFG_PAR, 0, dy, lz_box=g2.z.length), g2, 0.0)
+    fy = G.sample(S.parallel_family(CFG_PAR, "family_y", 0, dy, box=g2.z.length), g2, 0.0)
     assert G.expectation("pi_z", fy, CFG_PAR) == pytest.approx(dy, abs=1e-10)
     dz = G.snap_offset(g2.z, 0.7)
-    fz = G.sample(S.parallel_family_z(CFG_PAR, 1, dz, ly_box=g2.y.length), g2, 0.0)
+    fz = G.sample(S.parallel_family(CFG_PAR, "family_z", 1, dz, box=g2.y.length), g2, 0.0)
     assert G.expectation("pi_y", fz, CFG_PAR) == pytest.approx(-dz, abs=1e-10)
 
 

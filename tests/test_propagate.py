@@ -193,7 +193,7 @@ def test_split_free_plane_wave_exact():
 
 def landau_state(npoints):
     g2 = G.landau_grid(CFG_PAR, npoints=npoints, ly=24.0)
-    state = S.parallel_family_y(CFG_PAR, 0, G.snap_shift(g2.y, 1.0), lz_box=g2.z.length)
+    state = S.parallel_family(CFG_PAR, "family_y", 0, G.snap_shift(g2.y, 1.0), box=g2.z.length)
     return g2, G.sample(state, g2, 0.0)
 
 
@@ -436,7 +436,7 @@ def test_split_electron_ten_periods_fidelity():
     # q = -1: the gauge kick keeps the sign of wc, the period uses |wc|
     cfg = natural_config(B=1.0, geometry="parallel_eb", L=8.0, q=-1.0)
     g2 = G.landau_grid(cfg, npoints=64, ly=24.0)
-    f0 = G.sample(S.parallel_family_y(cfg, 0, G.snap_shift(g2.y, 1.0), lz_box=g2.z.length),
+    f0 = G.sample(S.parallel_family(cfg, "family_y", 0, G.snap_shift(g2.y, 1.0), box=g2.z.length),
                   g2, 0.0)
     period = P.cyclotron_period(cfg)
     assert period == P.cyclotron_period(CFG_PAR)

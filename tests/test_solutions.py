@@ -3,12 +3,13 @@ Hermite sums, quadrature, finite differences, and Taylor remainders."""
 
 import cmath
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
 from fieldquant import solutions as S
-from fieldquant.config import build_config, natural_config
+from fieldquant.config import build_config, cyclotron_frequency, natural_config
 
 CFG = natural_config(L=8.0)
 CFG_PAR = natural_config(B=1.0, geometry="parallel_eb", L=8.0)
@@ -95,7 +96,7 @@ def test_oscillator_quantities_use_the_cyclotron_magnitude(q):
     for n in range(5):
         assert S.landau_level(n, cfg) == pytest.approx(wc * (n + 0.5), rel=1e-15)
     assert S.oscillator_scale(cfg) == pytest.approx(math.sqrt(2.0 * wc), rel=1e-15)
-    assert S.parallel_family_z(cfg, 1, 0.5).kmax(0.0)[0] > 0
+    assert S.parallel_family(cfg, "family_z", 1, 0.5).kmax(0.0)[0] > 0
     xi = np.linspace(-8.0, 8.0, 2001)
     norm = np.sum(S.oscillator_eigenfunction(2, xi, cfg) ** 2) * (xi[1] - xi[0])
     assert norm == pytest.approx(math.sqrt(2.0 * wc), rel=1e-12)
@@ -158,6 +159,45 @@ def test_ladder_polynomial_base_cases():
     expected = 1j * t + (t ** 2 / 2.0 - x) ** 2
     assert p2.eval(x, t) == pytest.approx(expected)
     assert p2.degree_x == 2
+
+
+def exact_ladder(j_max, hbar, m, q, E):
+    """P_0..P_{j_max} from the recursion in exact arithmetic: a dict
+    (a, b) -> (Re, Im) of Fractions for the coefficient of x^a t^b."""
+    hbar, m, q, E = (Fraction(v) for v in (hbar, m, q, E))
+    zero = (Fraction(0), Fraction(0))
+    g = q * q * E * E / (2 * m)
+    polys = [{(0, 0): (Fraction(1), Fraction(0))}]
+    for _ in range(j_max):
+        nxt = {}
+
+        def add(key, re, im):
+            r0, i0 = nxt.get(key, zero)
+            nxt[key] = (r0 + re, i0 + im)
+
+        for (a, b), (re, im) in polys[-1].items():
+            if b:                      # i hbar dP/dt
+                add((a, b - 1), -hbar * b * im, hbar * b * re)
+            add((a, b + 2), g * re, g * im)   # (q E)^2 t^2 / 2m
+            add((a + 1, b), -q * E * re, -q * E * im)   # - q E x
+        polys.append(nxt)
+    return polys
+
+
+@pytest.mark.parametrize("q", [1.0, -1.0])
+def test_ladder_coefficients_equal_exact_recursion(q):
+    """Every coefficient of P_j, j <= 16, is a float64 dyadic at these
+    parameters, so the float recursion must reproduce it bit for bit."""
+    cfg = natural_config(q=q, ladder_depth=16)
+    for j, exact in enumerate(exact_ladder(16, 1.0, 1.0, q, 1.0)):
+        shape = (max(a for a, _ in exact) + 1, max(b for _, b in exact) + 1)
+        want = np.zeros(shape, dtype=complex)
+        for (a, b), (re, im) in exact.items():
+            assert Fraction(float(re)) == re and Fraction(float(im)) == im
+            want[a, b] = complex(float(re), float(im))
+        got = S.degeneracy_polynomial(j, cfg).coeffs
+        assert got.shape == want.shape, j
+        assert np.array_equal(got, want), j
 
 
 @pytest.mark.parametrize("j", range(1, 7))
@@ -287,3 +327,38 @@ def test_full_parallel_solution_modulus_x_independent():
 def test_full_parallel_solution_unknown_family():
     with pytest.raises(ValueError, match="unknown parallel solution family"):
         S.full_parallel_solution(0, 0, 0, 0, "family_q", 0, CFG_PAR)
+
+
+@pytest.mark.parametrize("q", [1.0, -1.0])
+@pytest.mark.parametrize("box", [None, 24.0])
+@pytest.mark.parametrize("family", ["family_y", "family_z"])
+def test_parallel_family_is_the_closed_form_bit_for_bit(family, box, q):
+    """parallel_family evaluates amp * exp(-i E_n t / hbar) * phi2 in that
+    operand order, and carries the closed-form sampling bound and tags."""
+    cfg = natural_config(m=2.0, q=q, B=0.7, geometry="parallel_eb", L=8.0)
+    n, shift = 2, 0.375
+    state = S.parallel_family(cfg, family, n, shift, box)
+    y = np.linspace(-4.0, 4.0, 9)[:, None]
+    z = np.linspace(-3.0, 5.0, 7)[None, :]
+    amp = 1.0 / math.sqrt(box) if box else 1.0
+    en = S.landau_level(n, cfg)
+    phi2 = S.phi2_family_y if family == "family_y" else S.phi2_family_z
+    for t in (0.0, 0.8, np.array([[0.3]])):
+        want = amp * np.exp(-1j * en * np.asarray(t, dtype=float) / cfg.hbar) \
+            * phi2(y, z, shift, n, cfg)
+        assert np.array_equal(state.fn(y, z, t), want)
+
+    m, hbar, wc, alpha = cfg.mass, cfg.hbar, cyclotron_frequency(cfg), S.oscillator_scale(cfg)
+    k_osc = alpha * math.sqrt(2.0 * n + 1.0) + 3.0 * alpha
+    axis = family[-1]
+    if family == "family_y":
+        kmax = (k_osc, abs(m * wc * shift / hbar))
+    else:
+        span = (math.sqrt(2.0 * n + 1.0) + 5.0) / alpha
+        kmax = (m * abs(wc) * (abs(shift) + span) / hbar, k_osc)
+    assert state.kmax(0.0) == kmax
+    assert state.kmax(3.0) == state.kmax(0.0)
+    assert state.family == f"parallel_{family}"
+    assert state.shifts == ((f"d{axis}", shift),)
+    assert state.label == f"family-{axis} n=2, d{axis}=0.375"
+    assert (state.ndim, state.n) == (2, n)

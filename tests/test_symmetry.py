@@ -41,9 +41,9 @@ def test_ut_reproduces_shifted_solution():
 def test_uy_translation_identity_on_grid():
     g2 = G.landau_grid(CFG_PAR, npoints=64, ly=24.0)
     dy = G.snap_shift(g2.y, 0.75)
-    base = S.parallel_family_y(CFG_PAR, 0, 0.0, lz_box=g2.z.length)
+    base = S.parallel_family(CFG_PAR, "family_y", 0, 0.0, box=g2.z.length)
     moved = Y.apply_unitary(Y.Unitary("Uy", dy), base, CFG_PAR)
-    target = S.parallel_family_y(CFG_PAR, 0, dy, lz_box=g2.z.length)
+    target = S.parallel_family(CFG_PAR, "family_y", 0, dy, box=g2.z.length)
     yy, zz = g2.y.x[:, None], g2.z.x[None, :]
     assert np.max(np.abs(moved.fn(yy, zz, 0.2) - target.fn(yy, zz, 0.2))) < 1e-10
 
@@ -51,7 +51,7 @@ def test_uy_translation_identity_on_grid():
 def test_uz_translation_identity():
     g2 = G.landau_grid(CFG_PAR, npoints=64, ly=24.0)
     dz = G.snap_shift(g2.z, 0.5)
-    base = S.parallel_family_z(CFG_PAR, 1, G.snap_offset(g2.z, 0.1), ly_box=g2.y.length)
+    base = S.parallel_family(CFG_PAR, "family_z", 1, G.snap_offset(g2.z, 0.1), box=g2.y.length)
     moved = Y.apply_unitary(Y.Unitary("Uz", dz), base, CFG_PAR)
     yy, zz = g2.y.x[:, None], g2.z.x[None, :]
     assert np.allclose(moved.fn(yy, zz, 0.0), base.fn(yy, zz - dz, 0.0))
@@ -173,7 +173,7 @@ def test_unitary_table_matches_reference_on_solutions(cfg1, cfgp, rel, phase):
     z = np.linspace(-1.0, 1.0, 5)[None, :]
     cases = [
         (S.electric_shifted(cfg1, 0.3), cfg1, ("Ux", "Ut"), (x, 0.55)),
-        (S.parallel_family_y(cfgp, 1, 0.5, lz_box=g2.z.length), cfgp, ("Uy", "Uz", "Ut"),
+        (S.parallel_family(cfgp, "family_y", 1, 0.5, box=g2.z.length), cfgp, ("Uy", "Uz", "Ut"),
          (y, z, 0.55)),
         (Y.build_parallel_superposition([1.0, 0.5], [0.3j], cfgp, g2), cfgp,
          Y.UNITARY_KINDS, (x[:, None, None], y[None], z[None], 0.55)),
@@ -190,7 +190,7 @@ def test_unitary_table_matches_reference_on_solutions(cfg1, cfgp, rel, phase):
 def test_unitary_table_matches_reference_on_fields(cfg1, cfgp, rel, phase):
     g2 = G.landau_grid(cfgp, npoints=64, ly=24.0)
     f1 = G.sample(S.electric_fundamental(cfg1), GRID, 0.4)
-    f2 = G.sample(S.parallel_family_y(cfgp, 1, 0.5, lz_box=g2.z.length), g2, 0.2)
+    f2 = G.sample(S.parallel_family(cfgp, "family_y", 1, 0.5, box=g2.z.length), g2, 0.2)
     cases = [(f1, cfg1, "Ux", GRID), (f2, cfgp, "Uy", g2.y), (f2, cfgp, "Uz", g2.z)]
     for f, cfg, kind, axis in cases:
         for delta in (3 * axis.dx, 0.37):   # on- and off-lattice
@@ -203,7 +203,7 @@ def test_unitary_table_matches_reference_on_fields(cfg1, cfgp, rel, phase):
     ("Ux", 2, "x"), ("Uy", 1, "y"), ("Uz", 1, "z")])
 def test_missing_solution_coordinate_is_a_grid_mismatch(kind, ndim, coord):
     solution = S.electric_fundamental(CFG) if ndim == 1 \
-        else S.parallel_family_y(CFG_PAR, 0, 0.0)
+        else S.parallel_family(CFG_PAR, "family_y", 0, 0.0)
     with pytest.raises(G.GridMismatchError, match=f"{kind} needs a solution with a {coord} "):
         Y.apply_unitary(Y.Unitary(kind, 0.5), solution, CFG_PAR)
 
@@ -231,8 +231,8 @@ def test_conjugation_symmetry_conserved_unitaries():
         Y.Unitary("Ut", 0.3), phi, GRID, t1, CFG) < 1e-6
 
     g2 = G.landau_grid(CFG_PAR, npoints=64, ly=24.0)
-    fam_y = S.parallel_family_y(CFG_PAR, 1, 0.0, lz_box=g2.z.length)
-    fam_z = S.parallel_family_z(CFG_PAR, 1, G.snap_offset(g2.z, 0.7), ly_box=g2.y.length)
+    fam_y = S.parallel_family(CFG_PAR, "family_y", 1, 0.0, box=g2.z.length)
+    fam_z = S.parallel_family(CFG_PAR, "family_z", 1, G.snap_offset(g2.z, 0.7), box=g2.y.length)
     assert Y.conjugation_symmetry_check(
         Y.Unitary("Uy", G.snap_shift(g2.y, 0.5)), fam_y, g2, 0.4, CFG_PAR) < 1e-6
     assert Y.conjugation_symmetry_check(
@@ -241,7 +241,7 @@ def test_conjugation_symmetry_conserved_unitaries():
 
 def test_conjugation_symmetry_broken_witness():
     g2 = G.landau_grid(CFG_PAR, npoints=64, ly=24.0)
-    fam_z = S.parallel_family_z(CFG_PAR, 1, G.snap_offset(g2.z, 0.7), ly_box=g2.y.length)
+    fam_z = S.parallel_family(CFG_PAR, "family_z", 1, G.snap_offset(g2.z, 0.7), box=g2.y.length)
     stripped = Y.Unitary("Uy", G.snap_shift(g2.y, 0.5), compensating_phase=False)
     assert Y.conjugation_symmetry_check(stripped, fam_z, g2, 0.4, CFG_PAR) > 1e-2
 
