@@ -1,41 +1,21 @@
 """Exact symbolic algebra over the noncommuting generators of the problem.
 
-An ``OperatorExpr`` is a finite sum of terms
-
-    rational coefficient * i^(0|1) * parameter monomial * normal-ordered word,
-
-so conservation statements are decided by exact structural equality and never
-hide behind a tolerance.  Symbolic parameters are {hbar, m, q, E, wc, c} with
-integer exponents; i^2 is folded into the rational coefficient.
-
-Generators and their canonical order: x < y < z < t < px < py < pz < dt.
-Only the pairs (x, px), (y, py), (z, pz) and (t, dt) fail to commute:
-
-    px*x = x*px - i*hbar      (same for y, z pairs)
-    dt*t = t*dt + 1
-
-so a normal-ordered word x^a y^b z^c t^d px^e py^f pz^g dt^h is fully given
-by its eight exponents.  A term is stored as one flat exponent tuple
+A normal-ordered term is one flat exponent tuple
 
     (i power, hbar, m, q, E, wc, c, x, y, z, t, px, py, pz, dt) -> Fraction,
 
-canonical by construction.  The product of two terms is the elementwise
-exponent sum plus contraction terms, which factorise over the four pairs
-into the one-pair closed form
-
-    p^e x^b = sum_k C(e,k) C(b,k) k! (-i*hbar)^k x^(b-k) p^(e-k)
-
-(with +1 in place of -i*hbar for dt, t).  The k = 0 terms of a*b and b*a are
-the same exponent sum, so ``commutator`` forms only the contraction terms of
-the two orders, and visits only the term pairs that have one.  ``dt`` is the
-formal derivative with respect to explicit time; the energy operator is
-i*hbar*dt.
+canonical by construction, with i^2 folded into the coefficient, so a
+conservation statement is decided by structural equality.  Terms keep
+``Fraction`` coefficients, while a product, commutator or adjoint takes each
+operand's terms as integer numerators over one common denominator, so its
+inner loop adds integers, and divides each output term once.
 """
 
 from __future__ import annotations
 
 from enum import IntEnum
 from fractions import Fraction
+from math import lcm
 from operator import add
 
 from .config import SystemConfig, ConfigError
@@ -75,13 +55,16 @@ def _key_with(slot: int, power: int):
 
 
 def _accumulate(terms, ka, kb, coeff, budget, contractions_only=False):
-    """Add coeff * (term ka) * (term kb), normal ordered, into ``terms``,
-    and return the number of parts formed, one per partial contraction.
+    """Add the integer coeff times (term ka) * (term kb), normal ordered, into
+    the integer coefficients ``terms``, and return the number of parts formed,
+    one per partial contraction.
 
     ka = X_a P_a and kb = X_b P_b, so only P_a X_b needs reordering, one
-    noncommuting pair at a time; a pair with exponents e and b multiplies
-    the parts by min(e, b) + 1, and an expansion past ``budget`` parts is
-    refused before it is formed.  With ``contractions_only`` the k = 0 term
+    noncommuting pair at a time, by p^e x^b = sum_k C(e,k) C(b,k) k!
+    (-i*hbar)^k x^(b-k) p^(e-k) (+1 for -i*hbar with dt, t); a pair with
+    exponents e and b multiplies the parts by min(e, b) + 1, and an expansion
+    past ``budget`` parts is refused before it is formed.  With
+    ``contractions_only`` the k = 0 term
     (the plain exponent sum, shared by ka*kb and kb*ka) is left out.
     """
     # (exponents, integer weight) per partial contraction; the all-k = 0 entry stays first
@@ -172,12 +155,12 @@ class OperatorExpr:
 
     def _times(self, other: "OperatorExpr", budget: int):
         """self * other, and what is left of a budget of ``budget`` normal-ordered parts after forming it."""
-        _check_term_pairs(self, other)
+        den, a, b = _numerators(self, other)
         terms = {}
-        for ka, ca in self.terms.items():
-            for kb, cb in other.terms.items():
-                budget -= _accumulate(terms, ka, kb, ca * cb, budget)
-        return OperatorExpr(terms), budget
+        for ka, na in a:
+            for kb, nb in b:
+                budget -= _accumulate(terms, ka, kb, na * nb, budget)
+        return _over(terms, den), budget
 
     def __pow__(self, n: int) -> "OperatorExpr":
         """n products that share one budget of ``MAX_PRODUCT_PARTS`` parts."""
@@ -230,27 +213,40 @@ def _too_large(what: str) -> ValueError:
     return ValueError(f"operator product too large: {what}")
 
 
-def _check_term_pairs(a: OperatorExpr, b: OperatorExpr) -> None:
-    """Refuse a product or commutator of more than ``MAX_TERM_PAIRS`` term
-    pairs before any pair is visited."""
-    if len(a.terms) * len(b.terms) > MAX_TERM_PAIRS:
-        raise _too_large(f"{len(a.terms)} x {len(b.terms)} term pairs exceed "
-                         f"the budget of {MAX_TERM_PAIRS}")
+def _numerators(*exprs: OperatorExpr, masks: bool = False):
+    """The product of the operands' common denominators, then per operand its
+    terms as (key, numerator) over the lcm of its coefficients' denominators.
 
-
-def _with_pair_masks(expr: OperatorExpr):
-    """(key, coeff, positions, momenta) per term; bit j of a mask is set when
-    the term carries the position, or the momentum, of ``_PAIRS[j]``."""
-    out = []
-    for key, coeff in expr.terms.items():
-        positions = momenta = 0
-        for bit, (xs, ps, _) in enumerate(_PAIRS):
-            if key[xs]:
-                positions |= 1 << bit
-            if key[ps]:
-                momenta |= 1 << bit
-        out.append((key, coeff, positions, momenta))
+    With ``masks`` each term also carries (positions, momenta): bit j is set
+    when it has the position, or the momentum, of ``_PAIRS[j]``.  Two operands
+    of more than ``MAX_TERM_PAIRS`` term pairs are refused first."""
+    if len(exprs) == 2 and len(exprs[0].terms) * len(exprs[1].terms) > MAX_TERM_PAIRS:
+        raise _too_large(f"{len(exprs[0].terms)} x {len(exprs[1].terms)} term pairs "
+                         f"exceed the budget of {MAX_TERM_PAIRS}")
+    out = [1]
+    for expr in exprs:
+        d = lcm(*(c.denominator for c in expr.terms.values()))
+        rows = []
+        for key, c in expr.terms.items():
+            n = c.numerator * (d // c.denominator)
+            if not masks:
+                rows.append((key, n))
+                continue
+            positions = momenta = 0
+            for bit, (xs, ps, _) in enumerate(_PAIRS):
+                if key[xs]:
+                    positions |= 1 << bit
+                if key[ps]:
+                    momenta |= 1 << bit
+            rows.append((key, n, positions, momenta))
+        out[0] *= d
+        out.append(rows)
     return out
+
+
+def _over(terms: dict, den: int) -> OperatorExpr:
+    """The integer numerators ``terms`` over ``den``, as exact coefficients."""
+    return OperatorExpr({k: Fraction(v, den) for k, v in terms.items() if v})
 
 
 def commutator(a: OperatorExpr, b: OperatorExpr) -> OperatorExpr:
@@ -259,19 +255,18 @@ def commutator(a: OperatorExpr, b: OperatorExpr) -> OperatorExpr:
     ka*kb has contraction terms only where a momentum of ka meets its own
     position in kb, so a pair whose masks share no pair in either order
     contributes nothing and is skipped before its coefficient is formed."""
-    _check_term_pairs(a, b)
+    den, a_rows, b_rows = _numerators(a, b, masks=True)
     terms, budget = {}, MAX_PRODUCT_PARTS
-    b_masked = _with_pair_masks(b)
-    for ka, ca, xa, pa in _with_pair_masks(a):
-        for kb, cb, xb, pb in b_masked:
+    for ka, na, xa, pa in a_rows:
+        for kb, nb, xb, pb in b_rows:
             ab, ba = pa & xb, pb & xa
             if ab or ba:
-                c = ca * cb
+                c = na * nb
                 if ab:
                     budget -= _accumulate(terms, ka, kb, c, budget, contractions_only=True)
                 if ba:
                     budget -= _accumulate(terms, kb, ka, -c, budget, contractions_only=True)
-    return OperatorExpr(terms)
+    return _over(terms, den)
 
 
 def partial_t(expr: OperatorExpr) -> OperatorExpr:
@@ -299,15 +294,16 @@ def adjoint(expr: OperatorExpr) -> OperatorExpr:
 
     The reversed word of x-part * p-part is p-part * x-part, normal ordered
     by the product kernel."""
+    den, rows = _numerators(expr)
     terms, budget = {}, MAX_PRODUCT_PARTS
-    for key, coeff in expr.terms.items():
+    for key, n in rows:
         sign = -1 if key[0] == 1 else 1                # conjugate i
         if key[_GEN_BASE + Gen.DT] % 2 == 1:           # dt^\dagger = -dt
             sign = -sign
         momenta = key[:_GEN_BASE] + _KEY_ONE[_GEN_BASE:_P_BASE] + key[_P_BASE:]
         positions = _KEY_ONE[:_GEN_BASE] + key[_GEN_BASE:_P_BASE] + _KEY_ONE[_P_BASE:]
-        budget -= _accumulate(terms, momenta, positions, sign * coeff, budget)
-    return OperatorExpr(terms)
+        budget -= _accumulate(terms, momenta, positions, sign * n, budget)
+    return _over(terms, den)
 
 
 # --- named operators of the two systems ---

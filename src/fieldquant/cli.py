@@ -118,6 +118,15 @@ def cmd_evolve1d(args) -> int:
     if not (sigma > 0 and 0 < 2.0 * math.pi * (sigma * sigma) < math.inf):
         raise ValueError(f"--sigma must be finite and positive, with 2*pi*sigma^2 "
                          f"a nonzero float, got {sigma}")
+    # refuse a packet whose exponents overflow float64 on the grid, before numpy warns of it
+    ends = (float(x[0]), float(x[-1]))
+    reach = max(abs(end - args.x0) for end in ends)
+    if math.isfinite(args.x0) and reach * reach / (4.0 * sigma ** 2) == math.inf:
+        raise ValueError(f"--x0 {args.x0} and --sigma {sigma} give a packet whose exponent "
+                         "(x - x0)^2 / (4 sigma^2) overflows float64 on the grid")
+    if not abs(args.p0) * max(map(abs, ends)) / cfg.hbar < math.inf:
+        raise ValueError(f"--x0 {args.x0} and --p0 {args.p0} give a packet "
+                         "with non-finite samples")
     psi0 = ((2.0 * math.pi * sigma ** 2) ** -0.25
             * np.exp(-(x - args.x0) ** 2 / (4.0 * sigma ** 2))
             * np.exp(1j * args.p0 * x / cfg.hbar))
@@ -173,6 +182,9 @@ def cmd_quantize(args) -> int:
     cfg = _load_cfg(args)
     if args.dt_steps < 1:
         raise ConfigError("dt-steps", "scan needs at least one point")
+    if not math.isfinite(args.dt_max - args.dt_min):
+        raise ValueError(f"--dt-min {args.dt_min} and --dt-max {args.dt_max} must be finite, "
+                         "and so must their difference")
     dts = np.linspace(args.dt_min, args.dt_max, args.dt_steps)
     header = ["dt", "n_real", "nearest", "is_quantized", "V", "I", "R", "R_over_RK"]
     si_mode = cfg.units.kind == "si"

@@ -1,5 +1,6 @@
 """Exact symbolic algebra: normal ordering, conservation, ladders, parsing."""
 
+import random
 from fractions import Fraction
 
 import pytest
@@ -424,6 +425,123 @@ def test_a_power_shares_one_part_budget(monkeypatch):
     assert base ** 40 == chained
 
 
+# --- reference Fraction kernel ------------------------------------------------------------
+# The product kernel as it was before products accumulated integer numerators over a
+# common denominator: every term pair and every part is formed in ``Fraction``
+# arithmetic.  The library's results must equal it term for term.
+
+def _fraction_accumulate(terms, ka, kb, coeff):
+    parts = [(list(map(lambda u, v: u + v, ka, kb)), 1)]
+    for xs, ps, ihbar in A._PAIRS:
+        e, b = ka[ps], kb[xs]
+        expanded = []
+        for exps, w in parts:
+            expanded.append((exps, w))
+            c = 1
+            for k in range(1, min(e, b) + 1):
+                c = c * (e - k + 1) * (b - k + 1) // k
+                new = list(exps)
+                new[xs] -= k
+                new[ps] -= k
+                if ihbar:
+                    new[0] += k
+                    new[A._HBAR] += k
+                    expanded.append((new, -c * w if k % 2 else c * w))
+                else:
+                    expanded.append((new, c * w))
+        parts = expanded
+    for exps, w in parts:
+        if exps[0] > 1:
+            w = -w if exps[0] % 4 > 1 else w
+            exps[0] %= 2
+        key = tuple(exps)
+        terms[key] = terms.get(key, Fraction(0)) + coeff * w
+
+
+def fraction_product(a, b):
+    terms = {}
+    for ka, ca in a.terms.items():
+        for kb, cb in b.terms.items():
+            _fraction_accumulate(terms, ka, kb, ca * cb)
+    return OperatorExpr(terms)
+
+
+def fraction_power(a, n):
+    out = OperatorExpr.one()
+    for _ in range(n):
+        out = fraction_product(out, a)
+    return out
+
+
+def fraction_commutator(a, b):
+    return fraction_product(a, b) - fraction_product(b, a)
+
+
+def fraction_adjoint(expr):
+    terms = {}
+    for key, coeff in expr.terms.items():
+        sign = -1 if key[0] == 1 else 1
+        if key[A._GEN_BASE + Gen.DT] % 2 == 1:
+            sign = -sign
+        momenta = key[:A._GEN_BASE] + A._KEY_ONE[A._GEN_BASE:A._P_BASE] + key[A._P_BASE:]
+        positions = A._KEY_ONE[:A._GEN_BASE] + key[A._GEN_BASE:A._P_BASE] + A._KEY_ONE[A._P_BASE:]
+        _fraction_accumulate(terms, momenta, positions, sign * coeff)
+    return OperatorExpr(terms)
+
+
+def fraction_residual(f, h):
+    minus_i_over_hbar = fraction_product(IMAG.scale(-1), sym("hbar", -1))
+    return fraction_product(minus_i_over_hbar, fraction_commutator(f, h)) + A.partial_t(f)
+
+
+def _same_terms(result, reference):
+    """Equal term dicts whose coefficients are all ``Fraction``s."""
+    assert result.terms == reference.terms
+    assert all(type(c) is Fraction for c in result.terms.values())
+
+
+def _workload_poly(seed):
+    """A four-term sum of the parallel-field conserved operators with nonzero
+    rational coefficients, drawn as the symbolic benchmark draws them."""
+    rng = random.Random(seed)
+    coeffs = [Fraction(rng.choice((-1, 1)) * rng.randint(1, 9), rng.randint(1, 9))
+              for _ in range(4)]
+    if seed == 0:
+        coeffs[0] = Fraction(-7, 3)
+    ops = (A.momentum_minus_force_time(), A.gauge_momentum_y(), A.momentum_z(),
+           A.energy_operator())
+    poly = OperatorExpr.zero()
+    for c, op in zip(coeffs, ops):
+        poly = poly + op.scale(c)
+    return poly
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_kernel_matches_fraction_reference(seed):
+    poly, h = _workload_poly(seed), A.hamiltonian_parallel(CFG_PAR)
+    square = fraction_product(poly, poly)
+    _same_terms(poly * poly, square)
+    _same_terms(poly ** 3, fraction_power(poly, 3))
+    _same_terms(A.commutator(square, h), fraction_commutator(square, h))
+    _same_terms(A.commutator(X * square, h), fraction_commutator(X * square, h))
+    _same_terms(A.adjoint(square), fraction_adjoint(square))
+    witness = square + X.scale(Fraction(-7, 3))
+    _same_terms(A.heisenberg_residual(witness, h), fraction_residual(witness, h))
+    assert not A.heisenberg_residual(witness, h).is_zero
+
+
+def test_kernel_zero_results_and_the_empty_expression():
+    poly, h = _workload_poly(0), A.hamiltonian_parallel(CFG_PAR)
+    zero = OperatorExpr.zero()
+    for result in (A.commutator(poly, poly), A.heisenberg_residual(poly ** 2, h),
+                   poly * zero, zero * poly, A.commutator(zero, poly), A.adjoint(zero),
+                   zero ** 3, poly - poly):
+        assert result.terms == {}
+    _same_terms(zero ** 0, OperatorExpr.one())
+    # a product by a rational constant, over the product's denominator, is a scaling
+    assert (poly * OperatorExpr.rational(Fraction(3, 7)) - poly.scale(Fraction(3, 7))).is_zero
+
+
 ROUND_TRIP_SAMPLES = [
     "px - q*E*t",
     "i*hbar*dt",
@@ -459,7 +577,7 @@ def small_exprs(draw, atoms=_ATOMS):
     n_terms = draw(st.integers(1, 3))
     expr = OperatorExpr.zero()
     for _ in range(n_terms):
-        term = OperatorExpr.rational(draw(st.integers(-3, 3)))
+        term = OperatorExpr.rational(draw(st.fractions(-3, 3, max_denominator=6)))
         for _ in range(draw(st.integers(0, 3))):
             term = term * draw(st.sampled_from(atoms))
         expr = expr + term
@@ -473,6 +591,14 @@ def test_ring_axioms(a, b, c):
     assert a * (b + c) == a * b + a * c
     assert (a + b) * c == a * c + b * c
     assert (a * OperatorExpr.zero()).is_zero
+
+
+@given(small_exprs(), small_exprs())
+@settings(max_examples=100, deadline=None)
+def test_random_products_match_fraction_reference(a, b):
+    _same_terms(a * b, fraction_product(a, b))
+    _same_terms(A.commutator(a, b), fraction_commutator(a, b))
+    _same_terms(A.adjoint(a), fraction_adjoint(a))
 
 
 @given(small_exprs(), small_exprs())
