@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from enum import IntEnum
 from fractions import Fraction
-from math import lcm
+from math import lcm, prod
 from operator import add
 
 from .config import SystemConfig, ConfigError
@@ -215,7 +215,9 @@ def _too_large(what: str) -> ValueError:
 
 def _numerators(*exprs: OperatorExpr, masks: bool = False):
     """The product of the operands' common denominators, then per operand its
-    terms as (key, numerator) over the lcm of its coefficients' denominators.
+    terms as (key, numerator) over the lcm of its coefficients' denominators:
+    an iterator for the first operand, which the outer loop reads once, so its
+    rows are never all held, and a list for each other one.
 
     With ``masks`` each term also carries (positions, momenta): bit j is set
     when it has the position, or the momentum, of ``_PAIRS[j]``.  Two operands
@@ -223,30 +225,31 @@ def _numerators(*exprs: OperatorExpr, masks: bool = False):
     if len(exprs) == 2 and len(exprs[0].terms) * len(exprs[1].terms) > MAX_TERM_PAIRS:
         raise _too_large(f"{len(exprs[0].terms)} x {len(exprs[1].terms)} term pairs "
                          f"exceed the budget of {MAX_TERM_PAIRS}")
-    out = [1]
-    for expr in exprs:
-        d = lcm(*(c.denominator for c in expr.terms.values()))
-        rows = []
-        for key, c in expr.terms.items():
-            n = c.numerator * (d // c.denominator)
-            if not masks:
-                rows.append((key, n))
-                continue
-            positions = momenta = 0
-            for bit, (xs, ps, _) in enumerate(_PAIRS):
-                if key[xs]:
-                    positions |= 1 << bit
-                if key[ps]:
-                    momenta |= 1 << bit
-            rows.append((key, n, positions, momenta))
-        out[0] *= d
-        out.append(rows)
-    return out
+    dens = [lcm(*(c.denominator for c in expr.terms.values())) for expr in exprs]
+    rows = [_rows(expr, d, masks) for expr, d in zip(exprs, dens)]
+    return [prod(dens), rows[0], *map(list, rows[1:])]
+
+
+def _rows(expr: OperatorExpr, d: int, masks: bool):
+    for key, c in expr.terms.items():
+        n = c.numerator * (d // c.denominator)
+        if not masks:
+            yield key, n
+            continue
+        positions = momenta = 0
+        for bit, (xs, ps, _) in enumerate(_PAIRS):
+            if key[xs]:
+                positions |= 1 << bit
+            if key[ps]:
+                momenta |= 1 << bit
+        yield key, n, positions, momenta
 
 
 def _over(terms: dict, den: int) -> OperatorExpr:
-    """The integer numerators ``terms`` over ``den``, as exact coefficients."""
-    return OperatorExpr({k: Fraction(v, den) for k, v in terms.items() if v})
+    """The integer numerators ``terms`` over ``den``, divided in place."""
+    for key, v in terms.items():
+        terms[key] = Fraction(v, den)
+    return OperatorExpr(terms)
 
 
 def commutator(a: OperatorExpr, b: OperatorExpr) -> OperatorExpr:
