@@ -118,21 +118,17 @@ def cmd_evolve1d(args) -> int:
     if not (sigma > 0 and 0 < 2.0 * math.pi * (sigma * sigma) < math.inf):
         raise ValueError(f"--sigma must be finite and positive, with 2*pi*sigma^2 "
                          f"a nonzero float, got {sigma}")
-    # refuse a packet whose exponents overflow float64 on the grid, before numpy warns of it
-    ends = (float(x[0]), float(x[-1]))
-    reach = max(abs(end - args.x0) for end in ends)
-    if math.isfinite(args.x0) and reach * reach / (4.0 * sigma ** 2) == math.inf:
-        raise ValueError(f"--x0 {args.x0} and --sigma {sigma} give a packet whose exponent "
-                         "(x - x0)^2 / (4 sigma^2) overflows float64 on the grid")
-    if not abs(args.p0) * max(map(abs, ends)) / cfg.hbar < math.inf:
-        raise ValueError(f"--x0 {args.x0} and --p0 {args.p0} give a packet "
-                         "with non-finite samples")
-    psi0 = ((2.0 * math.pi * sigma ** 2) ** -0.25
-            * np.exp(-(x - args.x0) ** 2 / (4.0 * sigma ** 2))
-            * np.exp(1j * args.p0 * x / cfg.hbar))
-    if not np.isfinite(psi0).all():
-        raise ValueError(f"--x0 {args.x0} and --p0 {args.p0} give a packet "
-                         "with non-finite samples")
+    try:
+        with np.errstate(over="raise", invalid="raise"):   # not a warning per overflow
+            psi0 = ((2.0 * math.pi * sigma ** 2) ** -0.25
+                    * np.exp(-(x - args.x0) ** 2 / (4.0 * sigma ** 2))
+                    * np.exp(1j * args.p0 * x / cfg.hbar))
+        finite = np.isfinite(psi0).all()
+    except FloatingPointError:
+        finite = False
+    if not finite:
+        raise ValueError(f"--x0 {args.x0} and --p0 {args.p0} give a packet with non-finite "
+                         f"samples or exponents at --sigma {sigma}")
     f0 = gr.WaveField(grid, psi0, 0.0)
     spec = prop.EvolutionSpec(dt=args.dt, steps=args.steps,
                               cadence=args.cadence or max(args.steps, 1), method="cn_1d")

@@ -134,16 +134,18 @@ def test_overflowing_ladder_order_exits_2_without_warnings(tmp_path):
 
 @pytest.mark.parametrize("args, message", [
     (["evolve1d", "--p0", "inf", "--steps", "2", "--grid-n", "64"],
-     "--x0 0.0 and --p0 inf give a packet with non-finite samples"),
+     "--x0 0.0 and --p0 inf give a packet with non-finite samples or exponents at --sigma 1.0"),
     (["evolve1d", "--x0", "1e308"],
-     "--x0 1e+308 and --sigma 1.0 give a packet whose exponent (x - x0)^2 / (4 sigma^2) "
-     "overflows float64 on the grid"),
+     "--x0 1e+308 and --p0 0.0 give a packet with non-finite samples or exponents at --sigma 1.0"),
+    (["evolve1d", "--sigma", "1e-160"],
+     "--x0 0.0 and --p0 0.0 give a packet with non-finite samples or exponents at --sigma 1e-160"),
     (["quantize", "--dx", "1", "--dt-min", "0", "--dt-max", "inf", "--dt-steps", "3"],
      "--dt-min 0.0 and --dt-max inf must be finite, and so must their difference"),
-])
+], ids=["p0-inf", "x0-1e308", "sigma-1e-160", "dt-max-inf"])
 def test_overflowing_options_exit_2_without_warnings(tmp_path, args, message):
-    """Inputs that overflowed float64 inside numpy are refused before it runs:
-    stderr holds the one message naming the option, and nothing is written."""
+    """Inputs that overflow float64 in the packet or the scan grid exit 2: stderr
+    holds the one message naming the options, no numpy warning, and nothing is
+    written."""
     out = run_subprocess(args + ["--out-dir", str(tmp_path)])
     assert out.returncode == 2
     assert out.stderr == f"error: {message}\n"
