@@ -64,8 +64,8 @@ def _accumulate(terms, ka, kb, coeff, budget, contractions_only=False):
     (-i*hbar)^k x^(b-k) p^(e-k) (+1 for -i*hbar with dt, t); a pair with
     exponents e and b multiplies the parts by min(e, b) + 1, and an expansion
     past ``budget`` parts is refused before it is formed.  With
-    ``contractions_only`` the k = 0 term
-    (the plain exponent sum, shared by ka*kb and kb*ka) is left out.
+    ``contractions_only`` the k = 0 term (the plain exponent sum, shared by
+    ka*kb and kb*ka) is left out.
     """
     # (exponents, integer weight) per partial contraction; the all-k = 0 entry stays first
     parts = [(list(map(add, ka, kb)), 1)]

@@ -119,7 +119,7 @@ def cmd_evolve1d(args) -> int:
         raise ValueError(f"--sigma must be finite and positive, with 2*pi*sigma^2 "
                          f"a nonzero float, got {sigma}")
     try:
-        with np.errstate(over="raise", invalid="raise"):   # not a warning per overflow
+        with np.errstate(over="raise", invalid="raise"):   # raise, where numpy would warn
             psi0 = ((2.0 * math.pi * sigma ** 2) ** -0.25
                     * np.exp(-(x - args.x0) ** 2 / (4.0 * sigma ** 2))
                     * np.exp(1j * args.p0 * x / cfg.hbar))
