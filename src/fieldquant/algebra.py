@@ -98,8 +98,7 @@ def _accumulate(terms, ka, kb, coeff, budget, contractions_only=False):
             if ipow % 4 > 1:
                 w = -w
         key = tuple(exps)
-        c = coeff * w if w != 1 else coeff
-        terms[key] = terms[key] + c if key in terms else c
+        terms[key] = terms.get(key, 0) + coeff * w
     return len(parts)
 
 
