@@ -100,8 +100,8 @@ def _trajectory_outputs(args, record, metadata, stem: str, summary_extra=None):
     summary = {
         "rows": len(record.rows),
         "columns": record.columns,
-        "t_final": record.rows[-1][0] if record.rows else None,
-        "norm_final": record.rows[-1][1] if record.rows else None,
+        "t_final": record.rows[-1][0],   # evolve always records the initial row
+        "norm_final": record.rows[-1][1],
     }
     if summary_extra:
         summary.update(summary_extra)

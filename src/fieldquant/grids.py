@@ -106,7 +106,7 @@ class WaveField:
 
 
 def _snap(value: float, origin: float, spacing: float) -> float:
-    cells = (value - origin) / spacing
+    cells = (float(value) - float(origin)) / float(spacing)   # Python floats: no numpy warning
     if not math.isfinite(cells):
         raise ValueError(f"cannot snap {value} to a lattice of spacing {spacing:.6g}")
     return origin + round(cells) * spacing
@@ -151,20 +151,23 @@ def landau_grid(cfg: SystemConfig, npoints: int = 64, ly: float = 24.0) -> Grid2
 # --- sampling ---------------------------------------------------------------
 
 def _check_nyquist(solution: AnalyticSolution, grid, t: float):
-    if solution.kmax is None:
-        return
-    needed = solution.kmax(t)
+    # an electric solution's wavenumber q E (t - time_origin) / hbar grows with
+    # t and keeps the 0.5 safety margin; oscillator bounds (kmax) are
+    # amplitude-weighted already
+    cfg = solution.cfg
+    electric = solution.family.startswith("electric")
+    if electric:
+        needed = (abs(cfg.charge * cfg.electric * (t - solution.time_origin) / cfg.hbar),)
+    else:
+        needed = solution.kmax(t) if solution.kmax else ()
     axes = (grid,) if isinstance(grid, Grid1D) else (grid.y, grid.z)
-    # the 0.5 safety margin guards the time-growing wavenumber of the
-    # electric solutions; oscillator bounds are amplitude-weighted already
-    factor = NYQUIST_SAFETY if solution.family.startswith("electric") else 1.0
+    factor = NYQUIST_SAFETY if electric else 1.0
     for k_req, axis in zip(needed, axes):
         limit = factor * axis.nyquist
         if k_req > limit:
             msg = (f"sampling would alias: wavenumber {k_req:.6g} exceeds "
                    f"{factor:g} * Nyquist = {limit:.6g}")
-            if solution.family.startswith("electric"):
-                cfg = solution.cfg
+            if electric:
                 tmax = solution.time_origin + limit * cfg.hbar / abs(cfg.charge * cfg.electric)
                 msg = f"{msg}; maximum admissible t is {tmax:.6g}"
             raise NyquistError(msg)
@@ -235,33 +238,34 @@ def _spectral(values: np.ndarray, axis_grid: Grid1D, multiplier, axis: int) -> n
     return np.fft.ifft(multiplier(k) * np.fft.fft(values, axis=axis), axis=axis)
 
 
-def apply_momentum(f: WaveField, cfg: SystemConfig, axis: int = 0,
-                   scheme: str = "spectral") -> WaveField:
-    """-i hbar d/dx along the chosen axis."""
+def _momentum_power(f: WaveField, cfg: SystemConfig, axis: int, scheme: str,
+                    power: int) -> np.ndarray:
+    """p^power (power 1 or 2) along one axis, as raw samples: the spectral
+    multiplier (hbar k)^power, or the fourth-order stencils -i hbar D1 and
+    -hbar^2 D2."""
     ag = _axis_grid(f.grid, axis)
     if scheme == "spectral":
         if ag.boundary != "periodic":
             raise GridMismatchError("spectral momentum requires a periodic axis")
-        out = _spectral(f.values, ag, lambda k: cfg.hbar * k, axis)
-    elif scheme == "fd4":
-        out = -1j * cfg.hbar * _fd4_first(f.values, ag.dx, ag.boundary == "periodic", axis)
-    else:
-        raise ValueError(f"unknown momentum scheme {scheme!r}")
-    return WaveField(f.grid, out, f.t)
+        return _spectral(f.values, ag, lambda k: (cfg.hbar * k) ** power, axis)
+    if scheme == "fd4":
+        periodic = ag.boundary == "periodic"
+        if power == 1:
+            return -1j * cfg.hbar * _fd4_first(f.values, ag.dx, periodic, axis)
+        return -cfg.hbar ** 2 * _fd4_second(f.values, ag.dx, periodic, axis)
+    raise ValueError(f"unknown momentum scheme {scheme!r}")
+
+
+def apply_momentum(f: WaveField, cfg: SystemConfig, axis: int = 0,
+                   scheme: str = "spectral") -> WaveField:
+    """-i hbar d/dx along the chosen axis."""
+    return WaveField(f.grid, _momentum_power(f, cfg, axis, scheme, 1), f.t)
 
 
 def apply_kinetic(f: WaveField, cfg: SystemConfig, axis: int = 0,
                   scheme: str = "spectral") -> np.ndarray:
     """p^2/(2m) along one axis, returned as raw samples."""
-    ag = _axis_grid(f.grid, axis)
-    if scheme == "spectral":
-        if ag.boundary != "periodic":
-            raise GridMismatchError("spectral kinetic term requires a periodic axis")
-        return _spectral(f.values, ag, lambda k: (cfg.hbar * k) ** 2, axis) / (2.0 * cfg.mass)
-    if scheme == "fd4":
-        lap = _fd4_second(f.values, ag.dx, ag.boundary == "periodic", axis)
-        return -cfg.hbar ** 2 * lap / (2.0 * cfg.mass)
-    raise ValueError(f"unknown momentum scheme {scheme!r}")
+    return _momentum_power(f, cfg, axis, scheme, 2) / (2.0 * cfg.mass)
 
 
 def apply_hamiltonian_1d(f: WaveField, cfg: SystemConfig, scheme: str = "spectral") -> WaveField:

@@ -82,13 +82,20 @@ class CrankNicolson1D:
         hbar, m = cfg.hbar, cfg.mass
         kin_diag = hbar ** 2 / (m * grid.dx ** 2)
         kin_off = -hbar ** 2 / (2.0 * m * grid.dx ** 2)
-        v = -cfg.charge * cfg.electric * grid.x
         lam = 1j * dt / (2.0 * hbar)
-        off = np.full(n - 1, lam * kin_off, dtype=complex)
-        *self._lu, info = zgttrf(off, 1.0 + lam * (kin_diag + v), off)
+        try:
+            with np.errstate(over="raise", invalid="raise"):   # raise, where numpy would warn
+                h_diag = lam * (kin_diag - cfg.charge * cfg.electric * grid.x)
+                off = np.full(n - 1, lam * kin_off, dtype=complex)
+        except FloatingPointError:
+            raise ValueError(
+                f"the Crank-Nicolson diagonals i dt (hbar^2/(m dx^2) - q E x) / (2 hbar) overflow "
+                f"float64 at dt = {dt:.3g}, dx = {grid.dx:.3g}, m = {m:.3g} and "
+                f"q E = {cfg.charge * cfg.electric:.3g}") from None
+        *self._lu, info = zgttrf(off, 1.0 + h_diag, off)
         if info != 0:
             raise RuntimeError(f"tridiagonal Crank-Nicolson factorization failed (info={info})")
-        self._b_diag = 1.0 - lam * (kin_diag + v)
+        self._b_diag = 1.0 - h_diag
         self._b_off = -lam * kin_off
 
     def step(self, values: np.ndarray) -> np.ndarray:
@@ -160,13 +167,21 @@ class SplitStepYZ:
         self.dt = dt
         hbar, m = cfg.hbar, cfg.mass
         wc = cyclotron_frequency(cfg)
-        a = (hbar * grid.y.wavenumbers) ** 2 / (2.0 * m)
-        half = np.exp(-0.5j * self.dt * a / hbar)
         ny = grid.y.npoints
-        self._half_kick = (half / ny)[None, :]
-        self._kick = np.tile(half * half / ny, (grid.z.npoints, 1))  # two fused half-kicks
-        gauge = (hbar * grid.z.wavenumbers[:, None] - m * wc * grid.y.x[None, :]) ** 2 / (2.0 * m)
-        self._kick_gauge = np.exp(-1j * self.dt * gauge / hbar)
+        try:
+            with np.errstate(over="raise", invalid="raise"):   # raise, where numpy would warn
+                a = (hbar * grid.y.wavenumbers) ** 2 / (2.0 * m)
+                half = np.exp(-0.5j * self.dt * a / hbar)
+                self._half_kick = (half / ny)[None, :]
+                self._kick = np.tile(half * half / ny, (grid.z.npoints, 1))  # two fused half-kicks
+                gauge = (hbar * grid.z.wavenumbers[:, None]
+                         - m * wc * grid.y.x[None, :]) ** 2 / (2.0 * m)
+                self._kick_gauge = np.exp(-1j * self.dt * gauge / hbar)
+        except FloatingPointError:
+            raise ValueError(
+                f"the split-step kicks exp(-i dt p^2 / (2 m hbar)) overflow float64 at dt = "
+                f"{dt:.3g}, grid lengths {grid.y.length:.3g} x {grid.z.length:.3g} of {ny} x "
+                f"{grid.z.npoints} points, m = {m:.3g} and m wc = {m * wc:.3g}") from None
 
     def step(self, values: np.ndarray) -> np.ndarray:
         return self.advance(values, 1)

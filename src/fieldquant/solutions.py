@@ -288,7 +288,8 @@ class AnalyticSolution:
     ``fn`` takes (x, t) for 1D, (y, z, t) for 2D and (x, y, z, t) for the
     full parallel products; all accept numpy arrays.  ``kmax`` maps a time
     to the largest spatial wavenumber carried per axis, used for sampling
-    safety checks.  ``dfdx`` is the analytic x-derivative when known.
+    safety checks; an electric solution's bound is q E (t - time_origin) /
+    hbar instead.  ``dfdx`` is the analytic x-derivative when known.
     """
 
     family: str
@@ -300,22 +301,16 @@ class AnalyticSolution:
     kmax: Callable[[float], tuple] | None = None
     dfdx: Callable | None = None
     label: str = ""
-    time_origin: float = 0.0  # t at which a time-growing wavenumber vanishes
+    time_origin: float = 0.0  # t at which an electric solution's wavenumber vanishes
 
     def __call__(self, *args):
         return self.fn(*args)
-
-
-def _electric_kmax(cfg: SystemConfig, time_shift: float = 0.0):
-    q, E, hbar = cfg.charge, cfg.electric, cfg.hbar
-    return lambda t: (abs(q * E * (t - time_shift) / hbar),)
 
 
 def electric_fundamental(cfg: SystemConfig) -> AnalyticSolution:
     return AnalyticSolution(
         family="electric_1d_fundamental", ndim=1,
         fn=lambda x, t: phi_electric(x, t, cfg), cfg=cfg,
-        kmax=_electric_kmax(cfg),
         dfdx=lambda x, t: (1j * cfg.charge * cfg.electric * np.asarray(t) / cfg.hbar)
         * phi_electric(x, t, cfg),
         label="phi(x,t)")
@@ -327,7 +322,6 @@ def electric_shifted(cfg: SystemConfig, dt_shift) -> AnalyticSolution:
         family="electric_1d_shifted", ndim=1,
         fn=lambda x, t: psi_electric_shifted(x, t, dt_shift, cfg), cfg=cfg,
         shifts=(("dt", dt_shift),),
-        kmax=_electric_kmax(cfg, s * dt_shift),
         dfdx=lambda x, t: (1j * cfg.charge * cfg.electric
                            * (np.asarray(t) - s * dt_shift) / cfg.hbar)
         * psi_electric_shifted(x, t, dt_shift, cfg),
@@ -349,8 +343,7 @@ def electric_ladder(cfg: SystemConfig, j: int) -> AnalyticSolution:
 
     return AnalyticSolution(
         family="electric_1d_ladder", ndim=1,
-        fn=lambda x, t: ladder_state(x, t, j, cfg), cfg=cfg, n=j,
-        kmax=_electric_kmax(cfg), dfdx=dfdx,
+        fn=lambda x, t: ladder_state(x, t, j, cfg), cfg=cfg, n=j, dfdx=dfdx,
         label=f"E^{j} phi")
 
 
@@ -358,7 +351,7 @@ def electric_taylor(cfg: SystemConfig, dt_shift: float, J: int) -> AnalyticSolut
     return AnalyticSolution(
         family="electric_1d_taylor", ndim=1,
         fn=lambda x, t: superposition_taylor(x, t, dt_shift, J, cfg), cfg=cfg,
-        shifts=(("dt", dt_shift),), kmax=_electric_kmax(cfg),
+        shifts=(("dt", dt_shift),),
         label=f"sum_j<={J} c_j E^j phi, dt={dt_shift}")
 
 

@@ -1,23 +1,11 @@
 """Symmetry unitaries of the two systems, the invariance phase they imprint,
 and the resistance-quantization report.
 
-The four transforms share one form: shift a coordinate s by delta and
-multiply by exp(i rate delta w), a phase linear in a second coordinate w.
-``UNITARY_TABLE`` holds (s, w) per kind, ``_phase`` the two rates, and both
-closed-form solutions and grid fields are transformed from that one table:
-
-    Ux: s = x, w = t, rate q E / hbar
-    Uy: s = y, w = z, rate m wc / hbar
-    Uz: s = z, no phase
-    Ut: s = t, no phase   (solutions only; a bare grid field has no free t)
-
-A state with a sharp conserved-momentum eigenvalue picks up the global
-phase exp(i q E dx dt / hbar) under Ux; demanding invariance quantizes
-q E dx dt / hbar in steps of 2 pi, which is resistance quantization in
-units of h / q^2.  ``invariance_phases`` measures that phase over a dt scan
-with dt as a leading array axis, PHASE_BATCH shifts per evaluation, bit for
-bit equal to the one-point ``invariance_phase``.  It refuses a scan whose
-sampled plane-wave phases float64 cannot resolve to a tenth of PHASE_TOL.
+Every unitary shifts a coordinate s by delta and multiplies by exp(i rate
+delta w), a phase linear in a second coordinate w.  ``UNITARY_TABLE`` holds
+(s, w) per kind, and ``apply_unitary`` transforms closed-form solutions and
+grid fields alike from it.  Uz and Ut carry no phase; Ut acts on solutions
+only, moving their ``time_origin``.
 """
 
 from __future__ import annotations
@@ -343,7 +331,8 @@ def build_parallel_superposition(a_coeffs, abar_coeffs, cfg: SystemConfig,
     zeta_n carries the unshifted oscillator along y; zetabar_n carries the
     gauge-twisted oscillator along z.  All components share the same
     plane-wave x factor, so the state is a sharp Ux eigenvector and its
-    invariance phase is exp(i q E dx dt / hbar).
+    invariance phase is exp(i q E dx dt / hbar).  Ux and Ut act through
+    ``apply_unitary`` on the unshifted sum.
     """
     a_coeffs = np.asarray(a_coeffs, dtype=complex)
     abar_coeffs = np.asarray(abar_coeffs, dtype=complex)
@@ -355,7 +344,6 @@ def build_parallel_superposition(a_coeffs, abar_coeffs, cfg: SystemConfig,
         raise ValueError("superposition coefficients must be finite")
 
     d = cfg.displacements
-    hbar, q, E = cfg.hbar, cfg.charge, cfg.electric
     if grid is None:
         grid = landau_grid(cfg)
     components = [(complex(c), parallel_family(cfg, fam, n, shift, box).fn)
@@ -377,16 +365,13 @@ def build_parallel_superposition(a_coeffs, abar_coeffs, cfg: SystemConfig,
     scale = 1.0 / math.sqrt(total)
 
     def evaluator(x, y, z, t):
-        t_eff = np.asarray(t, dtype=float) - d.dt
-        common = (np.exp(1j * q * E * t_eff * d.dx / hbar)
-                  * _plane_wave(np.asarray(x) - d.dx, t_eff, cfg))
         acc = 0.0j
         for c, fn in components:
-            acc = acc + c * fn(y, z, t_eff)
-        return scale * common * acc
+            acc = acc + c * fn(y, z, t)
+        return scale * _plane_wave(x, t, cfg) * acc
 
-    return AnalyticSolution(
+    base = AnalyticSolution(
         family="parallel_superposition", ndim=3, fn=evaluator, cfg=cfg,
-        shifts=(("dx", d.dx), ("dy", d.dy), ("dz", d.dz), ("dt", d.dt)),
-        label="Gram-normalized two-family superposition",
-        time_origin=d.dt)
+        shifts=(("dy", d.dy), ("dz", d.dz)),
+        label="Gram-normalized two-family superposition")
+    return apply_unitary(Unitary("Ut", d.dt), apply_unitary(Unitary("Ux", d.dx), base, cfg), cfg)

@@ -93,11 +93,11 @@ def test_deeply_nested_operator_exit_2(tmp_path, capsys):
     assert "nested too deeply" in capsys.readouterr().err
 
 
-def run_subprocess(args, timeout=60):
+def run_subprocess(args, timeout=60, python_args=()):
     """``fieldquant`` in a fresh interpreter: its stderr holds the warnings too."""
     src = str(pathlib.Path(fieldquant.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": src}
-    return subprocess.run([sys.executable, "-m", "fieldquant.cli", *args],
+    return subprocess.run([sys.executable, *python_args, "-m", "fieldquant.cli", *args],
                           env=env, capture_output=True, text=True, timeout=timeout)
 
 
@@ -150,6 +150,36 @@ def test_overflowing_options_exit_2_without_warnings(tmp_path, args, message):
     assert out.returncode == 2
     assert out.stderr == f"error: {message}\n"
     assert not list(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("config, args, message", [
+    ({"m": 1, "q": "e", "E": 1e300, "L": 8, "units": "cgs"},
+     ["evolve1d", "--steps", "4", "--grid-n", "64"],
+     "the Crank-Nicolson diagonals i dt (hbar^2/(m dx^2) - q E x) / (2 hbar) overflow float64 "
+     "at dt = 0.001, dx = 0.125, m = 1 and q E = 4.8e+290"),
+    ({"m": 1, "q": 1, "E": 1, "B": 1.0, "L": 8.0, "geometry": "parallel_eb"},
+     ["evolve-landau", "--grid-n", "16", "--periods", "0", "--steps-per-period", "1",
+      "--ly", "1e-300", "--dy", "0"],
+     "the split-step kicks exp(-i dt p^2 / (2 m hbar)) overflow float64 at dt = 6.28, "
+     "grid lengths 1e-300 x 1.01e+302 of 16 x 16 points, m = 1 and m wc = 1"),
+    ({"m": 1, "q": 1, "E": 1, "B": 1.0, "L": 8.0, "geometry": "parallel_eb"},
+     ["eval", "--family", "family-z", "--shift", "1e300", "--ly", "1e300"],
+     "cannot snap 1e+300 to a lattice of spacing 6.28319e-300"),
+], ids=["cn-diagonals", "split-kicks", "snap"])
+def test_overflowing_stepper_or_lattice_exits_2_without_warnings(tmp_path, config, args,
+                                                                 message):
+    """A config or grid whose stepper coefficients or lattice cells overflow
+    float64 exits 2 with one message and writes nothing.  The run turns
+    RuntimeWarnings into errors, so a numpy warning would end it in a
+    traceback instead."""
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(config))
+    out_dir = tmp_path / "out"
+    out = run_subprocess([*args, "--config", str(path), "--out-dir", str(out_dir)],
+                         python_args=("-W", "error::RuntimeWarning"))
+    assert out.returncode == 2
+    assert out.stderr == f"error: {message}\n"
+    assert not out_dir.exists()
 
 
 def test_usage_error_is_exit_2():

@@ -8,6 +8,7 @@ import pytest
 from fieldquant import grids as G
 from fieldquant import solutions as S
 from fieldquant.config import cyclotron_frequency, natural_config
+from fieldquant.symmetry import Unitary, apply_unitary
 
 CFG = natural_config(L=8.0)
 CFG_PAR = natural_config(B=1.0, geometry="parallel_eb", L=8.0)
@@ -69,6 +70,17 @@ def test_nyquist_violation_names_admissible_time():
     tmax = float(message.rsplit("is", 1)[1])
     assert tmax == pytest.approx(0.5 * GRID.nyquist, rel=1e-6)
     G.sample(phi, GRID, tmax - 0.1)  # just inside the bound is fine
+
+
+def test_ut_shifted_state_is_guarded_at_its_own_time_origin():
+    """Ut(200) phi carries wavenumber 200 at t = 0, past 0.5 * Nyquist =
+    50.27, and 50 at t = 250: the electric bound is measured from the time
+    origin that Ut moves."""
+    phi = apply_unitary(Unitary("Ut", 200.0), S.electric_fundamental(CFG), CFG)
+    with pytest.raises(G.NyquistError) as err:
+        G.sample(phi, GRID, 0.0)
+    assert str(err.value).endswith("maximum admissible t is 250.265")
+    G.sample(phi, GRID, 250.0)
 
 
 def test_commensurate_time_formula():
