@@ -226,6 +226,10 @@ def _parse_times(text: str) -> list[float]:
 def cmd_eval(args) -> int:
     cfg = _load_cfg(args)
     times = _parse_times(args.times)
+    for option, value in [("--times", t) for t in times] + [
+            ("--dt-shift", args.dt_shift), ("--shift", args.shift), ("--ly", args.ly)]:
+        if not math.isfinite(value):
+            raise ValueError(f"{option} must be finite, got {value}")
     family = args.family
     if family in ("fundamental", "shifted", "ladder", "taylor", "oscillator"):
         grid = gr.Grid1D(cfg.box_length, args.grid_n, "periodic")
@@ -239,22 +243,7 @@ def cmd_eval(args) -> int:
             state = sol.electric_taylor(cfg, args.dt_shift, args.order)
         else:
             state = sol.oscillator_1d(cfg, args.n)
-        header = ["x", "t", "re", "im", "abs2"]
-        if args.current:
-            header += ["J", "rho", "v"]
-        rows = []
-        for t in times:
-            f = gr.sample(state, grid, t)
-            if args.current:
-                prof = obs.probability_current_1d(f, cfg)
-            for i, xv in enumerate(grid.x):
-                val = f.values[i]
-                row = [xv, t, val.real, val.imag, abs(val) ** 2]
-                if args.current:
-                    v = prof.velocity[i]
-                    row += [prof.current[i], prof.density[i],
-                            "" if math.isnan(v) else v]
-                rows.append(row)
+        header = ["x"]
     elif family in ("family-y", "family-z"):
         if cfg.geometry != "parallel_eb":
             raise ConfigError("geometry", f"{family} requires geometry parallel_eb")
@@ -264,16 +253,23 @@ def cmd_eval(args) -> int:
         else:
             shift, box = gr.snap_offset(grid.z, args.shift), grid.y.length
         state = sol.parallel_family(cfg, family.replace("-", "_"), args.n, shift, box)
-        header = ["y", "z", "t", "re", "im", "abs2"]
-        rows = []
-        for t in times:
-            f = gr.sample(state, grid, t)
-            for i, yv in enumerate(grid.y.x):
-                for j, zv in enumerate(grid.z.x):
-                    val = f.values[i, j]
-                    rows.append([yv, zv, t, val.real, val.imag, abs(val) ** 2])
+        header = ["y", "z"]
     else:
         raise ConfigError("family", f"unknown family {family!r}")
+    current = args.current and len(grid.axes) == 1
+    header += ["t", "re", "im", "abs2"] + (["J", "rho", "v"] if current else [])
+    rows = []
+    for t in times:
+        f = gr.sample(state, grid, t)
+        prof = obs.probability_current_1d(f, cfg) if current else None
+        for index in np.ndindex(grid.shape):
+            val = f.values[index]
+            row = [axis.x[i] for axis, i in zip(grid.axes, index)]
+            row += [t, val.real, val.imag, abs(val) ** 2]
+            if current:
+                v = prof.velocity[index]
+                row += [prof.current[index], prof.density[index], "" if math.isnan(v) else v]
+            rows.append(row)
     meta = _config_metadata(cfg, "eval")
     meta.update({"family": family, "label": state.label, "grid_n": args.grid_n,
                  "times": args.times})

@@ -7,12 +7,13 @@ stencils; the parallel-field gauge term is applied through an exact unitary
 gauge twist so that it stays alias-free for states whose gauge momentum
 grows with position.  The twist is cached per (grid, config).
 
+Both grid kinds have ``axes`` (their 1D axis grids), ``shape``, ``cell`` (the
+quadrature weight) and ``coords`` (sample positions broadcasting to ``shape``),
+so code serving fields of either dimension needs no test of the grid type.
+
 Expectation values of momentum and energy are spectral moments (Parseval):
 one FFT per axis of a field, plus one for the gauge term, and no inverse
-transform, whatever the number of observables.  ``stack_expectations``
-measures a stack of fields (leading axis) in one call, every reduction and
-transform running over the trailing field axes; ``expectations`` is its
-one-field call.
+transform, whatever the number of observables.
 """
 
 from __future__ import annotations
@@ -71,6 +72,22 @@ class Grid1D:
     def nyquist(self) -> float:
         return math.pi / self.dx
 
+    @property
+    def axes(self) -> tuple[Grid1D]:
+        return (self,)
+
+    @property
+    def shape(self) -> tuple[int]:
+        return (self.npoints,)
+
+    @property
+    def cell(self) -> float:
+        return self.dx
+
+    @property
+    def coords(self) -> tuple[np.ndarray]:
+        return (self.x,)
+
 
 @dataclass(frozen=True)
 class Grid2D:
@@ -78,12 +95,20 @@ class Grid2D:
     z: Grid1D
 
     @property
-    def shape(self):
+    def axes(self) -> tuple[Grid1D, Grid1D]:
+        return (self.y, self.z)
+
+    @property
+    def shape(self) -> tuple[int, int]:
         return (self.y.npoints, self.z.npoints)
 
     @property
     def cell(self) -> float:
         return self.y.dx * self.z.dx
+
+    @property
+    def coords(self) -> tuple[np.ndarray, np.ndarray]:
+        return (self.y.x[:, None], self.z.x[None, :])
 
 
 @dataclass
@@ -94,10 +119,9 @@ class WaveField:
 
     def __post_init__(self):
         self.values = np.asarray(self.values, dtype=complex)
-        expected = (self.grid.npoints,) if isinstance(self.grid, Grid1D) else self.grid.shape
-        if self.values.shape != expected:
+        if self.values.shape != self.grid.shape:
             raise GridMismatchError(
-                f"field shape {self.values.shape} does not match grid {expected}")
+                f"field shape {self.values.shape} does not match grid {self.grid.shape}")
         if not np.all(np.isfinite(self.values)):
             raise ValueError("field contains non-finite samples")
 
@@ -160,11 +184,10 @@ def _check_nyquist(solution: AnalyticSolution, grid, t: float):
         needed = (abs(cfg.charge * cfg.electric * (t - solution.time_origin) / cfg.hbar),)
     else:
         needed = solution.kmax(t) if solution.kmax else ()
-    axes = (grid,) if isinstance(grid, Grid1D) else (grid.y, grid.z)
     factor = NYQUIST_SAFETY if electric else 1.0
-    for k_req, axis in zip(needed, axes):
+    for k_req, axis in zip(needed, grid.axes):
         limit = factor * axis.nyquist
-        if k_req > limit:
+        if not k_req <= limit:   # also a NaN wavenumber
             msg = (f"sampling would alias: wavenumber {k_req:.6g} exceeds "
                    f"{factor:g} * Nyquist = {limit:.6g}")
             if electric:
@@ -176,17 +199,10 @@ def _check_nyquist(solution: AnalyticSolution, grid, t: float):
 def sample(solution: AnalyticSolution, grid: Grid1D | Grid2D, t: float) -> WaveField:
     """Pointwise evaluation at cell centers, guarded against aliasing."""
     _check_nyquist(solution, grid, t)
-    if solution.ndim == 1:
-        if not isinstance(grid, Grid1D):
-            raise GridMismatchError("1D solution needs a 1D grid")
-        return WaveField(grid, solution.fn(grid.x, t), t)
-    if solution.ndim == 2:
-        if not isinstance(grid, Grid2D):
-            raise GridMismatchError("2D solution needs a 2D grid")
-        yy = grid.y.x[:, None]
-        zz = grid.z.x[None, :]
-        return WaveField(grid, solution.fn(yy, zz, t), t)
-    raise GridMismatchError(f"cannot sample a {solution.ndim}D solution on a grid")
+    if solution.ndim != len(grid.axes):
+        raise GridMismatchError(
+            f"cannot sample a {solution.ndim}D solution on a {len(grid.axes)}D grid")
+    return WaveField(grid, solution.fn(*grid.coords, t), t)
 
 
 # --- discrete derivatives ----------------------------------------------------
@@ -220,14 +236,6 @@ def _fd4_second(values: np.ndarray, dx: float, periodic: bool, axis: int = 0) ->
     return (-s(2) + 16.0 * s(1) - 30.0 * values + 16.0 * s(-1) - s(-2)) / (12.0 * dx ** 2)
 
 
-def _axis_grid(grid, axis: int) -> Grid1D:
-    if isinstance(grid, Grid1D):
-        if axis != 0:
-            raise GridMismatchError("1D grid has a single axis")
-        return grid
-    return (grid.y, grid.z)[axis]
-
-
 def _spectral(values: np.ndarray, axis_grid: Grid1D, multiplier, axis: int) -> np.ndarray:
     """ifft(multiplier(k) fft(values)) along one periodic axis, with k the
     wavenumbers of ``axis_grid``: the one Fourier-multiplier kernel behind
@@ -243,7 +251,9 @@ def _momentum_power(f: WaveField, cfg: SystemConfig, axis: int, scheme: str,
     """p^power (power 1 or 2) along one axis, as raw samples: the spectral
     multiplier (hbar k)^power, or the fourth-order stencils -i hbar D1 and
     -hbar^2 D2."""
-    ag = _axis_grid(f.grid, axis)
+    if axis not in range(len(f.grid.axes)):
+        raise GridMismatchError(f"{len(f.grid.axes)}D grid has no axis {axis}")
+    ag = f.grid.axes[axis]
     if scheme == "spectral":
         if ag.boundary != "periodic":
             raise GridMismatchError("spectral momentum requires a periodic axis")
@@ -282,8 +292,7 @@ def gauge_twist(grid: Grid2D, cfg: SystemConfig) -> np.ndarray:
     """G = exp(i m wc y z / hbar); (pz - m wc y) = G pz G^dagger exactly.
     Cached per (grid, config), so the shared array is read-only."""
     wc = cyclotron_frequency(cfg)
-    yy = grid.y.x[:, None]
-    zz = grid.z.x[None, :]
+    yy, zz = grid.coords
     twist = np.exp(1j * cfg.mass * wc * yy * zz / cfg.hbar)
     twist.flags.writeable = False
     return twist
@@ -307,19 +316,15 @@ def apply_hamiltonian_yz(f: WaveField, cfg: SystemConfig) -> WaveField:
 
 # --- inner products and expectations ------------------------------------------
 
-def _cell_volume(grid) -> float:
-    return grid.dx if isinstance(grid, Grid1D) else grid.cell
-
-
 def _field_axes(grid) -> tuple[int, ...]:
     """The trailing axes holding one field, alone or in a stack of fields;
     axis a of a field is axis ``_field_axes(grid)[a]`` of the array."""
-    return (-1,) if isinstance(grid, Grid1D) else (-2, -1)
+    return tuple(range(-len(grid.axes), 0))
 
 
 def _overlaps(a: np.ndarray, b: np.ndarray, grid) -> np.ndarray:
     """<a|b> over the trailing field axes; either side may be a stack."""
-    return np.sum(np.conj(a) * b, axis=_field_axes(grid)) * _cell_volume(grid)
+    return np.sum(np.conj(a) * b, axis=_field_axes(grid)) * grid.cell
 
 
 def inner_product(a: WaveField, b: WaveField) -> complex:
@@ -358,11 +363,9 @@ def stack_expectations(names, grid, stack: np.ndarray, times, cfg: SystemConfig,
     n2 = _overlaps(stack, stack, grid).real
     if np.any(n2 <= 0):
         raise ValueError("expectation of an empty field")
-    ndim = 1 if isinstance(grid, Grid1D) else 2
-    dv = _cell_volume(grid)
+    axes, coords, dv = grid.axes, grid.coords, grid.cell
+    ndim = len(axes)
     fax = _field_axes(grid)
-    axes = (grid,) if ndim == 1 else (grid.y, grid.z)
-    coords = (grid.x,) if ndim == 1 else (grid.y.x[:, None], grid.z.x[None, :])
     cache = {}
 
     def position(axis):
@@ -429,20 +432,21 @@ def _interior_mask(grid) -> np.ndarray | None:
 
 
 def residual_samples(solution: AnalyticSolution, grid, t: float, dt_stencil: float,
-                     scheme: str = "spectral") -> tuple[np.ndarray, WaveField]:
-    """i hbar (psi(t+h) - psi(t-h)) / 2h - H psi(t) at every sample, and the
-    sampled psi(t).  H is the solution's own Hamiltonian: 1D (with the given
-    momentum scheme) or the transverse gauge problem."""
+                     scheme: str = "spectral") -> tuple[np.ndarray, WaveField, np.ndarray]:
+    """i hbar (psi(t+h) - psi(t-h)) / 2h - H psi(t) at every sample, the
+    sampled psi(t), and the sampled Eop psi = i hbar (psi(t+h) - psi(t-h)) / 2h.
+    H is the solution's own Hamiltonian: 1D (with the given momentum scheme)
+    or the transverse gauge problem."""
     cfg = solution.cfg
     plus = sample(solution, grid, t + dt_stencil)
     minus = sample(solution, grid, t - dt_stencil)
     mid = sample(solution, grid, t)
-    dpsi_dt = (plus.values - minus.values) / (2.0 * dt_stencil)
+    e_action = 1j * cfg.hbar * ((plus.values - minus.values) / (2.0 * dt_stencil))
     if solution.ndim == 1:
         h_mid = apply_hamiltonian_1d(mid, cfg, scheme=scheme)
     else:
         h_mid = apply_hamiltonian_yz(mid, cfg)
-    return 1j * cfg.hbar * dpsi_dt - h_mid.values, mid
+    return e_action - h_mid.values, mid, e_action
 
 
 def schrodinger_residual(solution: AnalyticSolution, grid, t: float,
@@ -452,7 +456,7 @@ def schrodinger_residual(solution: AnalyticSolution, grid, t: float,
     Interior points only for wall-bounded grids (a 4-cell band is dropped,
     covering the fd4 stencil footprint).
     """
-    r, mid = residual_samples(solution, grid, t, dt_stencil, scheme)
+    r, mid, _ = residual_samples(solution, grid, t, dt_stencil, scheme)
     mask = _interior_mask(grid)
     ref = mid.values
     if mask is not None:

@@ -18,8 +18,8 @@ import numpy as np
 from .config import SystemConfig, cyclotron_frequency
 from .solutions import (AnalyticSolution, _plane_wave, _plane_wave_phase, electric_shifted,
                         oscillator_scale, parallel_family)
-from .grids import (Grid1D, Grid2D, WaveField, GridMismatchError, _spectral,
-                    landau_grid, sample, residual_samples)
+from .grids import (Grid2D, WaveField, GridMismatchError, _spectral, landau_grid, sample,
+                    residual_samples)
 
 UNITARY_TABLE = {"Ux": ("x", "t"), "Uy": ("y", "z"), "Uz": ("z", None), "Ut": ("t", None)}
 UNITARY_KINDS = tuple(UNITARY_TABLE)
@@ -72,11 +72,11 @@ def _field_transform(u: Unitary, f: WaveField, cfg: SystemConfig) -> WaveField:
         raise ValueError("time shift requires analytic time dependence")
     # a field's t is its time stamp; as for solutions, only s can be missing
     shifted, phased = UNITARY_TABLE[u.kind]
-    axes = {"x": (0, f.grid)} if isinstance(f.grid, Grid1D) \
-        else {"y": (0, f.grid.y), "z": (1, f.grid.z)}
-    if shifted not in axes:
+    names = _SOLUTION_COORDS[len(f.grid.axes)][:-1]
+    if shifted not in names:
         raise GridMismatchError(f"grid {u.kind} needs a field with a {shifted} axis")
-    axis, ag = axes[shifted]
+    axis = names.index(shifted)
+    ag = f.grid.axes[axis]
     if ag.boundary != "periodic":
         raise GridMismatchError("grid unitaries need periodic axes")
     # exact roll when delta sits on the lattice, band-limited interpolation otherwise
@@ -86,7 +86,7 @@ def _field_transform(u: Unitary, f: WaveField, cfg: SystemConfig) -> WaveField:
     else:
         out = _spectral(f.values, ag, lambda k: np.exp(-1j * k * u.delta), axis)
     if phased and u.compensating_phase:
-        w = f.t if phased == "t" else np.expand_dims(axes[phased][1].x, 1 - axes[phased][0])
+        w = f.t if phased == "t" else f.grid.coords[names.index(phased)]
         out = out * _phase(u, cfg, w)
     return WaveField(f.grid, out, f.t)
 
@@ -117,12 +117,12 @@ def conjugation_symmetry_check(u: Unitary, solution: AnalyticSolution, grid,
     conserved operator; a phase-stripped translation fails loudly.
     """
     h = 1e-4   # centered time step of the residuals; spectral derivatives in space
-    lhs, _ = residual_samples(apply_unitary(u, solution, cfg), grid, t, h)
+    lhs = residual_samples(apply_unitary(u, solution, cfg), grid, t, h)[0]
     if u.kind == "Ut":
-        rhs, _ = residual_samples(solution, grid, t - u.delta, h)
+        rhs = residual_samples(solution, grid, t - u.delta, h)[0]
         ref = sample(solution, grid, t)
     else:
-        base, ref = residual_samples(solution, grid, t, h)
+        base, ref, _ = residual_samples(solution, grid, t, h)
         rhs = _field_transform(u, WaveField(grid, base, t), cfg).values
     return float(np.linalg.norm(lhs - rhs) / np.linalg.norm(ref.values))
 
@@ -270,7 +270,9 @@ def quantization_report(dx_shift: float, dt_shift: float, cfg: SystemConfig,
     reading: V = E dx, I = q / dt, R = V / I in units of h / q^2.
 
     Raises ValueError where the tolerance reaches 1/2: every real number
-    then lies within it of an integer, so no verdict can be given."""
+    then lies within it of an integer, so no verdict can be given.  It also
+    raises where V/I and (h/q^2) n_real, equal in exact arithmetic, differ
+    by more than 4 ulp of R."""
     if dt_shift == 0:
         raise ValueError("undefined current: dt must be nonzero")
     q, E, h = cfg.charge, cfg.electric, cfg.units.h
@@ -285,9 +287,10 @@ def quantization_report(dx_shift: float, dt_shift: float, cfg: SystemConfig,
     resistance = voltage / current
     q2 = _charge_squared(cfg)
     klitzing = resistance * q2 / h
-    # consistency guard: V/I must equal (h/q^2) n_real identically
-    if abs(resistance - (h / q2) * n_real) > 4 * math.ulp(abs(resistance) + 1.0):
-        raise AssertionError("resistance bookkeeping out of ulp budget")
+    gap, budget = abs(resistance - (h / q2) * n_real), 4 * math.ulp(abs(resistance) + 1.0)
+    if gap > budget:
+        raise ValueError(f"unresolvable: V/I and (h/q^2) n_real differ by {gap:.3g} "
+                         f"against a 4-ulp budget of {budget:.3g}")
     return QuantizationReport(
         dx=dx_shift, dt=dt_shift, electric=E, charge=q,
         n_real=n_real, nearest=nearest,
@@ -353,9 +356,7 @@ def build_parallel_superposition(a_coeffs, abar_coeffs, cfg: SystemConfig,
 
     # Gram matrix of the transverse parts at t = 0; different Landau levels
     # are orthogonal, so the time phases never enter the norm
-    yy = grid.y.x[:, None]
-    zz = grid.z.x[None, :]
-    sampled = [fn(yy, zz, 0.0) for _, fn in components]
+    sampled = [fn(*grid.coords, 0.0) for _, fn in components]
     gram = np.array([[np.sum(np.conj(si) * sj) * grid.cell for sj in sampled]
                      for si in sampled])
     cvec = np.array([c for c, _ in components])

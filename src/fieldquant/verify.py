@@ -164,34 +164,28 @@ def checks_residual(*_) -> list[CheckResult]:
 
 
 def checks_ladder_grid(*_) -> list[CheckResult]:
-    out = []
+    residuals, eigen = [], []
     cfg, pgrid = _setup_electric()
     grid = gr.Grid1D(8.0, 512, "dirichlet")
     t1 = gr.commensurate_time(cfg, pgrid, 1)
-    h_step = 2e-5
-    for j in range(5):
-        state = sol.electric_ladder(cfg, j)
-        r = gr.schrodinger_residual(state, grid, t1, h_step, scheme="fd4")
-        out.append(_check(
-            f"ladder.residual[j={j}]", r, 1e-5,
-            f"Eop^{j} phi solves the time-dependent equation"))
     q, E, hbar = cfg.charge, cfg.electric, cfg.hbar
+    # the wall band schrodinger_residual drops, for both norms
     band = slice(gr.DIRICHLET_BAND, -gr.DIRICHLET_BAND)
     for j in range(5):
-        state = sol.electric_ladder(cfg, j)
-        mid = gr.sample(state, grid, t1)
-        plus = gr.sample(state, grid, t1 + h_step)
-        minus = gr.sample(state, grid, t1 - h_step)
-        e_action = 1j * hbar * (plus.values - minus.values) / (2.0 * h_step)
+        r, mid, e_action = gr.residual_samples(sol.electric_ladder(cfg, j), grid, t1, 2e-5,
+                                               scheme="fd4")
+        residuals.append(_check(
+            f"ladder.residual[j={j}]",
+            float(np.linalg.norm(r[band]) / np.linalg.norm(mid.values[band])), 1e-5,
+            f"Eop^{j} phi solves the time-dependent equation"))
         px_e = gr.apply_momentum(gr.WaveField(grid, e_action, t1), cfg, scheme="fd4").values
         f_e = px_e - q * E * t1 * e_action
         target = 1j * hbar * q * E * (j + 1) * mid.values
-        rel = (np.linalg.norm((f_e - target)[band])
-               / np.linalg.norm(target[band]))
-        out.append(_check(
+        rel = np.linalg.norm((f_e - target)[band]) / np.linalg.norm(target[band])
+        eigen.append(_check(
             f"ladder.eigen[j={j}]", float(rel), 1e-6,
             f"f Eop (Eop^{j} phi) = i*hbar*q*E*{j + 1} * Eop^{j} phi on the grid"))
-    return out
+    return residuals + eigen
 
 
 def checks_resummation(*_) -> list[CheckResult]:
@@ -330,7 +324,7 @@ def checks_quantization(cfg: SystemConfig, *_) -> list[CheckResult]:
         "quantization.integer_hits", hits == expected_hits,
         f"scan marks exactly the integer points, n = {hits}"))
     report = sym.quantization_report(dx_shift, 1.0, scan_cfg)
-    h_over_q2 = scan_cfg.units.h / sym._charge_squared(scan_cfg)
+    h_over_q2 = scan_cfg.units.h / scan_cfg.charge ** 2   # the scan refused an overflowing q^2
     ulp_err = abs(report.resistance - h_over_q2 * report.n_real) \
         / math.ulp(abs(report.resistance) + 1.0)
     out.append(_check(

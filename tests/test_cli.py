@@ -182,6 +182,53 @@ def test_overflowing_stepper_or_lattice_exits_2_without_warnings(tmp_path, confi
     assert not out_dir.exists()
 
 
+@pytest.mark.parametrize("config, args, message", [
+    ({"m": 1, "q": 1, "E": 1, "L": 8},
+     ["eval", "--family", "shifted", "--dt-shift", "inf", "--times", "inf", "--grid-n", "16"],
+     "--times must be finite, got inf"),
+    ({"m": 1, "q": 1, "E": 1, "B": 1.0, "L": 8.0, "geometry": "parallel_eb"},
+     ["eval", "--family", "oscillator", "--grid-n", "16", "--times", "inf"],
+     "--times must be finite, got inf"),
+    ({"m": 1, "q": 1, "E": 1, "L": 8},
+     ["eval", "--family", "shifted", "--dt-shift", "inf", "--times", "0"],
+     "--dt-shift must be finite, got inf"),
+    ({"m": 1, "q": 1, "E": 1, "B": 1.0, "L": 8.0, "geometry": "parallel_eb"},
+     ["eval", "--family", "family-y", "--times", "0", "--shift", "nan"],
+     "--shift must be finite, got nan"),
+    ({"m": 1, "q": 1, "E": 1, "B": 1.0, "L": 8.0, "geometry": "parallel_eb"},
+     ["eval", "--family", "family-z", "--times", "0,1", "--ly", "inf"],
+     "--ly must be finite, got inf"),
+], ids=["shifted-times-inf", "oscillator-times-inf", "dt-shift-inf", "shift-nan", "ly-inf"])
+def test_non_finite_eval_options_exit_2_without_warnings(tmp_path, config, args, message):
+    """eval refuses a non-finite time, shift or box length by name, before any
+    sample is taken; no numpy warning reaches stderr and nothing is written."""
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(config))
+    out_dir = tmp_path / "out"
+    out = run_subprocess([*args, "--config", str(path), "--out-dir", str(out_dir)],
+                         python_args=("-W", "error::RuntimeWarning"))
+    assert out.returncode == 2
+    assert out.stderr == f"error: {message}\n"
+    assert not out_dir.exists()
+
+
+def test_quantize_point_beyond_the_resistance_ulp_budget_gets_no_verdict(tmp_path):
+    """V/I and (h/q^2) n_real part by 5 ulp here, against a budget of 4: the
+    point gets no verdict, so the one-point scan exits 2 with the gap named
+    in its CSV and its message."""
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"m": 1, "q": 0.06301579700354017, "E": 2.193104315199503,
+                                "L": 8}))
+    out = run_subprocess(["quantize", "--config", str(path), "--dx", "8.695102630472597",
+                          "--dt-min", "215.18174200883598", "--dt-max", "215.18174200883598",
+                          "--dt-steps", "1", "--out-dir", str(tmp_path)])
+    reason = ("unresolvable: V/I and (h/q^2) n_real differ by 3.64e-11 "
+              "against a 4-ulp budget of 2.91e-11")
+    assert out.returncode == 2
+    assert out.stderr == f"error: no scan point gets a verdict; the first: {reason}\n"
+    assert (tmp_path / "quantize_scan.csv").read_text().endswith(f",{reason}\n")
+
+
 def test_usage_error_is_exit_2():
     with pytest.raises(SystemExit) as err:
         run(["quantize"])  # missing required flags

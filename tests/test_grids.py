@@ -7,6 +7,7 @@ import pytest
 
 from fieldquant import grids as G
 from fieldquant import solutions as S
+from fieldquant import verify as V
 from fieldquant.config import cyclotron_frequency, natural_config
 from fieldquant.symmetry import Unitary, apply_unitary
 
@@ -38,6 +39,24 @@ def test_field_shape_guard():
         G.WaveField(GRID, np.zeros(100, dtype=complex))
     with pytest.raises(ValueError, match="non-finite"):
         G.WaveField(GRID, np.full(256, np.nan, dtype=complex))
+
+
+@pytest.mark.parametrize("grid", [GRID, G.landau_grid(CFG_PAR, npoints=32, ly=24.0)],
+                         ids=["1d", "landau"])
+def test_grids_share_one_interface(grid):
+    """axes, shape, cell and coords describe a grid of either dimension, so
+    quadrature and axis lookups need no test of the grid type."""
+    rng = np.random.default_rng(5)
+    values = rng.normal(size=grid.shape) + 1j * rng.normal(size=grid.shape)
+    f = G.WaveField(grid, values, 0.0)
+    assert len(grid.axes) == len(grid.coords) == values.ndim
+    assert np.broadcast_shapes(*(c.shape for c in grid.coords)) == grid.shape
+    for axis, coord in zip(grid.axes, grid.coords):
+        assert np.array_equal(coord.ravel(), axis.x)
+    assert np.sum(np.abs(values) ** 2) * grid.cell == pytest.approx(G.norm(f) ** 2, rel=1e-13)
+    for missing in (len(grid.axes), -1):
+        with pytest.raises(G.GridMismatchError, match=f"has no axis {missing}"):
+            G.apply_momentum(f, CFG_PAR, axis=missing)
 
 
 def test_sample_constant_at_t0():
@@ -81,6 +100,12 @@ def test_ut_shifted_state_is_guarded_at_its_own_time_origin():
         G.sample(phi, GRID, 0.0)
     assert str(err.value).endswith("maximum admissible t is 250.265")
     G.sample(phi, GRID, 250.0)
+
+
+def test_nan_wavenumber_is_refused():
+    """inf - inf gives a NaN wavenumber, which no bound admits."""
+    with pytest.raises(G.NyquistError, match="wavenumber nan exceeds"):
+        G.sample(S.electric_shifted(CFG, math.inf), GRID, math.inf)
 
 
 def test_commensurate_time_formula():
@@ -307,7 +332,7 @@ def test_unknown_observable():
 
 def _measured_momentum(f, cfg, axis=0):
     """Fourier momentum action on the raw samples, regardless of boundary tag."""
-    ag = G._axis_grid(f.grid, axis)
+    ag = f.grid.axes[axis]
     k = ag.wavenumbers
     shape = [1] * f.values.ndim
     shape[axis] = k.size
@@ -316,7 +341,7 @@ def _measured_momentum(f, cfg, axis=0):
 
 
 def _measured_kinetic(f, cfg, axis=0):
-    ag = G._axis_grid(f.grid, axis)
+    ag = f.grid.axes[axis]
     k = ag.wavenumbers
     shape = [1] * f.values.ndim
     shape[axis] = k.size
@@ -326,7 +351,7 @@ def _measured_kinetic(f, cfg, axis=0):
 
 def reference_expectation(opname, f, cfg):
     n2 = G.inner_product(f, f).real
-    dv = G._cell_volume(f.grid)
+    dv = f.grid.cell
     if isinstance(f.grid, G.Grid1D):
         if opname == "x":
             return float(np.sum(f.grid.x * np.abs(f.values) ** 2) * dv / n2)
@@ -359,7 +384,7 @@ def reference_expectation(opname, f, cfg):
 # were measured in stacks; the stacked kernel must equal it bit for bit.
 
 def one_field_inner_product(a, b):
-    return complex(np.sum(np.conj(a.values) * b.values) * G._cell_volume(a.grid))
+    return complex(np.sum(np.conj(a.values) * b.values) * a.grid.cell)
 
 
 def one_field_norm(f):
@@ -369,7 +394,7 @@ def one_field_norm(f):
 def one_field_expectations(names, f, cfg):
     n2 = one_field_inner_product(f, f).real
     ndim = f.values.ndim
-    dv = G._cell_volume(f.grid)
+    dv = f.grid.cell
     axes = (f.grid,) if ndim == 1 else (f.grid.y, f.grid.z)
     coords = (f.grid.x,) if ndim == 1 else (f.grid.y.x[:, None], f.grid.z.x[None, :])
 
@@ -520,6 +545,27 @@ def test_residual_uses_interior_band_for_walls():
     state = S.electric_ladder(cfg, 2)
     t1 = G.commensurate_time(cfg, GRID, 1)
     assert G.schrodinger_residual(state, grid, t1, 2e-5, scheme="fd4") < 1e-5
+
+
+def test_residual_samples_return_the_sampled_energy_operator():
+    """The third output is i hbar (psi(t+h) - psi(t-h)) / 2h, and the residual
+    is it minus H psi(t)."""
+    grid = G.Grid1D(8.0, 512, "dirichlet")
+    t1, h = G.commensurate_time(CFG, GRID, 1), 2e-5
+    state = S.electric_ladder(CFG, 2)
+    r, mid, e_action = G.residual_samples(state, grid, t1, h, scheme="fd4")
+    plus, minus = G.sample(state, grid, t1 + h), G.sample(state, grid, t1 - h)
+    assert np.array_equal(e_action, 1j * (plus.values - minus.values) / (2.0 * h))
+    assert np.array_equal(mid.values, G.sample(state, grid, t1).values)
+    assert np.array_equal(r, e_action - G.apply_hamiltonian_1d(mid, CFG, "fd4").values)
+
+
+def test_ladder_group_residuals_equal_schrodinger_residual():
+    grid = G.Grid1D(8.0, 512, "dirichlet")
+    t1 = G.commensurate_time(CFG, GRID, 1)
+    got = [c.value for c in V.checks_ladder_grid() if c.name.startswith("ladder.residual")]
+    assert got == [G.schrodinger_residual(S.electric_ladder(CFG, j), grid, t1, 2e-5, "fd4")
+                   for j in range(5)]
 
 
 @pytest.mark.parametrize("j", range(7))
