@@ -261,6 +261,9 @@ def cmd_eval(args) -> int:
     rows = []
     for t in times:
         f = gr.sample(state, grid, t)
+        peak = float(np.abs(f.values).max())
+        if not peak * peak < math.inf:   # Python floats: no numpy warning
+            raise ValueError(f"|psi|^2 overflows float64 at t = {t}: |psi| reaches {peak:.3g}")
         prof = obs.probability_current_1d(f, cfg) if current else None
         for index in np.ndindex(grid.shape):
             val = f.values[index]

@@ -10,10 +10,6 @@ grows with position.  The twist is cached per (grid, config).
 Both grid kinds have ``axes`` (their 1D axis grids), ``shape``, ``cell`` (the
 quadrature weight) and ``coords`` (sample positions broadcasting to ``shape``),
 so code serving fields of either dimension needs no test of the grid type.
-
-Expectation values of momentum and energy are spectral moments (Parseval):
-one FFT per axis of a field, plus one for the gauge term, and no inverse
-transform, whatever the number of observables.
 """
 
 from __future__ import annotations
@@ -337,86 +333,74 @@ def norm(f: WaveField) -> float:
     return math.sqrt(max(inner_product(f, f).real, 0.0))
 
 
-_OBSERVABLES = {1: ("x", "px", "pi_x", "H"),
-                2: ("y", "z", "py", "pz", "pi_y", "pi_z", "H")}
+OBSERVABLES = {1: ("x", "px", "pi_x", "H"),
+               2: ("y", "z", "py", "pz", "pi_y", "pi_z", "H")}
 
 
-def stack_expectations(names, grid, stack: np.ndarray, times, cfg: SystemConfig,
+def _moments(v: np.ndarray, grid, axis: int, hbar: float, n2: np.ndarray, powers=(1, 2)):
+    """Normalized spectral moments <p^power> along one axis, one array over
+    the stack ``v`` per power (Parseval): sum conj(v) ifft((hbar k)^power
+    fft(v)) dv / n2 = sum (hbar k)^power w / n2, with w = |fft(v)|^2 dv / N
+    summed over the other axis."""
+    fax = _field_axes(grid)
+    w = np.abs(np.fft.fft(v, axis=fax[axis])) ** 2
+    if len(fax) == 2:
+        w = w.sum(axis=fax[1 - axis])
+    w = w * (grid.cell / grid.axes[axis].npoints)
+    out = []
+    for power in powers:
+        hk = (hbar * grid.axes[axis].wavenumbers) ** power
+        # one dot per field: a stacked matrix-vector product sums in another order
+        out.append(np.array([np.dot(hk, wf) for wf in w]) / n2)
+    return out
+
+
+def stack_expectations(grid, stack: np.ndarray, times, cfg: SystemConfig,
                        reference: np.ndarray | None = None):
     """Norms and normalized expectation values of a stack of fields.
 
     ``stack`` holds one field of ``grid`` per leading index, at the matching
     entry of ``times``.  Returns ``(norms, values, overlaps)``: the norm of
-    each field, ``values[i]`` the i-th named observable of every field, and
-    <reference|f> per field (None without a reference).
+    each field, ``values`` mapping each name of ``OBSERVABLES[ndim]``, in
+    order, to an array over the stack, and <reference|f> per field (None
+    without a reference).  pi_x = px - q E t reads each field's time;
+    pi_y = py - m wc z and pi_z = pz.
 
-    Supported names: x, px, H, pi_x (uses the field's time), and for 2D
-    fields y, z, py, pz, pi_y, pi_z.  Momentum and kinetic energy are
-    spectral moments (Parseval): sum conj(v) ifft(g fft(v)) dv = sum g w
-    with w = |fft(v)|^2 dv / N along one axis.  One norm and at most one
-    position and one weight per axis (plus one of conj(G) v for the 2D
-    gauge term) serve every name, each one array operation over the
-    trailing field axes; a field of the stack measures bit for bit as it
-    would alone.  The samples are transformed whatever the boundary tag;
-    wall-bounded fields must stay clear of the walls.
+    Momentum and kinetic energy are spectral moments (``_moments``): one FFT
+    per axis, plus one of conj(G) v for the 2D gauge term.  Each value is
+    one array operation over the trailing field axes, so a field of the
+    stack measures bit for bit as it would alone.  The samples are
+    transformed whatever the boundary tag; wall-bounded fields must stay
+    clear of the walls.
     """
     n2 = _overlaps(stack, stack, grid).real
     if np.any(n2 <= 0):
         raise ValueError("expectation of an empty field")
-    axes, coords, dv = grid.axes, grid.coords, grid.cell
-    ndim = len(axes)
-    fax = _field_axes(grid)
-    cache = {}
-
-    def position(axis):
-        if axis not in cache:
-            if "density" not in cache:
-                cache["density"] = np.abs(stack) ** 2
-            cache[axis] = np.sum(coords[axis] * cache["density"], axis=fax) * dv / n2
-        return cache[axis]
-
-    def moment(axis, power, twisted=False):
-        if (axis, twisted) not in cache:
-            v = np.conj(gauge_twist(grid, cfg)) * stack if twisted else stack
-            w = np.abs(np.fft.fft(v, axis=fax[axis])) ** 2
-            if ndim == 2:
-                w = w.sum(axis=fax[1 - axis])
-            cache[axis, twisted] = w * (dv / axes[axis].npoints)
-        hk = (cfg.hbar * axes[axis].wavenumbers) ** power
-        # one dot per field: a stacked matrix-vector product sums in another order
-        return np.array([np.dot(hk, w) for w in cache[axis, twisted]]) / n2
-
-    values = np.empty((len(names), n2.size))
-    for i, name in enumerate(names):
-        if name not in _OBSERVABLES[ndim]:
-            raise ValueError(f"unknown {ndim}D observable {name!r}")
-        axis = 1 if name.endswith("z") else 0
-        if name in ("x", "y", "z"):
-            values[i] = position(axis)
-        elif name in ("px", "py", "pz", "pi_z"):
-            values[i] = moment(axis, 1)
-        elif name == "pi_x":
-            values[i] = moment(0, 1) - cfg.charge * cfg.electric * np.asarray(times, dtype=float)
-        elif name == "pi_y":
-            values[i] = moment(0, 1) - cfg.mass * cyclotron_frequency(cfg) * position(1)
-        elif ndim == 1:
-            values[i] = moment(0, 2) / (2.0 * cfg.mass) - cfg.charge * cfg.electric * position(0)
-        else:
-            values[i] = (moment(0, 2) + moment(1, 2, twisted=True)) / (2.0 * cfg.mass)
+    density = np.abs(stack) ** 2
+    pos = [np.sum(c * density, axis=_field_axes(grid)) * grid.cell / n2 for c in grid.coords]
+    qE = cfg.charge * cfg.electric
+    if len(pos) == 1:
+        px, px2 = _moments(stack, grid, 0, cfg.hbar, n2)
+        values = {"x": pos[0], "px": px, "pi_x": px - qE * np.asarray(times, dtype=float),
+                  "H": px2 / (2.0 * cfg.mass) - qE * pos[0]}
+    else:
+        py, py2 = _moments(stack, grid, 0, cfg.hbar, n2)
+        (pz,) = _moments(stack, grid, 1, cfg.hbar, n2, (1,))
+        (pi_z2,) = _moments(np.conj(gauge_twist(grid, cfg)) * stack, grid, 1, cfg.hbar, n2, (2,))
+        values = {"y": pos[0], "z": pos[1], "py": py, "pz": pz,
+                  "pi_y": py - cfg.mass * cyclotron_frequency(cfg) * pos[1], "pi_z": pz,
+                  "H": (py2 + pi_z2) / (2.0 * cfg.mass)}
     overlaps = None if reference is None else _overlaps(reference, stack, grid)
     return np.sqrt(n2), values, overlaps
 
 
-def expectations(names, f: WaveField, cfg: SystemConfig) -> list[float]:
-    """Normalized expectation values of the named observables of one field,
-    in order: the one-field call of ``stack_expectations``."""
-    return stack_expectations(names, f.grid, f.values[None], (f.t,), cfg)[1][:, 0].tolist()
-
-
 def expectation(opname: str, f: WaveField, cfg: SystemConfig) -> float:
-    """Normalized expectation value of one named observable; see
-    ``stack_expectations`` for the names and the method."""
-    return expectations((opname,), f, cfg)[0]
+    """Normalized expectation value of one observable of ``OBSERVABLES``,
+    measured by ``stack_expectations`` (see it for the method)."""
+    values = stack_expectations(f.grid, f.values[None], (f.t,), cfg)[1]
+    if opname not in values:
+        raise ValueError(f"unknown {len(f.grid.axes)}D observable {opname!r}")
+    return float(values[opname][0])
 
 
 # --- residuals ----------------------------------------------------------------

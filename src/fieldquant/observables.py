@@ -36,29 +36,24 @@ def _profile(x, psi, dpsi_dx, cfg: SystemConfig) -> CurrentProfile:
                           current=current, velocity=velocity)
 
 
-def _numeric_dfdx(solution: AnalyticSolution, x, t, step: float):
-    return (np.asarray(solution.fn(x + step, t)) - np.asarray(solution.fn(x - step, t))) \
-        / (2.0 * step)
-
-
 def probability_current_1d(target, cfg: SystemConfig, t: float | None = None) -> CurrentProfile:
     """J = (i hbar / 2m)(psi dpsi*/dx - psi* dpsi/dx) with density and drift.
 
-    Accepts an analytic solution, sampled at 257 points across the box
-    (closed-form derivative when available), or a 1D grid field
-    (fourth-order stencil derivative).
+    Accepts a plane-wave electric solution (fundamental or time-shifted,
+    also under Ux or Ut), sampled at 257 points across the box with
+    dpsi/dx = i k psi, k = q E (t - time_origin) / hbar, or a 1D grid field
+    (fourth-order stencil derivative).  Other solution families are refused.
     """
     if isinstance(target, AnalyticSolution):
-        if target.ndim != 1:
-            raise ValueError("probability_current_1d needs a 1D solution")
+        if target.family not in ("electric_1d_fundamental", "electric_1d_shifted"):
+            raise ValueError(f"no closed-form current for the {target.family} family; "
+                             "sample it on a grid")
         if t is None:
             raise ValueError("an evaluation time is required for analytic input")
         x = np.linspace(-0.5 * cfg.box_length, 0.5 * cfg.box_length, 257)
         psi = np.asarray(target.fn(x, t))
-        if target.dfdx is not None:
-            dpsi = np.asarray(target.dfdx(x, t))
-        else:
-            dpsi = _numeric_dfdx(target, x, t, 1e-6)
+        c = target.cfg
+        dpsi = (1j * c.charge * c.electric * (np.asarray(t) - target.time_origin) / c.hbar) * psi
         return _profile(x, psi, dpsi, cfg)
     if isinstance(target, WaveField):
         if not isinstance(target.grid, Grid1D):

@@ -283,11 +283,12 @@ def evolve(f0: WaveField, spec: EvolutionSpec, cfg: SystemConfig) -> TrajectoryR
             row += 1
         if not np.isfinite(block).all():
             raise ValueError("field contains non-finite samples")
-        norms, table, overlaps = stack_expectations(names, f0.grid, block, times, cfg,
-                                                    reference=f0.values)
+        norms, values, overlaps = stack_expectations(f0.grid, block, times, cfg,
+                                                     reference=f0.values)
         # hypot is Python's abs(complex); numpy's complex abs rounds differently
         fidelity = np.hypot(overlaps.real, overlaps.imag) / (ref_norm * norms)
-        record.rows.extend(np.column_stack((times, norms, *table, fidelity)).tolist())
+        columns = (times, norms, *(values[n] for n in names), fidelity)
+        record.rows.extend(np.column_stack(columns).tolist())
     record.final = WaveField(f0.grid, block[-1].copy(), times[-1])
     return record
 

@@ -102,12 +102,6 @@ class BivariatePoly:
             out = out * x + row
         return out
 
-    def deriv_x(self) -> "BivariatePoly":
-        if self.degree_x == 0:
-            return BivariatePoly(np.zeros((1, 1)))
-        a = np.arange(1, self.degree_x + 1)
-        return BivariatePoly(self.coeffs[1:, :] * a[:, None])
-
 
 @lru_cache(maxsize=LADDER_CACHE_SIZE)
 def _ladder_cache(j: int, hbar: float, m: float, q: float, E: float) -> BivariatePoly:
@@ -149,6 +143,9 @@ def _taylor_coefficient(j: int, dt_shift: float, cfg: SystemConfig) -> complex:
     # cannot overflow; s is the eigen_sign convention.
     s = _eigen_sign(cfg)
     arg = s * dt_shift / cfg.hbar
+    if not math.isfinite(arg):   # math.exp(inf) returns inf instead of raising
+        raise ValueError(f"dt / hbar overflows float64 at dt = {dt_shift} "
+                         f"and hbar = {cfg.hbar:.3g}")
     if arg == 0.0:
         return 1.0 + 0.0j if j == 0 else 0.0j
     log_mag = j * math.log(abs(arg)) - math.lgamma(j + 1)
@@ -289,7 +286,7 @@ class AnalyticSolution:
     full parallel products; all accept numpy arrays.  ``kmax`` maps a time
     to the largest spatial wavenumber carried per axis, used for sampling
     safety checks; an electric solution's bound is q E (t - time_origin) /
-    hbar instead.  ``dfdx`` is the analytic x-derivative when known.
+    hbar instead.
     """
 
     family: str
@@ -299,7 +296,6 @@ class AnalyticSolution:
     n: int | None = None
     shifts: tuple = ()
     kmax: Callable[[float], tuple] | None = None
-    dfdx: Callable | None = None
     label: str = ""
     time_origin: float = 0.0  # t at which an electric solution's wavenumber vanishes
 
@@ -310,41 +306,26 @@ class AnalyticSolution:
 def electric_fundamental(cfg: SystemConfig) -> AnalyticSolution:
     return AnalyticSolution(
         family="electric_1d_fundamental", ndim=1,
-        fn=lambda x, t: phi_electric(x, t, cfg), cfg=cfg,
-        dfdx=lambda x, t: (1j * cfg.charge * cfg.electric * np.asarray(t) / cfg.hbar)
-        * phi_electric(x, t, cfg),
-        label="phi(x,t)")
+        fn=lambda x, t: phi_electric(x, t, cfg), cfg=cfg, label="phi(x,t)")
 
 
 def electric_shifted(cfg: SystemConfig, dt_shift) -> AnalyticSolution:
-    s = _eigen_sign(cfg)
     return AnalyticSolution(
         family="electric_1d_shifted", ndim=1,
         fn=lambda x, t: psi_electric_shifted(x, t, dt_shift, cfg), cfg=cfg,
         shifts=(("dt", dt_shift),),
-        dfdx=lambda x, t: (1j * cfg.charge * cfg.electric
-                           * (np.asarray(t) - s * dt_shift) / cfg.hbar)
-        * psi_electric_shifted(x, t, dt_shift, cfg),
         # a dt array (one state per row) is not printed: formatting it costs
         # more than evaluating the batch
         label="psi(x,t)=phi(x,t-dt), dt=" + (str(dt_shift) if np.ndim(dt_shift) == 0
                                              else f"<{np.size(dt_shift)} values>"),
-        time_origin=s * dt_shift)
+        time_origin=_eigen_sign(cfg) * dt_shift)
 
 
 def electric_ladder(cfg: SystemConfig, j: int) -> AnalyticSolution:
-    poly = degeneracy_polynomial(j, cfg)
-    dpoly = poly.deriv_x()
-
-    def dfdx(x, t):
-        base = phi_electric(x, t, cfg)
-        kx = 1j * cfg.charge * cfg.electric * np.asarray(t) / cfg.hbar
-        return (dpoly.eval(x, t) + poly.eval(x, t) * kx) * base
-
+    degeneracy_polynomial(j, cfg)   # a bad order is refused when built, not when sampled
     return AnalyticSolution(
         family="electric_1d_ladder", ndim=1,
-        fn=lambda x, t: ladder_state(x, t, j, cfg), cfg=cfg, n=j, dfdx=dfdx,
-        label=f"E^{j} phi")
+        fn=lambda x, t: ladder_state(x, t, j, cfg), cfg=cfg, n=j, label=f"E^{j} phi")
 
 
 def electric_taylor(cfg: SystemConfig, dt_shift: float, J: int) -> AnalyticSolution:

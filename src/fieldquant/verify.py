@@ -353,7 +353,7 @@ def checks_newton(*_) -> list[CheckResult]:
     worst = 0.0
     for t in (0.0, 1.0, 2.0):
         prof = obs.probability_current_1d(phi, cfg8, t=t)
-        expected = cfg8.charge * cfg8.electric * t / cfg8.mass * prof.density
+        expected = obs.drift_velocity(t, cfg8) * prof.density
         worst = max(worst, float(np.max(np.abs(prof.current - expected))))
     out.append(_check(
         "newton.current_closed_form", worst, 1e-10,

@@ -165,13 +165,20 @@ def test_overflowing_options_exit_2_without_warnings(tmp_path, args, message):
     ({"m": 1, "q": 1, "E": 1, "B": 1.0, "L": 8.0, "geometry": "parallel_eb"},
      ["eval", "--family", "family-z", "--shift", "1e300", "--ly", "1e300"],
      "cannot snap 1e+300 to a lattice of spacing 6.28319e-300"),
-], ids=["cn-diagonals", "split-kicks", "snap"])
+    # cgs: hbar = 1.05e-27, so dt / hbar is huge (fuzz seeds 45 and 48)
+    ({"m": 1, "q": 1, "E": 1, "L": 8, "units": "cgs"},
+     ["eval", "--family", "taylor", "--dt-shift", "1e300"],
+     "dt / hbar overflows float64 at dt = 1e+300 and hbar = 1.05e-27"),
+    ({"m": 1, "q": 1, "E": 1, "L": 8, "units": "cgs"},
+     ["eval", "--family", "taylor", "--grid-n", "16", "--dt-shift", "1"],
+     "|psi|^2 overflows float64 at t = 0.0: |psi| reaches 6.01e+268"),
+], ids=["cn-diagonals", "split-kicks", "snap", "taylor-coefficients", "taylor-samples"])
 def test_overflowing_stepper_or_lattice_exits_2_without_warnings(tmp_path, config, args,
                                                                  message):
-    """A config or grid whose stepper coefficients or lattice cells overflow
-    float64 exits 2 with one message and writes nothing.  The run turns
-    RuntimeWarnings into errors, so a numpy warning would end it in a
-    traceback instead."""
+    """A config or grid whose stepper coefficients, lattice cells, Taylor
+    coefficients or squared samples overflow float64 exits 2 with one
+    message and writes nothing.  The run turns RuntimeWarnings into errors,
+    so a numpy warning would end it in a traceback instead."""
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps(config))
     out_dir = tmp_path / "out"

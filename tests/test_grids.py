@@ -316,11 +316,11 @@ def test_unknown_observable():
     with pytest.raises(ValueError, match="unknown 1D observable"):
         G.expectation("spin", f, CFG)
     with pytest.raises(ValueError, match="unknown 1D observable 'py'"):
-        G.expectations(("x", "py"), f, CFG)
+        G.expectation("py", f, CFG)
     g2 = G.landau_grid(CFG_PAR, npoints=32, ly=24.0)
     f2 = G.WaveField(g2, np.ones(g2.shape, dtype=complex), 0.0)
     with pytest.raises(ValueError, match="unknown 2D observable 'x'"):
-        G.expectations(("y", "x"), f2, CFG_PAR)
+        G.expectation("x", f2, CFG_PAR)
     for empty in (G.WaveField(GRID, np.zeros(256, dtype=complex), 0.0),
                   G.WaveField(g2, np.zeros(g2.shape, dtype=complex), 0.0)):
         with pytest.raises(ValueError, match="empty field"):
@@ -462,13 +462,13 @@ KERNEL_CASES = [
 @pytest.mark.parametrize("label, grid, cfg, names", KERNEL_CASES, ids=[c[0] for c in KERNEL_CASES])
 def test_expectations_match_reference_measurement(label, grid, cfg, names, seed):
     f = random_band_limited(grid, seed, t=0.1 * seed)
-    got = G.expectations(names, f, cfg)
+    values = G.stack_expectations(grid, f.values[None], (f.t,), cfg)[1]
+    got = [float(values[name][0]) for name in names]
     for name, value in zip(names, got):
         ref = reference_expectation(name, f, cfg)
         assert abs(value - ref) <= 1e-13 * max(1.0, abs(ref)), name
-    # one kernel call equals the per-name calls bit for bit, in any order
+    # one kernel call equals the per-name calls bit for bit
     assert got == [G.expectation(name, f, cfg) for name in names]
-    assert G.expectations(names[::-1], f, cfg) == got[::-1]
 
 
 @pytest.mark.parametrize("label, grid, cfg, names", KERNEL_CASES, ids=[c[0] for c in KERNEL_CASES])
@@ -480,11 +480,14 @@ def test_stacked_expectations_equal_one_field_calls(label, grid, cfg, names):
     stack = np.array([f.values for f in fields])
     reference = random_band_limited(grid, 11)
     norms, values, overlaps = G.stack_expectations(
-        names, grid, stack, [f.t for f in fields], cfg, reference=reference.values)
-    assert values.shape == (len(names), len(fields))
+        grid, stack, [f.t for f in fields], cfg, reference=reference.values)
+    # every observable of the field dimension, in order, over the whole stack
+    assert tuple(values) == G.OBSERVABLES[len(grid.axes)] == names
+    assert all(v.shape == (len(fields),) for v in values.values())
     for i, f in enumerate(fields):
-        assert values[:, i].tolist() == one_field_expectations(names, f, cfg)
-        assert values[:, i].tolist() == G.expectations(names, f, cfg)
+        got = [float(values[name][i]) for name in names]
+        assert got == one_field_expectations(names, f, cfg)
+        assert got == [G.expectation(name, f, cfg) for name in names]
         assert norms[i] == one_field_norm(f) == G.norm(f)
         assert complex(overlaps[i]) == one_field_inner_product(reference, f)
         assert complex(overlaps[i]) == G.inner_product(reference, f)
@@ -493,7 +496,7 @@ def test_stacked_expectations_equal_one_field_calls(label, grid, cfg, names):
 def test_stacked_expectations_refuse_an_empty_field():
     fields = np.array([random_band_limited(GRID, 1).values, np.zeros(GRID.npoints)])
     with pytest.raises(ValueError, match="empty field"):
-        G.stack_expectations(("x",), GRID, fields, [0.0, 0.0], CFG)
+        G.stack_expectations(GRID, fields, [0.0, 0.0], CFG)
 
 
 def test_gauge_twist_is_cached_and_read_only():

@@ -34,6 +34,37 @@ def test_velocity_matches_drift_closed_form():
         assert np.nanmax(np.abs(prof.velocity - O.drift_velocity(t, CFG))) < 1e-10
 
 
+def _plane_wave_states():
+    from fieldquant import symmetry as Y
+    phi = S.electric_fundamental(CFG)
+    return {"shifted": S.electric_shifted(CFG, 0.3),
+            "Ux": Y.apply_unitary(Y.Unitary("Ux", 0.9), phi, CFG),
+            "Ut": Y.apply_unitary(Y.Unitary("Ut", 0.3), phi, CFG)}
+
+
+@pytest.mark.parametrize("t", [0.5, 1.3])
+@pytest.mark.parametrize("name", ["shifted", "Ux", "Ut"])
+def test_plane_wave_current_is_drift_times_density(name, t):
+    """J = (q E (t - t0) / m) |psi|^2 for every plane-wave solution, t0 its
+    time origin: dpsi/dx = i k psi holds under time shifts and Ux or Ut."""
+    state = _plane_wave_states()[name]
+    prof = O.probability_current_1d(state, CFG, t=t)
+    expected = CFG.charge * CFG.electric * (t - state.time_origin) / CFG.mass * prof.density
+    assert np.max(np.abs(prof.current - expected)) <= 1e-14 * np.max(np.abs(expected))
+
+
+@pytest.mark.parametrize("build", [
+    lambda: S.electric_ladder(CFG, 2),
+    lambda: S.electric_taylor(CFG, 0.3, 4),
+    lambda: S.oscillator_1d(natural_config(B=1.0, geometry="parallel_eb"), 1),
+    lambda: S.parallel_family(natural_config(B=1.0, geometry="parallel_eb"), "family_y", 0),
+], ids=["ladder", "taylor", "oscillator", "family_y"])
+def test_current_of_other_families_is_refused_by_name(build):
+    state = build()
+    with pytest.raises(ValueError, match=f"no closed-form current for the {state.family} family"):
+        O.probability_current_1d(state, CFG, t=0.5)
+
+
 def test_current_from_grid_field():
     grid = G.Grid1D(8.0, 512, "periodic")
     t = G.commensurate_time(CFG, grid, 1)
