@@ -9,6 +9,7 @@ from fieldquant import grids as G
 from fieldquant import observables as O
 from fieldquant import propagate as P
 from fieldquant import solutions as S
+from fieldquant import symmetry as Y
 from fieldquant.config import natural_config
 
 CFG = natural_config(L=8.0)
@@ -34,20 +35,19 @@ def test_velocity_matches_drift_closed_form():
         assert np.nanmax(np.abs(prof.velocity - O.drift_velocity(t, CFG))) < 1e-10
 
 
-def _plane_wave_states():
-    from fieldquant import symmetry as Y
-    phi = S.electric_fundamental(CFG)
-    return {"shifted": S.electric_shifted(CFG, 0.3),
-            "Ux": Y.apply_unitary(Y.Unitary("Ux", 0.9), phi, CFG),
-            "Ut": Y.apply_unitary(Y.Unitary("Ut", 0.3), phi, CFG)}
+PLANE_WAVES = {
+    "shifted": S.electric_shifted(CFG, 0.3),
+    "Ux": Y.apply_unitary(Y.Unitary("Ux", 0.9), S.electric_fundamental(CFG), CFG),
+    "Ut": Y.apply_unitary(Y.Unitary("Ut", 0.3), S.electric_fundamental(CFG), CFG),
+}
 
 
 @pytest.mark.parametrize("t", [0.5, 1.3])
-@pytest.mark.parametrize("name", ["shifted", "Ux", "Ut"])
+@pytest.mark.parametrize("name", list(PLANE_WAVES))
 def test_plane_wave_current_is_drift_times_density(name, t):
     """J = (q E (t - t0) / m) |psi|^2 for every plane-wave solution, t0 its
     time origin: dpsi/dx = i k psi holds under time shifts and Ux or Ut."""
-    state = _plane_wave_states()[name]
+    state = PLANE_WAVES[name]
     prof = O.probability_current_1d(state, CFG, t=t)
     expected = CFG.charge * CFG.electric * (t - state.time_origin) / CFG.mass * prof.density
     assert np.max(np.abs(prof.current - expected)) <= 1e-14 * np.max(np.abs(expected))
