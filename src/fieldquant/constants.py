@@ -15,7 +15,6 @@ SPEED_OF_LIGHT_SI = 299792458.0       # m / s
 HBAR_SI = PLANCK_SI / (2.0 * math.pi)  # J s, derived
 
 # --- Gaussian CGS, derived from the SI values ---
-PLANCK_CGS = PLANCK_SI * 1e7          # erg s
 HBAR_CGS = HBAR_SI * 1e7              # erg s
 SPEED_OF_LIGHT_CGS = SPEED_OF_LIGHT_SI * 1e2   # cm / s
 # statcoulomb: q_esu = q_C * c_cgs / 10, exact given exact e and c

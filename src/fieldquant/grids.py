@@ -121,12 +121,12 @@ class WaveField:
         if not np.all(np.isfinite(self.values)):
             raise ValueError("field contains non-finite samples")
 
-    def copy(self) -> "WaveField":
-        return WaveField(self.grid, self.values.copy(), self.t)
-
 
 def _snap(value: float, origin: float, spacing: float) -> float:
-    cells = (float(value) - float(origin)) / float(spacing)   # Python floats: no numpy warning
+    # Python floats in and out: arithmetic on the snapped value (such as a
+    # sampling bound) overflows to inf without a numpy warning
+    origin, spacing = float(origin), float(spacing)
+    cells = (float(value) - origin) / spacing
     if not math.isfinite(cells):
         raise ValueError(f"cannot snap {value} to a lattice of spacing {spacing:.6g}")
     return origin + round(cells) * spacing
@@ -172,14 +172,14 @@ def landau_grid(cfg: SystemConfig, npoints: int = 64, ly: float = 24.0) -> Grid2
 
 def _check_nyquist(solution: AnalyticSolution, grid, t: float):
     # an electric solution's wavenumber q E (t - time_origin) / hbar grows with
-    # t and keeps the 0.5 safety margin; oscillator bounds (kmax) are
-    # amplitude-weighted already
+    # t and keeps the 0.5 safety margin; the other families' constant bounds
+    # (kmax) are amplitude-weighted already
     cfg = solution.cfg
     electric = solution.family.startswith("electric")
     if electric:
         needed = (abs(cfg.charge * cfg.electric * (t - solution.time_origin) / cfg.hbar),)
     else:
-        needed = solution.kmax(t) if solution.kmax else ()
+        needed = solution.kmax
     factor = NYQUIST_SAFETY if electric else 1.0
     for k_req, axis in zip(needed, grid.axes):
         limit = factor * axis.nyquist
@@ -203,33 +203,27 @@ def sample(solution: AnalyticSolution, grid: Grid1D | Grid2D, t: float) -> WaveF
 
 # --- discrete derivatives ----------------------------------------------------
 
-def _shifted(values: np.ndarray, k: int, periodic: bool, axis: int = 0) -> np.ndarray:
-    """values displaced so out[i] = values[i + k]; zero fill for walls."""
-    if periodic:
-        return np.roll(values, -k, axis=axis)
-    out = np.zeros_like(values)
-    src = [slice(None)] * values.ndim
-    dst = [slice(None)] * values.ndim
-    if k > 0:
-        dst[axis] = slice(None, -k)
-        src[axis] = slice(k, None)
-    elif k < 0:
-        dst[axis] = slice(-k, None)
-        src[axis] = slice(None, k)
-    else:
-        return values.copy()
-    out[tuple(dst)] = values[tuple(src)]
-    return out
+def _neighbours(values: np.ndarray, ag: Grid1D, axis: int):
+    """s(k): the samples read k cells on along ``axis`` (s(k)[i] = values[i + k],
+    |k| <= 2), all from one padded copy: wrapped on a periodic axis, zero
+    beyond a wall."""
+    pad = [(0, 0)] * values.ndim
+    pad[axis] = (2, 2)
+    padded = np.pad(values, pad, mode="wrap" if ag.boundary == "periodic" else "constant")
+    n, lead = values.shape[axis], (slice(None),) * (axis % values.ndim)
+    return lambda k: padded[lead + (slice(2 + k, 2 + k + n),)]
 
 
-def _fd4_first(values: np.ndarray, dx: float, periodic: bool, axis: int = 0) -> np.ndarray:
-    s = lambda k: _shifted(values, k, periodic, axis)
-    return (-s(2) + 8.0 * s(1) - 8.0 * s(-1) + s(-2)) / (12.0 * dx)
+def derivative(values: np.ndarray, ag: Grid1D, axis: int = 0) -> np.ndarray:
+    """Fourth-order centered d/dx of samples along ``axis``, whose axis grid
+    is ``ag`` (its spacing and boundary)."""
+    s = _neighbours(values, ag, axis)
+    return (-s(2) + 8.0 * s(1) - 8.0 * s(-1) + s(-2)) / (12.0 * ag.dx)
 
 
-def _fd4_second(values: np.ndarray, dx: float, periodic: bool, axis: int = 0) -> np.ndarray:
-    s = lambda k: _shifted(values, k, periodic, axis)
-    return (-s(2) + 16.0 * s(1) - 30.0 * values + 16.0 * s(-1) - s(-2)) / (12.0 * dx ** 2)
+def _fd4_second(values: np.ndarray, ag: Grid1D, axis: int) -> np.ndarray:
+    s = _neighbours(values, ag, axis)
+    return (-s(2) + 16.0 * s(1) - 30.0 * values + 16.0 * s(-1) - s(-2)) / (12.0 * ag.dx ** 2)
 
 
 def _spectral(values: np.ndarray, axis_grid: Grid1D, multiplier, axis: int) -> np.ndarray:
@@ -255,10 +249,9 @@ def _momentum_power(f: WaveField, cfg: SystemConfig, axis: int, scheme: str,
             raise GridMismatchError("spectral momentum requires a periodic axis")
         return _spectral(f.values, ag, lambda k: (cfg.hbar * k) ** power, axis)
     if scheme == "fd4":
-        periodic = ag.boundary == "periodic"
         if power == 1:
-            return -1j * cfg.hbar * _fd4_first(f.values, ag.dx, periodic, axis)
-        return -cfg.hbar ** 2 * _fd4_second(f.values, ag.dx, periodic, axis)
+            return -1j * cfg.hbar * derivative(f.values, ag, axis)
+        return -cfg.hbar ** 2 * _fd4_second(f.values, ag, axis)
     raise ValueError(f"unknown momentum scheme {scheme!r}")
 
 
@@ -405,14 +398,14 @@ def expectation(opname: str, f: WaveField, cfg: SystemConfig) -> float:
 
 # --- residuals ----------------------------------------------------------------
 
-def _interior_mask(grid) -> np.ndarray | None:
-    # 2D residuals run on periodic axes only: the spectral kinetic term
-    # rejects a wall axis before any mask is needed
+def interior(grid) -> slice:
+    """The samples a residual norm covers: all but a DIRICHLET_BAND of cells
+    at each wall of a wall-bounded 1D grid (the fd4 stencil footprint).  2D
+    residuals run on periodic axes only: the spectral kinetic term rejects a
+    wall axis first."""
     if isinstance(grid, Grid1D) and grid.boundary == "dirichlet":
-        mask = np.zeros(grid.npoints, dtype=bool)
-        mask[DIRICHLET_BAND:-DIRICHLET_BAND] = True
-        return mask
-    return None
+        return slice(DIRICHLET_BAND, -DIRICHLET_BAND)
+    return slice(None)
 
 
 def residual_samples(solution: AnalyticSolution, grid, t: float, dt_stencil: float,
@@ -437,12 +430,8 @@ def schrodinger_residual(solution: AnalyticSolution, grid, t: float,
                          dt_stencil: float, scheme: str = "spectral") -> float:
     """|| i hbar (psi(t+h) - psi(t-h)) / 2h - H psi(t) ||_2 / || psi(t) ||_2.
 
-    Interior points only for wall-bounded grids (a 4-cell band is dropped,
-    covering the fd4 stencil footprint).
+    Over the ``interior`` samples: a wall-bounded grid drops its wall band.
     """
     r, mid, _ = residual_samples(solution, grid, t, dt_stencil, scheme)
-    mask = _interior_mask(grid)
-    ref = mid.values
-    if mask is not None:
-        r, ref = r[mask], ref[mask]
-    return float(np.linalg.norm(r) / np.linalg.norm(ref))
+    band = interior(grid)
+    return float(np.linalg.norm(r[band]) / np.linalg.norm(mid.values[band]))

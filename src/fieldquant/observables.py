@@ -9,7 +9,7 @@ import numpy as np
 
 from .config import SystemConfig, ConfigError
 from .solutions import AnalyticSolution
-from .grids import DIRICHLET_BAND, WaveField, Grid1D, _fd4_first
+from .grids import WaveField, Grid1D, derivative, interior
 from .propagate import TrajectoryRecord
 
 DENSITY_FLOOR_FRACTION = 1e-12  # of the peak density; below it v is absent (nan)
@@ -58,9 +58,8 @@ def probability_current_1d(target, cfg: SystemConfig, t: float | None = None) ->
     if isinstance(target, WaveField):
         if not isinstance(target.grid, Grid1D):
             raise ValueError("probability_current_1d needs a 1D field")
-        grid = target.grid
-        dpsi = _fd4_first(target.values, grid.dx, grid.boundary == "periodic")
-        return _profile(grid.x, target.values, dpsi, cfg)
+        dpsi = derivative(target.values, target.grid)
+        return _profile(target.grid.x, target.values, dpsi, cfg)
     raise TypeError("expected an AnalyticSolution or WaveField")
 
 
@@ -92,7 +91,8 @@ def newton_check(record: TrajectoryRecord, cfg: SystemConfig) -> dict:
 
 def continuity_residual(prev: WaveField, mid: WaveField, nxt: WaveField,
                         cfg: SystemConfig) -> float:
-    """max | d rho/dt + dJ/dx | over interior points, from three snapshots.
+    """max | d rho/dt + dJ/dx | over the ``interior`` points (a wall-bounded
+    grid drops its wall band), from three snapshots.
 
     rho-dot is the centered difference of the densities and J the
     fourth-order current of the middle snapshot.
@@ -104,8 +104,5 @@ def continuity_residual(prev: WaveField, mid: WaveField, nxt: WaveField,
     if dt1 <= 0 or dt2 <= 0:
         raise ValueError("snapshots must be time ordered")
     rho_dot = (np.abs(nxt.values) ** 2 - np.abs(prev.values) ** 2) / (dt1 + dt2)
-    profile = probability_current_1d(mid, cfg)
-    grid = mid.grid
-    dj_dx = _fd4_first(profile.current, grid.dx, grid.boundary == "periodic")
-    r = rho_dot + dj_dx
-    return float(np.max(np.abs(r[DIRICHLET_BAND:-DIRICHLET_BAND])))
+    r = rho_dot + derivative(probability_current_1d(mid, cfg).current, mid.grid)
+    return float(np.max(np.abs(r[interior(mid.grid)])))

@@ -283,10 +283,10 @@ class AnalyticSolution:
     """A closed-form wavefunction with evaluation metadata.
 
     ``fn`` takes (x, t) for 1D, (y, z, t) for 2D and (x, y, z, t) for the
-    full parallel products; all accept numpy arrays.  ``kmax`` maps a time
-    to the largest spatial wavenumber carried per axis, used for sampling
-    safety checks; an electric solution's bound is q E (t - time_origin) /
-    hbar instead.
+    full parallel products; all accept numpy arrays.  ``kmax`` holds the
+    largest spatial wavenumber carried per axis, the same at every t, for
+    sampling safety checks; an electric solution's bound grows with t,
+    q E (t - time_origin) / hbar, and is formed where it is checked.
     """
 
     family: str
@@ -295,12 +295,9 @@ class AnalyticSolution:
     cfg: SystemConfig
     n: int | None = None
     shifts: tuple = ()
-    kmax: Callable[[float], tuple] | None = None
+    kmax: tuple = ()
     label: str = ""
     time_origin: float = 0.0  # t at which an electric solution's wavenumber vanishes
-
-    def __call__(self, *args):
-        return self.fn(*args)
 
 
 def electric_fundamental(cfg: SystemConfig) -> AnalyticSolution:
@@ -341,7 +338,6 @@ def oscillator_1d(cfg: SystemConfig, n: int) -> AnalyticSolution:
     orthogonality checks, not a solution of the 1D electric problem."""
     alpha = oscillator_scale(cfg)
     en = landau_level(n, cfg)
-    kline = _oscillator_k(n, alpha)
 
     def fn(x, t):
         # unit L2 norm in x: the (m wc / pi hbar)^(1/4) prefactor absorbs alpha
@@ -350,7 +346,7 @@ def oscillator_1d(cfg: SystemConfig, n: int) -> AnalyticSolution:
 
     return AnalyticSolution(
         family="oscillator_1d", ndim=1, fn=fn, cfg=cfg, n=n,
-        kmax=lambda t: (kline,), label=f"oscillator n={n}")
+        kmax=(_oscillator_k(n, alpha),), label=f"oscillator n={n}")
 
 
 def parallel_family(cfg: SystemConfig, family: str, n: int, shift: float = 0.0,
@@ -386,5 +382,5 @@ def parallel_family(cfg: SystemConfig, family: str, n: int, shift: float = 0.0,
 
     return AnalyticSolution(
         family=f"parallel_{family}", ndim=2, fn=fn, cfg=cfg, n=n,
-        shifts=((f"d{axis}", shift),), kmax=lambda t: bound,
+        shifts=((f"d{axis}", shift),), kmax=bound,
         label=f"family-{axis} n={n}, d{axis}={shift}")

@@ -149,18 +149,6 @@ def _phase_sample_points(state: AnalyticSolution, cfg: SystemConfig):
     return [(xx, yy, zz, 0.0), (xx, yy, zz, 0.41)]
 
 
-def _ux_samples(dx_shift: float, state: AnalyticSolution, cfg: SystemConfig, rows: int):
-    """(Ux Psi, Psi) at the sample points, as (rows, samples) arrays; a
-    state batched over a leading axis of length ``rows`` gives one row each."""
-    transformed = apply_unitary(Unitary("Ux", dx_shift), state, cfg)
-    points = _phase_sample_points(state, cfg)
-    base = np.concatenate([np.asarray(state.fn(*p), dtype=complex).reshape(rows, -1)
-                           for p in points], axis=1)
-    shifted = np.concatenate([np.asarray(transformed.fn(*p), dtype=complex).reshape(rows, -1)
-                              for p in points], axis=1)
-    return shifted, base
-
-
 def _n_real(dx_shift, dt_shift, cfg: SystemConfig):
     """q E dx dt / (2 pi hbar), for scalar or array dt."""
     return cfg.charge * cfg.electric * dx_shift * dt_shift / (2.0 * math.pi * cfg.hbar)
@@ -185,52 +173,64 @@ def _global_phases(shifted, base, n_real, tol: float) -> np.ndarray:
     return ref
 
 
+def _measure(dx_shift: float, state: AnalyticSolution, cfg: SystemConfig, n_real) -> np.ndarray:
+    """Global phases (Ux Psi) / Psi of ``state``, one per entry of ``n_real``
+    (``_global_phases``); a state batched over a leading axis gives one each.
+
+    First the float64 guard: the largest plane-wave phase at the sample
+    points (Psi at x, Ux Psi at x - dx, both from the state's own origins:
+    x less the Ux shifts it carries, t - time_origin) must have a float64
+    spacing within PHASE_TOL / 10, or ValueError ("unresolvable")."""
+    points = _phase_sample_points(state, cfg)
+    x0 = sum(delta for kind, delta in state.shifts if kind == "Ux")
+    # rounding the largest sampled phase moves the measured deviation at a hit
+    # by up to about one float64 spacing of it (0.44-1.0 spacings measured
+    # from q = E = 10 to 1000)
+    largest = max(float(np.abs(_plane_wave_phase(xs, p[-1] - state.time_origin, cfg)).max())
+                  for p in points for xs in (p[0] - x0, p[0] - x0 - dx_shift))
+    if not math.ulp(largest) <= PHASE_TOL / 10:
+        raise ValueError(f"unresolvable: the sampled phase reaches {largest:.3g} rad, whose "
+                         f"float64 spacing {math.ulp(largest):.2g} is not well below "
+                         f"the tolerance {PHASE_TOL:g}")
+    transformed, rows = apply_unitary(Unitary("Ux", dx_shift), state, cfg), np.size(n_real)
+    shifted, base = (np.concatenate([np.asarray(fn(*p), dtype=complex).reshape(rows, -1)
+                                     for p in points], axis=1)
+                     for fn in (transformed.fn, state.fn))
+    return _global_phases(shifted, base, n_real, PHASE_TOL)
+
+
 def invariance_phases(dx_shift: float, dt_values, cfg: SystemConfig) -> np.ndarray:
     """Measured global phases (Ux Psi) / Psi of the time-shifted solutions
     ``electric_shifted(cfg, dt)``, one per dt.
 
     The dt shifts ride along as a leading array axis, PHASE_BATCH at a time,
     so a whole scan costs a few broadcast evaluations; every phase equals the
-    one-point result bit for bit.  Before measuring a batch, its largest
-    sampled plane-wave phase must have a float64 spacing within PHASE_TOL / 10;
-    the first batch that float64 cannot resolve raises ValueError
-    ("unresolvable"), and so does the first dt whose state is not a Ux
-    eigenvector."""
+    one-point result bit for bit.  The first batch that float64 cannot
+    resolve raises ValueError ("unresolvable", see ``_measure``), and so does
+    the first dt whose state is not a Ux eigenvector."""
     dt_arr = np.asarray(dt_values, dtype=float).ravel()
     n_real = _n_real(dx_shift, dt_arr, cfg)
     out = np.empty(dt_arr.size, dtype=complex)
     for lo in range(0, dt_arr.size, PHASE_BATCH):
-        chunk = dt_arr[lo:lo + PHASE_BATCH]
-        state = electric_shifted(cfg, chunk[:, None])
-        # rounding the largest sampled phase (Psi at x, Ux Psi at x - dx) moves the
-        # measured deviation at a hit by up to about one float64 spacing of it
-        # (0.44-1.0 spacings measured from q = E = 10 to 1000)
-        largest = max(float(np.abs(_plane_wave_phase(xs, t - state.time_origin, cfg)).max())
-                      for x, t in _phase_sample_points(state, cfg) for xs in (x, x - dx_shift))
-        if not math.ulp(largest) <= PHASE_TOL / 10:
-            raise ValueError(f"unresolvable: the sampled phase reaches {largest:.3g} rad, whose "
-                             f"float64 spacing {math.ulp(largest):.2g} is not well below "
-                             f"the tolerance {PHASE_TOL:g}")
-        shifted, base = _ux_samples(dx_shift, state, cfg, chunk.size)
-        out[lo:lo + chunk.size] = _global_phases(shifted, base, n_real[lo:lo + chunk.size],
-                                                 PHASE_TOL)
+        hi = min(lo + PHASE_BATCH, dt_arr.size)
+        out[lo:hi] = _measure(dx_shift, electric_shifted(cfg, dt_arr[lo:hi, None]), cfg,
+                              n_real[lo:hi])
     return out
 
 
 def invariance_phase(dx_shift: float, dt_shift: float, cfg: SystemConfig,
                      state: AnalyticSolution | None = None) -> complex:
-    """Measured global phase (Ux Psi) / Psi of the time-shifted solution.
+    """Measured global phase (Ux Psi) / Psi of ``state``, by default the
+    time-shifted solution ``electric_shifted(cfg, dt_shift)``.
 
     The ratio is taken at the largest-amplitude sample and verified constant
     over all samples above the amplitude floor; a non-constant ratio means
-    the state is not a Ux eigenvector and raises ValueError.  Without a
-    ``state`` this is the one-point call of ``invariance_phases``.
+    the state is not a Ux eigenvector and raises ValueError, and so does a
+    phase float64 cannot resolve (see ``_measure``).
     """
     if state is None:
-        return complex(invariance_phases(dx_shift, [dt_shift], cfg)[0])
-    shifted, base = _ux_samples(dx_shift, state, cfg, 1)
-    return complex(_global_phases(shifted, base, _n_real(dx_shift, dt_shift, cfg),
-                                  PHASE_TOL)[0])
+        state = electric_shifted(cfg, dt_shift)
+    return complex(_measure(dx_shift, state, cfg, _n_real(dx_shift, dt_shift, cfg))[0])
 
 
 @dataclass(frozen=True)

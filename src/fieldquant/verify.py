@@ -165,12 +165,11 @@ def checks_residual(*_) -> list[CheckResult]:
 
 def checks_ladder_grid(*_) -> list[CheckResult]:
     residuals, eigen = [], []
-    cfg, pgrid = _setup_electric()
+    cfg, _ = _setup_electric()
     grid = gr.Grid1D(8.0, 512, "dirichlet")
-    t1 = gr.commensurate_time(cfg, pgrid, 1)
+    t1 = gr.commensurate_time(cfg, grid, 1)
     q, E, hbar = cfg.charge, cfg.electric, cfg.hbar
-    # the wall band schrodinger_residual drops, for both norms
-    band = slice(gr.DIRICHLET_BAND, -gr.DIRICHLET_BAND)
+    band = gr.interior(grid)   # the samples schrodinger_residual covers, for both norms
     for j in range(5):
         r, mid, e_action = gr.residual_samples(sol.electric_ladder(cfg, j), grid, t1, 2e-5,
                                                scheme="fd4")

@@ -61,7 +61,7 @@ def test_criterion_03_pde_residual():
         family="electric_1d_fundamental", ndim=1,
         fn=lambda x, t: amp * np.exp(1j * (np.asarray(t) ** 3 / 6.0
                                            + np.asarray(t) * np.asarray(x))),
-        cfg=cfg, kmax=lambda t: (abs(t),))
+        cfg=cfg)
     bad_res = G.schrodinger_residual(bad, grid, G.commensurate_time(cfg, grid, 1), 1e-4)
     elapsed = time.perf_counter() - start
     _report(3, "solution residual < 1e-6 at four commensurate times, witness > 1e-1",

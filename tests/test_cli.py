@@ -172,7 +172,12 @@ def test_overflowing_options_exit_2_without_warnings(tmp_path, args, message):
     ({"m": 1, "q": 1, "E": 1, "L": 8, "units": "cgs"},
      ["eval", "--family", "taylor", "--grid-n", "16", "--dt-shift", "1"],
      "|psi|^2 overflows float64 at t = 0.0: |psi| reaches 6.01e+268"),
-], ids=["cn-diagonals", "split-kicks", "snap", "taylor-coefficients", "taylor-samples"])
+    # the family-z y-wavenumber bound m |wc| (|dz| + span) / hbar (fuzz seed 59)
+    ({"m": 1, "q": 1, "E": 1, "B": 1.0, "L": 8.0, "geometry": "parallel_eb", "units": "cgs"},
+     ["eval", "--family", "family-z", "--grid-n", "16", "--shift", "1e300", "--ly", "1e-300"],
+     "sampling would alias: wavenumber inf exceeds 1 * Nyquist = 5.02655e+301"),
+], ids=["cn-diagonals", "split-kicks", "snap", "taylor-coefficients", "taylor-samples",
+        "family-z-bound"])
 def test_overflowing_stepper_or_lattice_exits_2_without_warnings(tmp_path, config, args,
                                                                  message):
     """A config or grid whose stepper coefficients, lattice cells, Taylor

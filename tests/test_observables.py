@@ -160,6 +160,25 @@ def test_continuity_along_cn_trajectory():
     assert O.continuity_residual(snaps[0], snaps[1], snaps[2], CFG40) < 1e-5
 
 
+def test_continuity_covers_every_point_of_a_periodic_grid():
+    """A periodic grid has no wall band: with the snapshots rolled so that the
+    largest |rho-dot + J'| sits 2 cells from the start, the residual is the
+    maximum over all points."""
+    grid = G.Grid1D(40.0, 256, "periodic")
+    packet = _gaussian_field(grid).values * np.exp(2j * grid.x)
+    k = grid.wavenumbers
+    times = (0.0, 0.01, 0.02)   # free flight, exact in Fourier space
+    free = [np.fft.ifft(np.exp(-0.5j * k ** 2 * t) * np.fft.fft(packet)) for t in times]
+    rho_dot = (np.abs(free[2]) ** 2 - np.abs(free[0]) ** 2) / 0.02
+    current = O.probability_current_1d(G.WaveField(grid, free[1], 0.01), CFG40).current
+    s = lambda j: np.roll(current, -j)   # the fd4 stencil, wrapped
+    r = rho_dot + (-s(2) + 8.0 * s(1) - 8.0 * s(-1) + s(-2)) / (12.0 * grid.dx)
+    shift = 2 - int(np.argmax(np.abs(r)))
+    snaps = [G.WaveField(grid, np.roll(v, shift), t) for v, t in zip(free, times)]
+    assert np.argmax(np.abs(np.roll(r, shift))) == 2
+    assert O.continuity_residual(*snaps, CFG40) == np.max(np.abs(r))
+
+
 def test_continuity_input_validation():
     grid = G.Grid1D(40.0, 256, "dirichlet")
     f = _gaussian_field(grid)

@@ -96,7 +96,7 @@ def test_oscillator_quantities_use_the_cyclotron_magnitude(q):
     for n in range(5):
         assert S.landau_level(n, cfg) == pytest.approx(wc * (n + 0.5), rel=1e-15)
     assert S.oscillator_scale(cfg) == pytest.approx(math.sqrt(2.0 * wc), rel=1e-15)
-    assert S.parallel_family(cfg, "family_z", 1, 0.5).kmax(0.0)[0] > 0
+    assert S.parallel_family(cfg, "family_z", 1, 0.5).kmax[0] > 0
     xi = np.linspace(-8.0, 8.0, 2001)
     norm = np.sum(S.oscillator_eigenfunction(2, xi, cfg) ** 2) * (xi[1] - xi[0])
     assert norm == pytest.approx(math.sqrt(2.0 * wc), rel=1e-12)
@@ -356,8 +356,7 @@ def test_parallel_family_is_the_closed_form_bit_for_bit(family, box, q):
     else:
         span = (math.sqrt(2.0 * n + 1.0) + 5.0) / alpha
         kmax = (m * abs(wc) * (abs(shift) + span) / hbar, k_osc)
-    assert state.kmax(0.0) == kmax
-    assert state.kmax(3.0) == state.kmax(0.0)
+    assert state.kmax == kmax
     assert state.family == f"parallel_{family}"
     assert state.shifts == ((f"d{axis}", shift),)
     assert state.label == f"family-{axis} n=2, d{axis}=0.375"

@@ -2,6 +2,7 @@
 
 import cmath
 import math
+import re
 
 import numpy as np
 import pytest
@@ -313,6 +314,32 @@ def test_invariance_phases_refuse_phases_float64_cannot_resolve():
     assert phases.shape == (1000,)
     with pytest.raises(ValueError, match="unresolvable: the sampled phase reaches 8.68e"):
         Y.invariance_phases(2.0 * math.pi, dts, natural_config(E=30, q=30, L=8.0))
+
+
+@pytest.mark.parametrize("with_state", [False, True])
+def test_invariance_phase_refuses_the_same_state_with_or_without_it_passed(with_state):
+    """The time-shifted state passed in meets the float64 guard that the
+    default one meets: at q = E = 30 and dt = 4 both refuse."""
+    cfg = natural_config(E=30, q=30)
+    state = S.electric_shifted(cfg, 4.0) if with_state else None
+    with pytest.raises(ValueError, match="unresolvable: the sampled phase reaches 8.68e"):
+        Y.invariance_phase(2.0 * math.pi, 4.0, cfg, state=state)
+
+
+def test_superposition_phase_is_measured_under_the_float64_guard(super_setup):
+    """The guard reads the superposition's plane-wave phase from its own
+    origins, x less its Ux shift and t less its time origin: the canonical
+    state is measured, and a strong field or a far shift, whose sampled
+    phase reaches 9e6 rad, is refused instead of read 8e-10 off."""
+    cfg, g2 = super_setup
+    psi = Y.build_parallel_superposition([1.0, 0.4], [0.5, 0.0, 0.25], cfg, g2)
+    assert abs(Y.invariance_phase(0.7, 0.9, cfg, state=psi) - cmath.exp(0.63j)) < 1e-9
+    for E, dx, dt, reach in ((900, 0.7, 4.0, "8.66e+06"), (1, 1e7, 0.9, "9e+06")):
+        strong = build_config({"m": 1, "q": 1, "E": E, "B": 1.0, "L": 8.0,
+                               "geometry": "parallel_eb", "dx": dx, "dt": dt})
+        psi = Y.build_parallel_superposition([1.0, 0.4], [0.5, 0.0, 0.25], strong)
+        with pytest.raises(ValueError, match=re.escape(f"the sampled phase reaches {reach} rad")):
+            Y.invariance_phase(0.7, dt, strong, state=psi)
 
 
 def test_custom_state_phase_matches_scalar_reference_bit_for_bit(super_setup):
