@@ -2,10 +2,10 @@
 
 Quadrature is the plain Riemann sum, which is spectrally accurate for the
 periodic or exponentially decayed fields used throughout.  Momentum acts
-either spectrally (periodic grids) or through fourth-order centered
-stencils; the parallel-field gauge term is applied through an exact unitary
-gauge twist so that it stays alias-free for states whose gauge momentum
-grows with position.  The twist is cached per (grid, config).
+spectrally on a periodic axis and through fourth-order centered stencils on
+a wall-bounded one; the parallel-field gauge term is applied through an
+exact unitary gauge twist so that it stays alias-free for states whose gauge
+momentum grows with position.  The twist is cached per (grid, config).
 
 Both grid kinds have ``axes`` (their 1D axis grids), ``shape``, ``cell`` (the
 quadrature weight) and ``coords`` (sample positions broadcasting to ``shape``),
@@ -226,7 +226,7 @@ def _fd4_second(values: np.ndarray, ag: Grid1D, axis: int) -> np.ndarray:
     return (-s(2) + 16.0 * s(1) - 30.0 * values + 16.0 * s(-1) - s(-2)) / (12.0 * ag.dx ** 2)
 
 
-def _spectral(values: np.ndarray, axis_grid: Grid1D, multiplier, axis: int) -> np.ndarray:
+def fourier_multiply(values: np.ndarray, axis_grid: Grid1D, multiplier, axis: int) -> np.ndarray:
     """ifft(multiplier(k) fft(values)) along one periodic axis, with k the
     wavenumbers of ``axis_grid``: the one Fourier-multiplier kernel behind
     spectral momentum, kinetic energy and off-lattice translations."""
@@ -236,42 +236,35 @@ def _spectral(values: np.ndarray, axis_grid: Grid1D, multiplier, axis: int) -> n
     return np.fft.ifft(multiplier(k) * np.fft.fft(values, axis=axis), axis=axis)
 
 
-def _momentum_power(f: WaveField, cfg: SystemConfig, axis: int, scheme: str,
-                    power: int) -> np.ndarray:
+def _momentum_power(f: WaveField, cfg: SystemConfig, axis: int, power: int) -> np.ndarray:
     """p^power (power 1 or 2) along one axis, as raw samples: the spectral
-    multiplier (hbar k)^power, or the fourth-order stencils -i hbar D1 and
-    -hbar^2 D2."""
+    multiplier (hbar k)^power on a periodic axis, the fourth-order stencils
+    -i hbar D1 and -hbar^2 D2 on a wall-bounded one."""
     if axis not in range(len(f.grid.axes)):
         raise GridMismatchError(f"{len(f.grid.axes)}D grid has no axis {axis}")
     ag = f.grid.axes[axis]
-    if scheme == "spectral":
-        if ag.boundary != "periodic":
-            raise GridMismatchError("spectral momentum requires a periodic axis")
-        return _spectral(f.values, ag, lambda k: (cfg.hbar * k) ** power, axis)
-    if scheme == "fd4":
-        if power == 1:
-            return -1j * cfg.hbar * derivative(f.values, ag, axis)
-        return -cfg.hbar ** 2 * _fd4_second(f.values, ag, axis)
-    raise ValueError(f"unknown momentum scheme {scheme!r}")
+    if ag.boundary == "periodic":
+        return fourier_multiply(f.values, ag, lambda k: (cfg.hbar * k) ** power, axis)
+    if power == 1:
+        return -1j * cfg.hbar * derivative(f.values, ag, axis)
+    return -cfg.hbar ** 2 * _fd4_second(f.values, ag, axis)
 
 
-def apply_momentum(f: WaveField, cfg: SystemConfig, axis: int = 0,
-                   scheme: str = "spectral") -> WaveField:
+def apply_momentum(f: WaveField, cfg: SystemConfig, axis: int = 0) -> WaveField:
     """-i hbar d/dx along the chosen axis."""
-    return WaveField(f.grid, _momentum_power(f, cfg, axis, scheme, 1), f.t)
+    return WaveField(f.grid, _momentum_power(f, cfg, axis, 1), f.t)
 
 
-def apply_kinetic(f: WaveField, cfg: SystemConfig, axis: int = 0,
-                  scheme: str = "spectral") -> np.ndarray:
+def apply_kinetic(f: WaveField, cfg: SystemConfig, axis: int = 0) -> np.ndarray:
     """p^2/(2m) along one axis, returned as raw samples."""
-    return _momentum_power(f, cfg, axis, scheme, 2) / (2.0 * cfg.mass)
+    return _momentum_power(f, cfg, axis, 2) / (2.0 * cfg.mass)
 
 
-def apply_hamiltonian_1d(f: WaveField, cfg: SystemConfig, scheme: str = "spectral") -> WaveField:
+def apply_hamiltonian_1d(f: WaveField, cfg: SystemConfig) -> WaveField:
     """px^2/(2m) - q E x acting on a 1D field."""
     if not isinstance(f.grid, Grid1D):
         raise GridMismatchError("apply_hamiltonian_1d needs a 1D field")
-    kinetic = apply_kinetic(f, cfg, axis=0, scheme=scheme)
+    kinetic = apply_kinetic(f, cfg, axis=0)
     potential = -cfg.charge * cfg.electric * f.grid.x * f.values
     return WaveField(f.grid, kinetic + potential, f.t)
 
@@ -294,12 +287,12 @@ def apply_hamiltonian_yz(f: WaveField, cfg: SystemConfig) -> WaveField:
     which is exact and keeps states with position-dependent gauge momentum
     free of spectral aliasing.
     """
-    if not isinstance(f.grid, Grid2D):
-        raise GridMismatchError("apply_hamiltonian_yz needs a 2D field")
-    kin_y = apply_kinetic(f, cfg, axis=0, scheme="spectral")
+    if not isinstance(f.grid, Grid2D) or any(ag.boundary != "periodic" for ag in f.grid.axes):
+        raise GridMismatchError("apply_hamiltonian_yz needs a periodic 2D field")
+    kin_y = apply_kinetic(f, cfg, axis=0)
     twist = gauge_twist(f.grid, cfg)
     inner = WaveField(f.grid, np.conj(twist) * f.values, f.t)
-    kin_z = twist * apply_kinetic(inner, cfg, axis=1, scheme="spectral")
+    kin_z = twist * apply_kinetic(inner, cfg, axis=1)
     return WaveField(f.grid, kin_y + kin_z, f.t)
 
 
@@ -362,8 +355,9 @@ def stack_expectations(grid, stack: np.ndarray, times, cfg: SystemConfig,
     Momentum and kinetic energy are spectral moments (``_moments``): one FFT
     per axis, plus one of conj(G) v for the 2D gauge term.  Each value is
     one array operation over the trailing field axes, so a field of the
-    stack measures bit for bit as it would alone.  The samples are
-    transformed whatever the boundary tag; wall-bounded fields must stay
+    stack measures bit for bit as it would alone.  The moments stay spectral
+    on a wall-bounded grid too (stencil moments would change every recorded
+    trajectory: ``evolve1d``, the Ehrenfest check), so its fields must stay
     clear of the walls.
     """
     n2 = _overlaps(stack, stack, grid).real
@@ -401,37 +395,36 @@ def expectation(opname: str, f: WaveField, cfg: SystemConfig) -> float:
 def interior(grid) -> slice:
     """The samples a residual norm covers: all but a DIRICHLET_BAND of cells
     at each wall of a wall-bounded 1D grid (the fd4 stencil footprint).  2D
-    residuals run on periodic axes only: the spectral kinetic term rejects a
-    wall axis first."""
+    residuals run on periodic axes only: ``apply_hamiltonian_yz`` rejects a
+    wall axis."""
     if isinstance(grid, Grid1D) and grid.boundary == "dirichlet":
         return slice(DIRICHLET_BAND, -DIRICHLET_BAND)
     return slice(None)
 
 
-def residual_samples(solution: AnalyticSolution, grid, t: float, dt_stencil: float,
-                     scheme: str = "spectral") -> tuple[np.ndarray, WaveField, np.ndarray]:
+def residual_samples(solution: AnalyticSolution, grid, t: float,
+                     dt_stencil: float) -> tuple[np.ndarray, WaveField, np.ndarray]:
     """i hbar (psi(t+h) - psi(t-h)) / 2h - H psi(t) at every sample, the
     sampled psi(t), and the sampled Eop psi = i hbar (psi(t+h) - psi(t-h)) / 2h.
-    H is the solution's own Hamiltonian: 1D (with the given momentum scheme)
-    or the transverse gauge problem."""
+    H is the solution's own Hamiltonian: 1D or the transverse gauge problem."""
     cfg = solution.cfg
     plus = sample(solution, grid, t + dt_stencil)
     minus = sample(solution, grid, t - dt_stencil)
     mid = sample(solution, grid, t)
     e_action = 1j * cfg.hbar * ((plus.values - minus.values) / (2.0 * dt_stencil))
     if solution.ndim == 1:
-        h_mid = apply_hamiltonian_1d(mid, cfg, scheme=scheme)
+        h_mid = apply_hamiltonian_1d(mid, cfg)
     else:
         h_mid = apply_hamiltonian_yz(mid, cfg)
     return e_action - h_mid.values, mid, e_action
 
 
 def schrodinger_residual(solution: AnalyticSolution, grid, t: float,
-                         dt_stencil: float, scheme: str = "spectral") -> float:
+                         dt_stencil: float) -> float:
     """|| i hbar (psi(t+h) - psi(t-h)) / 2h - H psi(t) ||_2 / || psi(t) ||_2.
 
     Over the ``interior`` samples: a wall-bounded grid drops its wall band.
     """
-    r, mid, _ = residual_samples(solution, grid, t, dt_stencil, scheme)
+    r, mid, _ = residual_samples(solution, grid, t, dt_stencil)
     band = interior(grid)
     return float(np.linalg.norm(r[band]) / np.linalg.norm(mid.values[band]))

@@ -42,7 +42,9 @@ def probability_current_1d(target, cfg: SystemConfig, t: float | None = None) ->
     Accepts a plane-wave electric solution (fundamental or time-shifted,
     also under Ux or Ut), sampled at 257 points across the box with
     dpsi/dx = i k psi, k = q E (t - time_origin) / hbar, or a 1D grid field
-    (fourth-order stencil derivative).  Other solution families are refused.
+    (fourth-order ``derivative`` on every boundary: a spectral one would smear
+    the jump of a plane wave at the periodic wrap for a time that is not
+    commensurate).  Other solution families are refused.
     """
     if isinstance(target, AnalyticSolution):
         if target.family not in ("electric_1d_fundamental", "electric_1d_shifted"):

@@ -39,7 +39,7 @@ def phi_electric(x, t, cfg: SystemConfig):
     """
     if cfg.geometry != "electric_1d":
         raise ConfigError("geometry", "phi_electric requires geometry electric_1d")
-    return _plane_wave(x, t, cfg)
+    return plane_wave(x, t, cfg)
 
 
 def _force_squared(q: float, E: float) -> float:
@@ -53,7 +53,7 @@ def _force_squared(q: float, E: float) -> float:
     return out
 
 
-def _plane_wave_phase(x, t, cfg: SystemConfig):
+def plane_wave_phase(x, t, cfg: SystemConfig):
     """-(q E)^2 t^3 / (6 m hbar) + q E t x / hbar, the phase of phi_electric."""
     q, E, m, hbar = cfg.charge, cfg.electric, cfg.mass, cfg.hbar
     x = np.asarray(x, dtype=float)
@@ -61,10 +61,10 @@ def _plane_wave_phase(x, t, cfg: SystemConfig):
     return -_force_squared(q, E) * t ** 3 / (6.0 * m * hbar) + q * E * t * x / hbar
 
 
-def _plane_wave(x, t, cfg: SystemConfig):
-    # phi_electric without the geometry guard: also the x factor of the
-    # parallel-field product solutions
-    return _box_amplitude(cfg) * np.exp(1j * _plane_wave_phase(x, t, cfg))
+def plane_wave(x, t, cfg: SystemConfig):
+    """phi_electric without the geometry guard: also the x factor of the
+    parallel-field product solutions."""
+    return _box_amplitude(cfg) * np.exp(1j * plane_wave_phase(x, t, cfg))
 
 
 def psi_electric_shifted(x, t, dt_shift, cfg: SystemConfig):
@@ -273,7 +273,7 @@ def full_parallel_solution(x, y, z, t, family: str, n: int, cfg: SystemConfig,
                            dy_shift: float = 0.0, dz_shift: float = 0.0):
     """Product solution phi1(x, t) * exp(-i E_n t / hbar) * phi2(y, z)."""
     shift = dy_shift if family == "family_y" else dz_shift
-    return _plane_wave(x, t, cfg) * parallel_family(cfg, family, n, shift).fn(y, z, t)
+    return plane_wave(x, t, cfg) * parallel_family(cfg, family, n, shift).fn(y, z, t)
 
 
 # --- solution objects --------------------------------------------------------

@@ -16,10 +16,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .config import SystemConfig, cyclotron_frequency
-from .solutions import (AnalyticSolution, _plane_wave, _plane_wave_phase, electric_shifted,
-                        oscillator_scale, parallel_family)
-from .grids import (Grid2D, WaveField, GridMismatchError, _spectral, landau_grid, sample,
-                    residual_samples)
+from .solutions import (AnalyticSolution, electric_shifted, oscillator_scale, parallel_family,
+                        plane_wave, plane_wave_phase)
+from .grids import (Grid2D, WaveField, GridMismatchError, fourier_multiply, landau_grid,
+                    sample, residual_samples)
 
 UNITARY_TABLE = {"Ux": ("x", "t"), "Uy": ("y", "z"), "Uz": ("z", None), "Ut": ("t", None)}
 UNITARY_KINDS = tuple(UNITARY_TABLE)
@@ -84,7 +84,7 @@ def _field_transform(u: Unitary, f: WaveField, cfg: SystemConfig) -> WaveField:
     if abs(cells - round(cells)) < 1e-9:
         out = np.roll(f.values, round(cells), axis=axis)
     else:
-        out = _spectral(f.values, ag, lambda k: np.exp(-1j * k * u.delta), axis)
+        out = fourier_multiply(f.values, ag, lambda k: np.exp(-1j * k * u.delta), axis)
     if phased and u.compensating_phase:
         w = f.t if phased == "t" else f.grid.coords[names.index(phased)]
         out = out * _phase(u, cfg, w)
@@ -186,7 +186,7 @@ def _measure(dx_shift: float, state: AnalyticSolution, cfg: SystemConfig, n_real
     # rounding the largest sampled phase moves the measured deviation at a hit
     # by up to about one float64 spacing of it (0.44-1.0 spacings measured
     # from q = E = 10 to 1000)
-    largest = max(float(np.abs(_plane_wave_phase(xs, p[-1] - state.time_origin, cfg)).max())
+    largest = max(float(np.abs(plane_wave_phase(xs, p[-1] - state.time_origin, cfg)).max())
                   for p in points for xs in (p[0] - x0, p[0] - x0 - dx_shift))
     if not math.ulp(largest) <= PHASE_TOL / 10:
         raise ValueError(f"unresolvable: the sampled phase reaches {largest:.3g} rad, whose "
@@ -369,7 +369,7 @@ def build_parallel_superposition(a_coeffs, abar_coeffs, cfg: SystemConfig,
         acc = 0.0j
         for c, fn in components:
             acc = acc + c * fn(y, z, t)
-        return scale * _plane_wave(x, t, cfg) * acc
+        return scale * plane_wave(x, t, cfg) * acc
 
     base = AnalyticSolution(
         family="parallel_superposition", ndim=3, fn=evaluator, cfg=cfg,

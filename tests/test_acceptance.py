@@ -134,7 +134,7 @@ def test_criterion_09_newton_recovery():
     results = V.checks_newton()
     values = {c.name: c.value for c in results}
     _report(9, "m d<v>/dt = q E within 1e-6 on the numerical trajectory; "
-               "closed-form current J = (q E t / m)|phi|^2 to 1e-10",
+               "current of phi sampled at commensurate times J = (q E t / m)|phi|^2 to 1e-10",
             values["newton.ehrenfest[E=1 gaussian]"] < 1e-6
             and values["newton.current_closed_form"] < 1e-10,
             f"(ehrenfest {values['newton.ehrenfest[E=1 gaussian]']:.2e}, "

@@ -151,27 +151,35 @@ def test_snap_rejects_values_off_the_float_lattice(length, value):
 def test_spectral_momentum_on_plane_wave():
     k = 2.0 * math.pi * 5 / GRID.length
     f = G.WaveField(GRID, np.exp(1j * k * GRID.x), 0.0)
-    pf = G.apply_momentum(f, CFG, scheme="spectral")
+    pf = G.apply_momentum(f, CFG)
     assert np.max(np.abs(pf.values - k * f.values)) < 1e-12
 
 
 def test_momentum_kills_constant():
-    f = G.WaveField(GRID, np.ones(256, dtype=complex), 0.0)
-    for scheme in ("spectral", "fd4"):
-        pf = G.apply_momentum(f, CFG, scheme=scheme)
-        assert np.max(np.abs(pf.values)) < 1e-12
+    """The spectral multiplier (periodic axis), the stencil away from the
+    walls (wall axis) and the stencil derivative on a periodic axis."""
+    for grid in (GRID, _WALL):
+        pf = G.apply_momentum(G.WaveField(grid, np.ones(grid.npoints, dtype=complex), 0.0), CFG)
+        assert np.max(np.abs(pf.values[G.interior(grid)])) < 1e-12
+    assert np.max(np.abs(G.derivative(np.ones(256, dtype=complex), GRID))) < 1e-12
 
 
 def test_fd4_momentum_fourth_order():
+    """Halving dx cuts the stencil error ~16x: the derivative on a periodic
+    axis, and the momentum of a wall axis away from its walls."""
     k = 2.0 * math.pi * 3 / 8.0
-    errs = []
-    for n in (64, 128):
-        g = G.Grid1D(8.0, n, "periodic")
-        f = G.WaveField(g, np.exp(1j * k * g.x), 0.0)
-        pf = G.apply_momentum(f, CFG, scheme="fd4")
-        errs.append(np.max(np.abs(pf.values - k * f.values)))
-    ratio = errs[0] / errs[1]
-    assert 12.0 < ratio < 20.0  # halving dx cuts the error ~16x
+    for boundary in ("periodic", "dirichlet"):
+        errs = []
+        for n in (64, 128):
+            g = G.Grid1D(8.0, n, boundary)
+            f = G.WaveField(g, np.exp(1j * k * g.x), 0.0)
+            if boundary == "periodic":
+                pv = -1j * CFG.hbar * G.derivative(f.values, g)
+            else:
+                pv = G.apply_momentum(f, CFG).values
+            errs.append(np.max(np.abs(pv - k * f.values)[G.interior(g)]))
+        ratio = errs[0] / errs[1]
+        assert 12.0 < ratio < 20.0, boundary
 
 
 def _reference_neighbour(values, k, periodic, axis):
@@ -193,21 +201,29 @@ _RING = G.Grid1D(6.0, 48, "periodic")
     (_RING, 0), (_WALL, 0), (G.Grid2D(y=_RING, z=_WALL), 0), (G.Grid2D(y=_RING, z=_WALL), 1),
     (G.Grid2D(y=_WALL, z=_RING), 0), (G.Grid2D(y=_WALL, z=_RING), 1)])
 def test_fd4_stencils_read_rolled_or_zero_filled_neighbours_bit_for_bit(grid, axis):
-    """derivative, and fd4 apply_momentum / apply_kinetic, equal the stencils
-    written out on np.roll neighbours (zero beyond a wall), in the same
-    operand order."""
+    """derivative equals the stencil written out on np.roll neighbours (zero
+    beyond a wall), in the same operand order.  apply_momentum and
+    apply_kinetic equal the stencils on a wall axis and the spectral
+    multipliers (hbar k)^p written out on a periodic one."""
     cfg = natural_config(m=2.0, L=8.0)
     rng = np.random.default_rng(11)
     values = rng.normal(size=grid.shape) + 1j * rng.normal(size=grid.shape)
     ag = grid.axes[axis]
-    s = lambda k: _reference_neighbour(values, k, ag.boundary == "periodic", axis)
+    periodic = ag.boundary == "periodic"
+    s = lambda k: _reference_neighbour(values, k, periodic, axis)
     d1 = (-s(2) + 8.0 * s(1) - 8.0 * s(-1) + s(-2)) / (12.0 * ag.dx)
     d2 = (-s(2) + 16.0 * s(1) - 30.0 * values + 16.0 * s(-1) - s(-2)) / (12.0 * ag.dx ** 2)
-    f = G.WaveField(grid, values, 0.0)
     assert np.array_equal(G.derivative(values, ag, axis), d1)
-    assert np.array_equal(G.apply_momentum(f, cfg, axis, "fd4").values, -1j * cfg.hbar * d1)
-    assert np.array_equal(G.apply_kinetic(f, cfg, axis, "fd4"),
-                          -cfg.hbar ** 2 * d2 / (2.0 * cfg.mass))
+    if periodic:
+        shape = [1] * values.ndim
+        shape[axis] = ag.npoints
+        hk = cfg.hbar * ag.wavenumbers.reshape(shape)
+        p1, p2 = (np.fft.ifft(hk ** p * np.fft.fft(values, axis=axis), axis=axis) for p in (1, 2))
+    else:
+        p1, p2 = -1j * cfg.hbar * d1, -cfg.hbar ** 2 * d2
+    f = G.WaveField(grid, values, 0.0)
+    assert np.array_equal(G.apply_momentum(f, cfg, axis).values, p1)
+    assert np.array_equal(G.apply_kinetic(f, cfg, axis), p2 / (2.0 * cfg.mass))
 
 
 def test_interior_drops_the_wall_band_only_on_a_wall_bounded_1d_grid():
@@ -219,11 +235,18 @@ def test_interior_drops_the_wall_band_only_on_a_wall_bounded_1d_grid():
     assert np.zeros(grid2.shape)[G.interior(grid2)].shape == grid2.shape
 
 
-def test_spectral_needs_periodic():
-    g = G.Grid1D(8.0, 64, "dirichlet")
-    f = G.WaveField(g, np.ones(64, dtype=complex), 0.0)
-    with pytest.raises(G.GridMismatchError):
-        G.apply_momentum(f, CFG, scheme="spectral")
+def test_wall_axis_gets_the_stencil():
+    """On a wall-bounded axis momentum and the 1D Hamiltonian act through the
+    fd4 stencils (zero beyond the walls), not the Fourier multiplier."""
+    rng = np.random.default_rng(3)
+    f = G.WaveField(_WALL, rng.normal(size=64) + 1j * rng.normal(size=64), 0.0)
+    assert np.array_equal(G.apply_momentum(f, CFG).values,
+                          -1j * CFG.hbar * G.derivative(f.values, _WALL))
+    spectral = G.fourier_multiply(f.values, _WALL, lambda k: CFG.hbar * k, 0)
+    assert not np.allclose(G.apply_momentum(f, CFG).values, spectral)
+    kinetic = G.apply_kinetic(f, CFG)
+    assert np.array_equal(G.apply_hamiltonian_1d(f, CFG).values,
+                          kinetic - CFG.charge * CFG.electric * _WALL.x * f.values)
 
 
 def test_hamiltonian_1d_on_plane_wave():
@@ -276,6 +299,16 @@ def test_hamiltonian_dimension_guards():
     f2 = G.WaveField(g2, np.ones(g2.shape, dtype=complex), 0.0)
     with pytest.raises(G.GridMismatchError):
         G.apply_hamiltonian_1d(f2, CFG)
+
+
+@pytest.mark.parametrize("grid", [G.Grid2D(y=_RING, z=_WALL), G.Grid2D(y=_WALL, z=_RING)],
+                         ids=["z-wall", "y-wall"])
+def test_hamiltonian_yz_refuses_a_wall_axis(grid):
+    """The gauge twist is exact on periodic axes only, so a wall axis is
+    refused rather than given the stencil."""
+    f = G.WaveField(grid, np.ones(grid.shape, dtype=complex), 0.0)
+    with pytest.raises(G.GridMismatchError, match="periodic 2D field"):
+        G.apply_hamiltonian_yz(f, CFG_PAR)
 
 
 # --- quadrature properties --------------------------------------------------------
@@ -581,8 +614,8 @@ def test_residual_convergence_order_fd4():
     t4 = math.pi  # k = 4 commensurate time on the L = 8 box
     residuals = []
     for n in sizes:
-        grid = G.Grid1D(8.0, n, "periodic")
-        residuals.append(G.schrodinger_residual(phi, grid, t4, 1e-5, scheme="fd4"))
+        grid = G.Grid1D(8.0, n, "dirichlet")   # a wall axis gets the fd4 stencils
+        residuals.append(G.schrodinger_residual(phi, grid, t4, 1e-5))
     slope = np.polyfit(np.log([8.0 / n for n in sizes]), np.log(residuals), 1)[0]
     assert slope >= 3.7
 
@@ -592,7 +625,7 @@ def test_residual_uses_interior_band_for_walls():
     grid = G.Grid1D(8.0, 512, "dirichlet")
     state = S.electric_ladder(cfg, 2)
     t1 = G.commensurate_time(cfg, GRID, 1)
-    assert G.schrodinger_residual(state, grid, t1, 2e-5, scheme="fd4") < 1e-5
+    assert G.schrodinger_residual(state, grid, t1, 2e-5) < 1e-5
 
 
 def test_residual_samples_return_the_sampled_energy_operator():
@@ -601,18 +634,18 @@ def test_residual_samples_return_the_sampled_energy_operator():
     grid = G.Grid1D(8.0, 512, "dirichlet")
     t1, h = G.commensurate_time(CFG, GRID, 1), 2e-5
     state = S.electric_ladder(CFG, 2)
-    r, mid, e_action = G.residual_samples(state, grid, t1, h, scheme="fd4")
+    r, mid, e_action = G.residual_samples(state, grid, t1, h)
     plus, minus = G.sample(state, grid, t1 + h), G.sample(state, grid, t1 - h)
     assert np.array_equal(e_action, 1j * (plus.values - minus.values) / (2.0 * h))
     assert np.array_equal(mid.values, G.sample(state, grid, t1).values)
-    assert np.array_equal(r, e_action - G.apply_hamiltonian_1d(mid, CFG, "fd4").values)
+    assert np.array_equal(r, e_action - G.apply_hamiltonian_1d(mid, CFG).values)
 
 
 def test_ladder_group_residuals_equal_schrodinger_residual():
     grid = G.Grid1D(8.0, 512, "dirichlet")
     t1 = G.commensurate_time(CFG, GRID, 1)
     got = [c.value for c in V.checks_ladder_grid() if c.name.startswith("ladder.residual")]
-    assert got == [G.schrodinger_residual(S.electric_ladder(CFG, j), grid, t1, 2e-5, "fd4")
+    assert got == [G.schrodinger_residual(S.electric_ladder(CFG, j), grid, t1, 2e-5)
                    for j in range(5)]
 
 
@@ -623,7 +656,7 @@ def test_ladder_property_full_depth(j):
     grid = G.Grid1D(8.0, 512, "dirichlet")
     t1 = G.commensurate_time(CFG, GRID, 1)
     state = S.electric_ladder(CFG, j)
-    assert G.schrodinger_residual(state, grid, t1, 2e-5, scheme="fd4") < 1e-5
+    assert G.schrodinger_residual(state, grid, t1, 2e-5) < 1e-5
 
     h = 2e-5
     mid = G.sample(state, grid, t1)

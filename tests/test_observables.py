@@ -1,5 +1,6 @@
 """Current, drift velocity, Newton recovery, and local continuity."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -10,6 +11,7 @@ from fieldquant import observables as O
 from fieldquant import propagate as P
 from fieldquant import solutions as S
 from fieldquant import symmetry as Y
+from fieldquant import verify as V
 from fieldquant.config import natural_config
 
 CFG = natural_config(L=8.0)
@@ -27,6 +29,23 @@ def test_current_closed_form(t):
     expected = t / 8.0  # (q E t / m) |phi|^2 with |phi|^2 = 1/L
     assert np.max(np.abs(prof.current - expected)) < 1e-10
     assert np.max(np.abs(prof.density - 1.0 / 8.0)) < 1e-14
+
+
+def test_current_check_fails_on_a_wrong_wavenumber(monkeypatch):
+    """newton.current_closed_form measures the current of sampled states: a
+    fundamental solution carrying an extra exp(2 pi i x / L) has current
+    off by (hbar 2 pi / L m) |phi|^2 = 0.098 and fails the check."""
+    def wrong_wavenumber(cfg):
+        phi = fundamental(cfg)
+        extra = 2.0 * math.pi / cfg.box_length
+        return dataclasses.replace(phi, fn=lambda x, t: phi.fn(x, t) * np.exp(1j * extra * x))
+    fundamental = S.electric_fundamental
+    check = {c.name: c for c in V.checks_newton()}["newton.current_closed_form"]
+    assert check.passed and check.value < 1e-12
+    monkeypatch.setattr(S, "electric_fundamental", wrong_wavenumber)
+    check = {c.name: c for c in V.checks_newton()}["newton.current_closed_form"]
+    assert not check.passed
+    assert check.value == pytest.approx(2.0 * math.pi / 8.0 / 8.0, rel=1e-9)
 
 
 def test_velocity_matches_drift_closed_form():

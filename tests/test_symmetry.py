@@ -483,7 +483,7 @@ def test_single_term_superposition_matches_transformed_product(super_setup):
     x, y, z, t = 0.31, 0.8, -0.4, 0.65
     t_eff = t - d.dt
     expected = (cmath.exp(1j * t_eff * d.dx)
-                * S._plane_wave(x - d.dx, t_eff, cfg)
+                * S.plane_wave(x - d.dx, t_eff, cfg)
                 * cmath.exp(-1j * S.landau_level(0, cfg) * t_eff)
                 * complex(S.phi2_family_y(y, z, d.dy, 0, cfg))
                 / math.sqrt(g2.z.length))

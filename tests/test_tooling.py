@@ -1,8 +1,8 @@
 """Guards for the tooling that sits outside the library, and for the module
 boundaries inside it.  The benchmark's span tracer (``bench/tracing.py``)
 wraps library attributes by name, so a rename in ``src/`` would break
-``bench/run.py --trace 1`` without failing a test.  A module reaching into
-another module's private names is held to the uses that remain."""
+``bench/run.py --trace 1`` without failing a test.  No module reaches into
+another module's private names."""
 
 import ast
 import json
@@ -47,15 +47,6 @@ def test_bench_tracer_wraps_attributes_that_exist():
         assert span in spans
 
 
-# Cross-module uses of private names that remain: (user, owner, name).  A new
-# one fails the test; give the name a public home instead.
-PRIVATE_USES_ALLOWED = {
-    ("symmetry", "solutions", "_plane_wave"),
-    ("symmetry", "solutions", "_plane_wave_phase"),
-    ("symmetry", "grids", "_spectral"),
-}
-
-
 def _private_uses(path: pathlib.Path) -> set[tuple[str, str, str]]:
     """``from .mod import _name`` and ``mod._name`` in one package module."""
     tree = ast.parse(path.read_text())
@@ -76,7 +67,9 @@ def _private_uses(path: pathlib.Path) -> set[tuple[str, str, str]]:
 
 
 def test_no_new_cross_module_private_uses():
+    """Each use found is (user, owner, name); a name another module needs
+    gets a public home instead."""
     paths = sorted(pathlib.Path(fieldquant.__file__).parent.glob("*.py"))
     assert len(paths) > 1
     found = set().union(*map(_private_uses, paths))
-    assert found <= PRIVATE_USES_ALLOWED, sorted(found - PRIVATE_USES_ALLOWED)
+    assert not found, sorted(found)
