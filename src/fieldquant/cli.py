@@ -264,14 +264,21 @@ def cmd_eval(args) -> int:
         peak = float(np.abs(f.values).max())
         if not peak * peak < math.inf:   # Python floats: no numpy warning
             raise ValueError(f"|psi|^2 overflows float64 at t = {t}: |psi| reaches {peak:.3g}")
-        prof = obs.probability_current_1d(f, cfg) if current else None
+        prof = None
+        if current and family in ("fundamental", "shifted"):   # the closed form i k psi
+            prof = obs.probability_current_1d(state, cfg, t, x=grid.x)
+        elif current:   # fd4, with no current read across the periodic wrap
+            prof = obs.probability_current_1d(f, cfg)
+            wrap = np.r_[:gr.STENCIL_REACH, -gr.STENCIL_REACH:0]
+            prof.current[wrap] = prof.velocity[wrap] = math.nan
         for index in np.ndindex(grid.shape):
             val = f.values[index]
             row = [axis.x[i] for axis, i in zip(grid.axes, index)]
             row += [t, val.real, val.imag, abs(val) ** 2]
             if current:
-                v = prof.velocity[index]
-                row += [prof.current[index], prof.density[index], "" if math.isnan(v) else v]
+                j, v = prof.current[index], prof.velocity[index]
+                row += ["" if math.isnan(j) else j, prof.density[index],
+                        "" if math.isnan(v) else v]
             rows.append(row)
     meta = _config_metadata(cfg, "eval")
     meta.update({"family": family, "label": state.label, "grid_n": args.grid_n,

@@ -10,6 +10,12 @@ momentum grows with position.  The twist is cached per (grid, config).
 Both grid kinds have ``axes`` (their 1D axis grids), ``shape``, ``cell`` (the
 quadrature weight) and ``coords`` (sample positions broadcasting to ``shape``),
 so code serving fields of either dimension needs no test of the grid type.
+
+Measurements take one pass per field and quantity, over a stack of fields:
+the density re^2 + im^2 once, a norm as its sum, a position as one dot with
+its marginal, an overlap as one ``np.vdot``, momenta as spectral moments of
+re^2 + im^2 of one FFT.  Each reduction reads one field, so a field of a
+stack measures bit for bit as it would alone.
 """
 
 from __future__ import annotations
@@ -25,6 +31,7 @@ from .solutions import AnalyticSolution
 
 NYQUIST_SAFETY = 0.5          # admissible fraction of the grid Nyquist wavenumber
 DIRICHLET_BAND = 4            # cells excluded at each wall in residual norms
+STENCIL_REACH = 2             # cells the fd4 stencils read on each side
 GAUGE_TWIST_CACHE_SIZE = 16   # gauge twists kept across (grid, config) pairs
 
 
@@ -205,13 +212,14 @@ def sample(solution: AnalyticSolution, grid: Grid1D | Grid2D, t: float) -> WaveF
 
 def _neighbours(values: np.ndarray, ag: Grid1D, axis: int):
     """s(k): the samples read k cells on along ``axis`` (s(k)[i] = values[i + k],
-    |k| <= 2), all from one padded copy: wrapped on a periodic axis, zero
-    beyond a wall."""
+    |k| <= STENCIL_REACH), all from one padded copy: wrapped on a periodic
+    axis, zero beyond a wall."""
+    r = STENCIL_REACH
     pad = [(0, 0)] * values.ndim
-    pad[axis] = (2, 2)
+    pad[axis] = (r, r)
     padded = np.pad(values, pad, mode="wrap" if ag.boundary == "periodic" else "constant")
     n, lead = values.shape[axis], (slice(None),) * (axis % values.ndim)
-    return lambda k: padded[lead + (slice(2 + k, 2 + k + n),)]
+    return lambda k: padded[lead + (slice(r + k, r + k + n),)]
 
 
 def derivative(values: np.ndarray, ag: Grid1D, axis: int = 0) -> np.ndarray:
@@ -304,41 +312,61 @@ def _field_axes(grid) -> tuple[int, ...]:
     return tuple(range(-len(grid.axes), 0))
 
 
-def _overlaps(a: np.ndarray, b: np.ndarray, grid) -> np.ndarray:
-    """<a|b> over the trailing field axes; either side may be a stack."""
-    return np.sum(np.conj(a) * b, axis=_field_axes(grid)) * grid.cell
+def _dots(u: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """u . w_f, one dot per field (a stacked product sums in another order)."""
+    return np.array([np.dot(u, wf) for wf in w])
+
+
+def _density_sums(stack: np.ndarray, grid):
+    """n^2 = sum |v|^2 dv and, per axis, sum x |v|^2 dv of each field: the
+    density once, n^2 the sum of its first marginal, one dot per marginal."""
+    d = np.square(stack.real)
+    d += np.square(stack.imag)
+    fax = _field_axes(grid)
+    marginals = [d] if len(fax) == 1 else [d.sum(axis=fax[1]), d.sum(axis=fax[0])]
+    return (marginals[0].sum(axis=-1) * grid.cell,
+            [_dots(ag.x, m) * grid.cell for ag, m in zip(grid.axes, marginals)])
+
+
+def _overlaps(a: np.ndarray, stack: np.ndarray, grid) -> np.ndarray:
+    """<a|f> dv for each field f of ``stack``: one ``np.vdot`` per field."""
+    return np.array([np.vdot(a, f) for f in stack]) * grid.cell
 
 
 def inner_product(a: WaveField, b: WaveField) -> complex:
+    """One ``np.vdot``, as ``stack_expectations`` forms its overlaps."""
     if a.grid != b.grid:
         raise GridMismatchError("inner product needs a common grid")
-    return complex(_overlaps(a.values, b.values, a.grid))
+    return complex(_overlaps(a.values, b.values[None], a.grid)[0])
 
 
 def norm(f: WaveField) -> float:
-    return math.sqrt(max(inner_product(f, f).real, 0.0))
+    """The root of the density sum, as ``stack_expectations`` forms its norms."""
+    return math.sqrt(_density_sums(f.values[None], f.grid)[0][0])
 
 
 OBSERVABLES = {1: ("x", "px", "pi_x", "H"),
                2: ("y", "z", "py", "pz", "pi_y", "pi_z", "H")}
 
 
-def _moments(v: np.ndarray, grid, axis: int, hbar: float, n2: np.ndarray, powers=(1, 2)):
+def _moments(v: np.ndarray, grid, axis: int, hbar: float, n2: np.ndarray, powers=(1, 2),
+             overwrite: bool = False):
     """Normalized spectral moments <p^power> along one axis, one array over
-    the stack ``v`` per power (Parseval): sum conj(v) ifft((hbar k)^power
-    fft(v)) dv / n2 = sum (hbar k)^power w / n2, with w = |fft(v)|^2 dv / N
-    summed over the other axis."""
+    the stack ``v`` per power (Parseval): hbar^power k^power . w dv / (N n2)
+    with w = |fft(v)|^2 summed over the other axis.  One FFT (into ``v`` if
+    ``overwrite``), w = re^2 + im^2 formed in its own buffer, one dot per
+    field and power."""
     fax = _field_axes(grid)
-    w = np.abs(np.fft.fft(v, axis=fax[axis])) ** 2
+    ag = grid.axes[axis]
+    spectrum = np.fft.fft(v, axis=fax[axis], out=v if overwrite else np.empty(v.shape, complex))
+    squares = spectrum.view(float)   # re and im interleaved: one contiguous pass
+    np.square(squares, out=squares)
+    w = spectrum.real   # in place: a new weight array per block raised peak RSS
+    w += spectrum.imag
     if len(fax) == 2:
         w = w.sum(axis=fax[1 - axis])
-    w = w * (grid.cell / grid.axes[axis].npoints)
-    out = []
-    for power in powers:
-        hk = (hbar * grid.axes[axis].wavenumbers) ** power
-        # one dot per field: a stacked matrix-vector product sums in another order
-        out.append(np.array([np.dot(hk, wf) for wf in w]) / n2)
-    return out
+    scale = grid.cell / ag.npoints / n2
+    return [_dots(ag.wavenumbers ** power, w) * (hbar ** power * scale) for power in powers]
 
 
 def stack_expectations(grid, stack: np.ndarray, times, cfg: SystemConfig,
@@ -352,19 +380,18 @@ def stack_expectations(grid, stack: np.ndarray, times, cfg: SystemConfig,
     without a reference).  pi_x = px - q E t reads each field's time;
     pi_y = py - m wc z and pi_z = pz.
 
-    Momentum and kinetic energy are spectral moments (``_moments``): one FFT
-    per axis, plus one of conj(G) v for the 2D gauge term.  Each value is
-    one array operation over the trailing field axes, so a field of the
-    stack measures bit for bit as it would alone.  The moments stay spectral
+    The method is the module's: one density, dot, ``np.vdot`` or FFT per
+    field and quantity (``_density_sums``, ``_overlaps``, ``_moments``, plus
+    the FFT of conj(G) v for the 2D gauge term), so a field of the stack
+    measures bit for bit as it would alone.  The moments stay spectral
     on a wall-bounded grid too (stencil moments would change every recorded
     trajectory: ``evolve1d``, the Ehrenfest check), so its fields must stay
     clear of the walls.
     """
-    n2 = _overlaps(stack, stack, grid).real
+    n2, position_sums = _density_sums(stack, grid)
     if np.any(n2 <= 0):
         raise ValueError("expectation of an empty field")
-    density = np.abs(stack) ** 2
-    pos = [np.sum(c * density, axis=_field_axes(grid)) * grid.cell / n2 for c in grid.coords]
+    pos = [s / n2 for s in position_sums]
     qE = cfg.charge * cfg.electric
     if len(pos) == 1:
         px, px2 = _moments(stack, grid, 0, cfg.hbar, n2)
@@ -373,7 +400,11 @@ def stack_expectations(grid, stack: np.ndarray, times, cfg: SystemConfig,
     else:
         py, py2 = _moments(stack, grid, 0, cfg.hbar, n2)
         (pz,) = _moments(stack, grid, 1, cfg.hbar, n2, (1,))
-        (pi_z2,) = _moments(np.conj(gauge_twist(grid, cfg)) * stack, grid, 1, cfg.hbar, n2, (2,))
+        # per field: numpy buffers a broadcast product in a block-sized scratch
+        conj_twist, twisted = np.conj(gauge_twist(grid, cfg)), np.empty(stack.shape, complex)
+        for v, out in zip(stack, twisted):
+            np.multiply(conj_twist, v, out=out)
+        (pi_z2,) = _moments(twisted, grid, 1, cfg.hbar, n2, (2,), overwrite=True)
         values = {"y": pos[0], "z": pos[1], "py": py, "pz": pz,
                   "pi_y": py - cfg.mass * cyclotron_frequency(cfg) * pos[1], "pi_z": pz,
                   "H": (py2 + pi_z2) / (2.0 * cfg.mass)}

@@ -36,15 +36,16 @@ def _profile(x, psi, dpsi_dx, cfg: SystemConfig) -> CurrentProfile:
                           current=current, velocity=velocity)
 
 
-def probability_current_1d(target, cfg: SystemConfig, t: float | None = None) -> CurrentProfile:
+def probability_current_1d(target, cfg: SystemConfig, t: float | None = None,
+                           x: np.ndarray | None = None) -> CurrentProfile:
     """J = (i hbar / 2m)(psi dpsi*/dx - psi* dpsi/dx) with density and drift.
 
     Accepts a plane-wave electric solution (fundamental or time-shifted,
-    also under Ux or Ut), sampled at 257 points across the box with
-    dpsi/dx = i k psi, k = q E (t - time_origin) / hbar, or a 1D grid field
-    (fourth-order ``derivative`` on every boundary: a spectral one would smear
-    the jump of a plane wave at the periodic wrap for a time that is not
-    commensurate).  Other solution families are refused.
+    also under Ux or Ut), sampled at the points ``x`` (default: 257 across
+    the box) with dpsi/dx = i k psi, k = q E (t - time_origin) / hbar, or a
+    1D grid field (fourth-order ``derivative`` on every boundary: a spectral
+    one would smear the jump of a plane wave at the periodic wrap for a time
+    that is not commensurate).  Other solution families are refused.
     """
     if isinstance(target, AnalyticSolution):
         if target.family not in ("electric_1d_fundamental", "electric_1d_shifted"):
@@ -52,7 +53,8 @@ def probability_current_1d(target, cfg: SystemConfig, t: float | None = None) ->
                              "sample it on a grid")
         if t is None:
             raise ValueError("an evaluation time is required for analytic input")
-        x = np.linspace(-0.5 * cfg.box_length, 0.5 * cfg.box_length, 257)
+        if x is None:
+            x = np.linspace(-0.5 * cfg.box_length, 0.5 * cfg.box_length, 257)
         psi = np.asarray(target.fn(x, t))
         c = target.cfg
         dpsi = (1j * c.charge * c.electric * (np.asarray(t) - target.time_origin) / c.hbar) * psi

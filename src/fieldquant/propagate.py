@@ -263,7 +263,9 @@ def evolve(f0: WaveField, spec: EvolutionSpec, cfg: SystemConfig) -> TrajectoryR
 
     Rows are drawn from the stepper's ``rows`` into a stack of at most
     ``ROW_BLOCK_BYTES`` of states, and each full stack is checked for
-    finiteness and measured by one ``stack_expectations`` call."""
+    finiteness and measured by one ``stack_expectations`` call: one density
+    per block, then one dot, ``np.vdot`` or FFT per row and quantity, so each
+    row measures bit for bit as its field would alone."""
     stepper = _make_stepper(f0, spec, cfg)
     ref_norm = norm(f0)
     if ref_norm == 0:   # the fidelity column divides by it

@@ -301,6 +301,39 @@ def test_eval_fundamental_with_current(tmp_path):
     assert len(data) == 128  # 64 points x 2 times
 
 
+def _eval_rows(path):
+    lines = [line for line in path.read_text().splitlines() if not line.startswith("#")]
+    header = lines[0].split(",")
+    return [dict(zip(header, line.split(","))) for line in lines[1:]]
+
+
+@pytest.mark.parametrize("family, extra, k_t", [
+    ("fundamental", [], 0.5),
+    ("shifted", ["--dt-shift", "0.3"], 0.5 - 0.3)])
+def test_eval_plane_wave_current_is_the_closed_form_at_the_wrap(tmp_path, family, extra, k_t):
+    """At a time that is not commensurate the sampled plane wave jumps at the
+    wrap; the current is q E (t - time_origin) |phi|^2 / m at every row,
+    the two rows at each end of the box included."""
+    assert run(["eval", "--family", family, *extra, "--times", "0.5", "--current",
+                "--out-dir", str(tmp_path)]) == 0
+    rows = _eval_rows(tmp_path / f"eval_{family}.csv")
+    assert len(rows) == 128
+    for row in rows:
+        expected = k_t * float(row["rho"])   # q = E = m = 1
+        assert abs(float(row["J"]) - expected) <= 1e-15, row["x"]
+        assert abs(float(row["v"]) - k_t) <= 1e-15, row["x"]
+
+
+def test_eval_grid_current_is_left_out_where_its_stencil_reads_across_the_wrap(tmp_path):
+    assert run(["eval", "--family", "ladder", "--n", "2", "--times", "0.5", "--current",
+                "--out-dir", str(tmp_path)]) == 0
+    rows = _eval_rows(tmp_path / "eval_ladder.csv")
+    blank = [i for i, row in enumerate(rows) if row["J"] == ""]
+    assert blank == [0, 1, 126, 127]
+    assert all(rows[i]["v"] == "" and rows[i]["rho"] != "" for i in blank)
+    assert all(math.isfinite(float(row["J"])) for i, row in enumerate(rows) if i not in blank)
+
+
 def test_eval_is_deterministic(tmp_path):
     d1, d2 = tmp_path / "a", tmp_path / "b"
     d1.mkdir(), d2.mkdir()

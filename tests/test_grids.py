@@ -1,6 +1,7 @@
 """Grid sampling, discrete operators, residuals, and quadrature properties."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -458,35 +459,9 @@ def reference_expectation(opname, f, cfg):
     return G.inner_product(f, G.apply_hamiltonian_yz(f, cfg)).real / n2
 
 
-# Reference: the one-field spectral-moment kernel as it was before fields
-# were measured in stacks; the stacked kernel must equal it bit for bit.
-
-def one_field_inner_product(a, b):
-    return complex(np.sum(np.conj(a.values) * b.values) * a.grid.cell)
-
-
-def one_field_norm(f):
-    return math.sqrt(max(one_field_inner_product(f, f).real, 0.0))
-
-
-def one_field_expectations(names, f, cfg):
-    n2 = one_field_inner_product(f, f).real
-    ndim = f.values.ndim
-    dv = f.grid.cell
-    axes = (f.grid,) if ndim == 1 else (f.grid.y, f.grid.z)
-    coords = (f.grid.x,) if ndim == 1 else (f.grid.y.x[:, None], f.grid.z.x[None, :])
-
-    def position(axis):
-        return float(np.sum(coords[axis] * np.abs(f.values) ** 2) * dv / n2)
-
-    def moment(axis, power, twisted=False):
-        v = np.conj(G.gauge_twist(f.grid, cfg)) * f.values if twisted else f.values
-        w = np.abs(np.fft.fft(v, axis=axis)) ** 2
-        if ndim == 2:
-            w = w.sum(axis=1 - axis)
-        w = w * (dv / axes[axis].npoints)
-        return float(np.dot((cfg.hbar * axes[axis].wavenumbers) ** power, w)) / n2
-
+def _one_field_value(names, f, cfg, n2, position, moment):
+    """The named values of one field from its n^2 and its position and
+    spectral-moment rules; the rules differ between the references below."""
     out = []
     for name in names:
         axis = 1 if name.endswith("z") else 0
@@ -498,12 +473,88 @@ def one_field_expectations(names, f, cfg):
             val = moment(0, 1) - cfg.charge * cfg.electric * f.t
         elif name == "pi_y":
             val = moment(0, 1) - cfg.mass * cyclotron_frequency(cfg) * position(1)
-        elif ndim == 1:
+        elif f.values.ndim == 1:
             val = moment(0, 2) / (2.0 * cfg.mass) - cfg.charge * cfg.electric * position(0)
         else:
             val = (moment(0, 2) + moment(1, 2, twisted=True)) / (2.0 * cfg.mass)
         out.append(val)
     return out
+
+
+def _axes(f):
+    return (f.grid,) if f.values.ndim == 1 else (f.grid.y, f.grid.z)
+
+
+# Reference: the one-field kernel written out for a single field, one pass
+# per quantity; the stacked kernel must equal it bit for bit.
+
+def _density_marginal(f, axis):
+    d = f.values.real ** 2 + f.values.imag ** 2
+    return d if f.values.ndim == 1 else np.sum(d, axis=1 - axis)
+
+
+def one_field_inner_product(a, b):
+    return complex(np.vdot(a.values, b.values) * a.grid.cell)
+
+
+def one_field_norm(f):
+    return math.sqrt(np.sum(_density_marginal(f, 0)) * f.grid.cell)
+
+
+def one_field_expectations(names, f, cfg):
+    dv = f.grid.cell
+    n2 = np.sum(_density_marginal(f, 0)) * dv
+
+    def position(axis):
+        return float(np.dot(_axes(f)[axis].x, _density_marginal(f, axis)) * dv / n2)
+
+    def moment(axis, power, twisted=False):
+        v = np.conj(G.gauge_twist(f.grid, cfg)) * f.values if twisted else f.values
+        spectrum = np.fft.fft(v, axis=axis)
+        # re^2 + im^2 in the spectrum's own buffer: a dot with that strided
+        # view sums in another order than one with a contiguous copy
+        w = spectrum.real
+        w **= 2
+        w += spectrum.imag ** 2
+        if f.values.ndim == 2:
+            w = w.sum(axis=1 - axis)
+        ag = _axes(f)[axis]
+        scale = cfg.hbar ** power * (dv / ag.npoints / n2)
+        return float(np.dot(ag.wavenumbers ** power, w) * scale)
+
+    return _one_field_value(names, f, cfg, n2, position, moment)
+
+
+# Reference: the kernel before one pass per quantity (conj(v) v norms and
+# overlaps, |v|^2 by hypot, weights scaled before their dot); the stacked
+# kernel stays within roundoff of it.
+
+def parent_inner_product(a, b):
+    return complex(np.sum(np.conj(a.values) * b.values) * a.grid.cell)
+
+
+def parent_norm(f):
+    return math.sqrt(max(parent_inner_product(f, f).real, 0.0))
+
+
+def parent_expectations(names, f, cfg):
+    n2 = parent_inner_product(f, f).real
+    ndim = f.values.ndim
+    dv = f.grid.cell
+    coords = (f.grid.x,) if ndim == 1 else (f.grid.y.x[:, None], f.grid.z.x[None, :])
+
+    def position(axis):
+        return float(np.sum(coords[axis] * np.abs(f.values) ** 2) * dv / n2)
+
+    def moment(axis, power, twisted=False):
+        v = np.conj(G.gauge_twist(f.grid, cfg)) * f.values if twisted else f.values
+        w = np.abs(np.fft.fft(v, axis=axis)) ** 2
+        if ndim == 2:
+            w = w.sum(axis=1 - axis)
+        w = w * (dv / _axes(f)[axis].npoints)
+        return float(np.dot((cfg.hbar * _axes(f)[axis].wavenumbers) ** power, w)) / n2
+
+    return _one_field_value(names, f, cfg, n2, position, moment)
 
 
 NAMES_1D = ("x", "px", "pi_x", "H")
@@ -569,6 +620,52 @@ def test_stacked_expectations_equal_one_field_calls(label, grid, cfg, names):
         assert norms[i] == one_field_norm(f) == G.norm(f)
         assert complex(overlaps[i]) == one_field_inner_product(reference, f)
         assert complex(overlaps[i]) == G.inner_product(reference, f)
+
+
+@pytest.mark.parametrize("label, grid, cfg, names", KERNEL_CASES, ids=[c[0] for c in KERNEL_CASES])
+def test_kernel_stays_within_roundoff_of_the_parent_kernel(label, grid, cfg, names):
+    """Norms, positions, momenta, energies and overlaps of five fields move
+    from the parent kernel's by at most 1e-13 of each column's largest value."""
+    fields = [random_band_limited(grid, seed, t=0.3 * seed - 0.4) for seed in range(5)]
+    reference = random_band_limited(grid, 11)
+    norms, values, overlaps = G.stack_expectations(
+        grid, np.array([f.values for f in fields]), [f.t for f in fields], cfg,
+        reference=reference.values)
+    got = np.array([[norms[i], *(values[n][i] for n in names)] for i in range(len(fields))])
+    ref = np.array([[parent_norm(f), *parent_expectations(names, f, cfg)] for f in fields])
+    assert np.all(np.abs(got - ref) <= 1e-13 * np.max(np.abs(ref), axis=0))
+    parent_overlaps = np.array([parent_inner_product(reference, f) for f in fields])
+    assert np.all(np.abs(overlaps - parent_overlaps) <= 1e-13 * np.max(np.abs(parent_overlaps)))
+
+
+BLOCK_PEAKS = [
+    # (grid, config, fields per ROW_BLOCK_BYTES block, the parent kernel's peak in block bytes)
+    (G.landau_grid(CFG_PAR, npoints=64, ly=24.0), CFG_PAR, 2, 3.02),
+    (G.Grid1D(40.0, 8192, "dirichlet"), natural_config(L=40.0), 1, 2.52),
+    (G.Grid1D(40.0, 1024, "dirichlet"), natural_config(L=40.0), 8, 2.65),
+]
+
+
+@pytest.mark.parametrize("grid, cfg, nfields, parent_peak", BLOCK_PEAKS,
+                         ids=["64x64x2", "8192x1", "1024x8"])
+def test_one_kernel_call_on_a_full_block_allocates_no_more_than_the_parent(
+        grid, cfg, nfields, parent_peak):
+    """The tracemalloc peak of one ``stack_expectations`` call on a full row
+    block, in block bytes: the parent kernel's is the bound (this kernel
+    reads about 1.53, 1.52 and 1.08)."""
+    from fieldquant.propagate import ROW_BLOCK_BYTES
+    field = random_band_limited(grid, 3).values
+    assert ROW_BLOCK_BYTES // field.nbytes == nfields
+    stack = np.array([field] * nfields)
+    args = (grid, stack, [0.0] * nfields, cfg)
+    G.stack_expectations(*args, reference=field)   # fills the twist and FFT caches
+    tracemalloc.start()
+    try:
+        G.stack_expectations(*args, reference=field)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= parent_peak * stack.nbytes
 
 
 def test_stacked_expectations_refuse_an_empty_field():

@@ -13,6 +13,7 @@ from fieldquant import propagate as P
 from fieldquant import solutions as S
 from fieldquant.config import cyclotron_frequency, natural_config
 from test_grids import (one_field_expectations, one_field_inner_product, one_field_norm,
+                        parent_expectations, parent_inner_product, parent_norm,
                         random_band_limited, reference_expectation)
 
 CFG40 = natural_config(L=40.0)
@@ -384,23 +385,28 @@ def test_evolve_rows_match_reference_measurement(method):
 
 
 # Reference: evolve as it was before rows were measured in blocks, one row
-# at a time through the one-field kernel.
+# at a time through a one-field kernel (the current one unless given).
 
-def _record_row(f, cfg, reference, ref_norm):
-    n = one_field_norm(f)
-    fid = abs(one_field_inner_product(reference, f)) / (ref_norm * n)
-    return [f.t, n, *one_field_expectations(P._ROW_OBSERVABLES[f.values.ndim], f, cfg), fid]
+ONE_FIELD = (one_field_norm, one_field_inner_product, one_field_expectations)
+PARENT_KERNEL = (parent_norm, parent_inner_product, parent_expectations)
 
 
-def row_by_row_evolve(f0, spec, cfg):
+def _record_row(f, cfg, reference, ref_norm, kernel):
+    norm, inner_product, expectations = kernel
+    n = norm(f)
+    fid = abs(inner_product(reference, f)) / (ref_norm * n)
+    return [f.t, n, *expectations(P._ROW_OBSERVABLES[f.values.ndim], f, cfg), fid]
+
+
+def row_by_row_evolve(f0, spec, cfg, kernel=ONE_FIELD):
     states = P._make_stepper(f0, spec, cfg).rows(f0.values, spec.cadence)
-    ref_norm = one_field_norm(f0)
-    rows = [_record_row(f0, cfg, f0, ref_norm)]
+    ref_norm = kernel[0](f0)
+    rows = [_record_row(f0, cfg, f0, ref_norm, kernel)]
     values, t = f0.values.copy(), f0.t
     for row in range(1, spec.steps // spec.cadence + 1):
         values = np.ascontiguousarray(next(states))   # as evolve stacks it
         t = f0.t + row * spec.cadence * spec.dt
-        rows.append(_record_row(G.WaveField(f0.grid, values, t), cfg, f0, ref_norm))
+        rows.append(_record_row(G.WaveField(f0.grid, values, t), cfg, f0, ref_norm, kernel))
     return rows, G.WaveField(f0.grid, values, t)
 
 
@@ -433,6 +439,18 @@ def test_evolve_rows_match_row_by_row_measurement_bit_for_bit(landau_eigenstate,
     assert np.array_equal(rec.final.values, final.values)
     assert rec.final.t == final.t
     assert not np.shares_memory(rec.final.values, f0.values)
+
+
+def test_split_trajectory_rows_stay_within_roundoff_of_the_parent_kernel(landau_eigenstate):
+    """A 512-row split trajectory: norm, positions, momenta, energy and
+    fidelity move from the parent kernel's rows by at most 1e-13 of each
+    column's largest value."""
+    f0 = random_band_limited(landau_eigenstate[0], 5, t=0.25)
+    spec = P.EvolutionSpec(dt=P.cyclotron_period(CFG_PAR) / 512, steps=511, method="split_yz")
+    got = np.array(P.evolve(f0, spec, CFG_PAR).rows)
+    ref = np.array(row_by_row_evolve(f0, spec, CFG_PAR, PARENT_KERNEL)[0])
+    assert got.shape == (512, 8)
+    assert np.all(np.abs(got - ref) <= 1e-13 * np.max(np.abs(ref), axis=0))
 
 
 def test_evolve_raises_on_a_non_finite_state_inside_a_block(monkeypatch):
