@@ -459,9 +459,9 @@ def reference_expectation(opname, f, cfg):
     return G.inner_product(f, G.apply_hamiltonian_yz(f, cfg)).real / n2
 
 
-def _one_field_value(names, f, cfg, n2, position, moment):
-    """The named values of one field from its n^2 and its position and
-    spectral-moment rules; the rules differ between the references below."""
+def _one_field_value(names, f, cfg, position, moment):
+    """The named values of one field from its position and spectral-moment
+    rules; the rules differ between the references below."""
     out = []
     for name in names:
         axis = 1 if name.endswith("z") else 0
@@ -522,7 +522,7 @@ def one_field_expectations(names, f, cfg):
         scale = cfg.hbar ** power * (dv / ag.npoints / n2)
         return float(np.dot(ag.wavenumbers ** power, w) * scale)
 
-    return _one_field_value(names, f, cfg, n2, position, moment)
+    return _one_field_value(names, f, cfg, position, moment)
 
 
 # Reference: the kernel before one pass per quantity (conj(v) v norms and
@@ -554,7 +554,7 @@ def parent_expectations(names, f, cfg):
         w = w * (dv / _axes(f)[axis].npoints)
         return float(np.dot((cfg.hbar * _axes(f)[axis].wavenumbers) ** power, w)) / n2
 
-    return _one_field_value(names, f, cfg, n2, position, moment)
+    return _one_field_value(names, f, cfg, position, moment)
 
 
 NAMES_1D = ("x", "px", "pi_x", "H")
