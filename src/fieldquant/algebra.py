@@ -18,7 +18,7 @@ from fractions import Fraction
 from math import lcm, prod
 from operator import add
 
-from .config import SystemConfig, ConfigError
+from .config import SystemConfig, require_geometry
 
 
 class Gen(IntEnum):
@@ -331,16 +331,14 @@ def momentum_z() -> OperatorExpr:
 
 def hamiltonian_1d(cfg: SystemConfig) -> OperatorExpr:
     """px^2/(2m) - q*E*x for the one-dimensional constant-force system."""
-    if cfg.geometry != "electric_1d":
-        raise ConfigError("geometry", "hamiltonian_1d requires geometry electric_1d")
+    require_geometry(cfg, "electric_1d", "hamiltonian_1d")
     kinetic = (gen(Gen.PX) ** 2).scale(Fraction(1, 2)) * sym("m", -1)
     return kinetic - sym("q") * sym("E") * gen(Gen.X)
 
 
 def hamiltonian_parallel(cfg: SystemConfig) -> OperatorExpr:
     """(px^2 + py^2 + (pz - m*wc*y)^2)/(2m) - q*E*x, fully expanded."""
-    if cfg.geometry != "parallel_eb":
-        raise ConfigError("geometry", "hamiltonian_parallel requires geometry parallel_eb")
+    require_geometry(cfg, "parallel_eb", "hamiltonian_parallel")
     half_inv_m = OperatorExpr.rational(Fraction(1, 2)) * sym("m", -1)
     gauge = gen(Gen.PZ) - sym("m") * sym("wc") * gen(Gen.Y)
     kinetic = half_inv_m * (gen(Gen.PX) ** 2 + gen(Gen.PY) ** 2 + gauge * gauge)

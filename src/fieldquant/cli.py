@@ -18,9 +18,8 @@ import sys
 
 import numpy as np
 
-from . import algebra as alg
 from .config import (ConfigError, SystemConfig, build_config, natural_config,
-                     read_document, serialize)
+                     read_document, refuse_overflow, require_geometry, serialize)
 from . import solutions as sol
 from . import grids as gr
 from . import propagate as prop
@@ -118,17 +117,12 @@ def cmd_evolve1d(args) -> int:
     if not (sigma > 0 and 0 < 2.0 * math.pi * (sigma * sigma) < math.inf):
         raise ValueError(f"--sigma must be finite and positive, with 2*pi*sigma^2 "
                          f"a nonzero float, got {sigma}")
-    try:
-        with np.errstate(over="raise", invalid="raise"):   # raise, where numpy would warn
-            psi0 = ((2.0 * math.pi * sigma ** 2) ** -0.25
-                    * np.exp(-(x - args.x0) ** 2 / (4.0 * sigma ** 2))
-                    * np.exp(1j * args.p0 * x / cfg.hbar))
-        finite = np.isfinite(psi0).all()
-    except FloatingPointError:
-        finite = False
-    if not finite:
-        raise ValueError(f"--x0 {args.x0} and --p0 {args.p0} give a packet with non-finite "
-                         f"samples or exponents at --sigma {sigma}")
+    psi0 = refuse_overflow(
+        lambda: ((2.0 * math.pi * sigma ** 2) ** -0.25
+                 * np.exp(-(x - args.x0) ** 2 / (4.0 * sigma ** 2))
+                 * np.exp(1j * args.p0 * x / cfg.hbar)),
+        lambda: (f"--x0 {args.x0} and --p0 {args.p0} give a packet with non-finite "
+                 f"samples or exponents at --sigma {sigma}"))
     f0 = gr.WaveField(grid, psi0, 0.0)
     spec = prop.EvolutionSpec(dt=args.dt, steps=args.steps,
                               cadence=args.cadence or max(args.steps, 1), method="cn_1d")
@@ -148,8 +142,7 @@ def cmd_evolve1d(args) -> int:
 
 def cmd_evolve_landau(args) -> int:
     cfg = _load_cfg(args)
-    if cfg.geometry != "parallel_eb":
-        raise ConfigError("geometry", "evolve-landau requires geometry parallel_eb")
+    require_geometry(cfg, "parallel_eb", "evolve-landau")
     if args.steps_per_period < 1:
         raise ValueError("--steps-per-period must be at least 1")
     grid = gr.landau_grid(cfg, npoints=args.grid_n, ly=args.ly)
@@ -178,9 +171,9 @@ def cmd_quantize(args) -> int:
     cfg = _load_cfg(args)
     if args.dt_steps < 1:
         raise ConfigError("dt-steps", "scan needs at least one point")
-    if not math.isfinite(args.dt_max - args.dt_min):
-        raise ValueError(f"--dt-min {args.dt_min} and --dt-max {args.dt_max} must be finite, "
-                         "and so must their difference")
+    refuse_overflow(lambda: args.dt_max - args.dt_min,
+                    lambda: (f"--dt-min {args.dt_min} and --dt-max {args.dt_max} must be "
+                             "finite, and so must their difference"))
     dts = np.linspace(args.dt_min, args.dt_max, args.dt_steps)
     header = ["dt", "n_real", "nearest", "is_quantized", "V", "I", "R", "R_over_RK"]
     si_mode = cfg.units.kind == "si"
@@ -245,8 +238,7 @@ def cmd_eval(args) -> int:
             state = sol.oscillator_1d(cfg, args.n)
         header = ["x"]
     elif family in ("family-y", "family-z"):
-        if cfg.geometry != "parallel_eb":
-            raise ConfigError("geometry", f"{family} requires geometry parallel_eb")
+        require_geometry(cfg, "parallel_eb", family)
         grid = gr.landau_grid(cfg, npoints=args.grid_n, ly=args.ly)
         if family == "family-y":
             shift, box = gr.snap_shift(grid.y, args.shift), grid.z.length
@@ -262,8 +254,8 @@ def cmd_eval(args) -> int:
     for t in times:
         f = gr.sample(state, grid, t)
         peak = float(np.abs(f.values).max())
-        if not peak * peak < math.inf:   # Python floats: no numpy warning
-            raise ValueError(f"|psi|^2 overflows float64 at t = {t}: |psi| reaches {peak:.3g}")
+        refuse_overflow(lambda: peak * peak, lambda: (
+            f"|psi|^2 overflows float64 at t = {t}: |psi| reaches {peak:.3g}"))
         prof = None
         if current and family in ("fundamental", "shifted"):   # the closed form i k psi
             prof = obs.probability_current_1d(state, cfg, t, x=grid.x)
@@ -373,7 +365,7 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"config error [{exc.field}]: {exc}", file=sys.stderr)
         return 2
-    except (alg.ParseError, gr.NyquistError, ValueError) as exc:
+    except ValueError as exc:   # ParseError and NyquistError among them
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except prop.AlreadyConvergedError as exc:

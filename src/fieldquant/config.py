@@ -5,13 +5,18 @@ module: ``mass``, ``charge``, ``electric``, ``magnetic`` and ``geometry``
 sit beside the unit system and the box.  Configs are built from a flat
 JSON-style mapping; see ``build_config`` for the schema.  The charge may be
 negative (q = -e is the electron); levels and lengths then use |wc|.
+Two refusals every numeric module shares live here too: ``refuse_overflow``
+(a value float64 cannot hold) and ``require_geometry``.
 """
 
 from __future__ import annotations
 
+import cmath
 import json
 import math
 from dataclasses import dataclass, field
+
+import numpy as np
 
 from . import constants
 
@@ -30,6 +35,30 @@ class ConfigError(ValueError):
     def __init__(self, field_name: str, message: str):
         super().__init__(message)
         self.field = field_name
+
+
+def refuse_overflow(compute, message):
+    """``compute()``, one value, array or tuple of them, or ``ValueError(message())``
+    on a numpy overflow or invalid operation (raised, where numpy would warn), a
+    Python ``ArithmeticError`` (``OverflowError``, ``ZeroDivisionError``) or a
+    non-finite result.  ``message`` is called only to refuse."""
+    try:
+        with np.errstate(over="raise", invalid="raise"):
+            out = compute()
+    except ArithmeticError:
+        raise ValueError(message()) from None
+    for value in out if isinstance(out, tuple) else (out,):
+        # cmath for a scalar: np.isfinite would take about 30 times as long
+        if not (cmath.isfinite(value) if isinstance(value, (float, complex))
+                else np.isfinite(value).all()):
+            raise ValueError(message())
+    return out
+
+
+def require_geometry(cfg: SystemConfig, geometry: str, who: str) -> None:
+    """Refuse a config of any geometry but ``geometry``, naming ``who``."""
+    if cfg.geometry != geometry:
+        raise ConfigError("geometry", f"{who} requires geometry {geometry}")
 
 
 @dataclass(frozen=True)

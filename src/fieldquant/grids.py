@@ -26,7 +26,7 @@ from functools import cached_property, lru_cache
 
 import numpy as np
 
-from .config import SystemConfig, cyclotron_frequency
+from .config import SystemConfig, cyclotron_frequency, refuse_overflow
 from .solutions import AnalyticSolution
 
 NYQUIST_SAFETY = 0.5          # admissible fraction of the grid Nyquist wavenumber
@@ -133,9 +133,8 @@ def _snap(value: float, origin: float, spacing: float) -> float:
     # Python floats in and out: arithmetic on the snapped value (such as a
     # sampling bound) overflows to inf without a numpy warning
     origin, spacing = float(origin), float(spacing)
-    cells = (float(value) - origin) / spacing
-    if not math.isfinite(cells):
-        raise ValueError(f"cannot snap {value} to a lattice of spacing {spacing:.6g}")
+    cells = refuse_overflow(lambda: (float(value) - origin) / spacing, lambda: (
+        f"cannot snap {value} to a lattice of spacing {spacing:.6g}"))
     return origin + round(cells) * spacing
 
 
@@ -457,5 +456,10 @@ def schrodinger_residual(solution: AnalyticSolution, grid, t: float,
     Over the ``interior`` samples: a wall-bounded grid drops its wall band.
     """
     r, mid, _ = residual_samples(solution, grid, t, dt_stencil)
+    return relative_residual(r, mid.values, grid)
+
+
+def relative_residual(r: np.ndarray, ref: np.ndarray, grid) -> float:
+    """||r|| / ||ref||, both 2-norms over the ``interior`` samples of ``grid``."""
     band = interior(grid)
-    return float(np.linalg.norm(r[band]) / np.linalg.norm(mid.values[band]))
+    return float(np.linalg.norm(r[band]) / np.linalg.norm(ref[band]))

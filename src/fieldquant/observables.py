@@ -7,7 +7,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .config import SystemConfig, ConfigError
+from .config import SystemConfig, require_geometry
 from .solutions import AnalyticSolution
 from .grids import WaveField, Grid1D, derivative, interior
 from .propagate import TrajectoryRecord
@@ -69,8 +69,7 @@ def probability_current_1d(target, cfg: SystemConfig, t: float | None = None,
 
 def drift_velocity(t: float, cfg: SystemConfig) -> float:
     """v = q E t / m, the drift carried by the fundamental solution."""
-    if cfg.geometry != "electric_1d":
-        raise ConfigError("geometry", "drift_velocity requires geometry electric_1d")
+    require_geometry(cfg, "electric_1d", "drift_velocity")
     return cfg.charge * cfg.electric * t / cfg.mass
 
 

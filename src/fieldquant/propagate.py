@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .config import SystemConfig, cyclotron_frequency
+from .config import SystemConfig, cyclotron_frequency, refuse_overflow
 from .grids import (Grid1D, Grid2D, WaveField, GridMismatchError, norm,
                     stack_expectations)
 
@@ -80,18 +80,17 @@ class CrankNicolson1D:
         self.dt = dt
         n = grid.npoints
         hbar, m = cfg.hbar, cfg.mass
-        kin_diag = hbar ** 2 / (m * grid.dx ** 2)
-        kin_off = -hbar ** 2 / (2.0 * m * grid.dx ** 2)
         lam = 1j * dt / (2.0 * hbar)
-        try:
-            with np.errstate(over="raise", invalid="raise"):   # raise, where numpy would warn
-                h_diag = lam * (kin_diag - cfg.charge * cfg.electric * grid.x)
-                off = np.full(n - 1, lam * kin_off, dtype=complex)
-        except FloatingPointError:
-            raise ValueError(
-                f"the Crank-Nicolson diagonals i dt (hbar^2/(m dx^2) - q E x) / (2 hbar) overflow "
-                f"float64 at dt = {dt:.3g}, dx = {grid.dx:.3g}, m = {m:.3g} and "
-                f"q E = {cfg.charge * cfg.electric:.3g}") from None
+
+        def diagonals():
+            kin_diag = hbar ** 2 / (m * grid.dx ** 2)
+            kin_off = -hbar ** 2 / (2.0 * m * grid.dx ** 2)
+            return (lam * (kin_diag - cfg.charge * cfg.electric * grid.x),
+                    np.full(n - 1, lam * kin_off, dtype=complex), kin_off)
+        h_diag, off, kin_off = refuse_overflow(diagonals, lambda: (
+            f"the Crank-Nicolson diagonals i dt (hbar^2/(m dx^2) - q E x) / (2 hbar) overflow "
+            f"float64 at dt = {dt:.3g}, dx = {grid.dx:.3g}, m = {m:.3g} and "
+            f"q E = {cfg.charge * cfg.electric:.3g}"))
         *self._lu, info = zgttrf(off, 1.0 + h_diag, off)
         if info != 0:
             raise RuntimeError(f"tridiagonal Crank-Nicolson factorization failed (info={info})")
@@ -168,20 +167,19 @@ class SplitStepYZ:
         hbar, m = cfg.hbar, cfg.mass
         wc = cyclotron_frequency(cfg)
         ny = grid.y.npoints
-        try:
-            with np.errstate(over="raise", invalid="raise"):   # raise, where numpy would warn
-                a = (hbar * grid.y.wavenumbers) ** 2 / (2.0 * m)
-                half = np.exp(-0.5j * self.dt * a / hbar)
-                self._half_kick = (half / ny)[None, :]
-                self._kick = np.tile(half * half / ny, (grid.z.npoints, 1))  # two fused half-kicks
-                gauge = (hbar * grid.z.wavenumbers[:, None]
-                         - m * wc * grid.y.x[None, :]) ** 2 / (2.0 * m)
-                self._kick_gauge = np.exp(-1j * self.dt * gauge / hbar)
-        except FloatingPointError:
-            raise ValueError(
-                f"the split-step kicks exp(-i dt p^2 / (2 m hbar)) overflow float64 at dt = "
-                f"{dt:.3g}, grid lengths {grid.y.length:.3g} x {grid.z.length:.3g} of {ny} x "
-                f"{grid.z.npoints} points, m = {m:.3g} and m wc = {m * wc:.3g}") from None
+
+        def kicks():
+            a = (hbar * grid.y.wavenumbers) ** 2 / (2.0 * m)
+            half = np.exp(-0.5j * dt * a / hbar)
+            gauge = (hbar * grid.z.wavenumbers[:, None]
+                     - m * wc * grid.y.x[None, :]) ** 2 / (2.0 * m)
+            return ((half / ny)[None, :],
+                    np.tile(half * half / ny, (grid.z.npoints, 1)),  # two fused half-kicks
+                    np.exp(-1j * dt * gauge / hbar))
+        self._half_kick, self._kick, self._kick_gauge = refuse_overflow(kicks, lambda: (
+            f"the split-step kicks exp(-i dt p^2 / (2 m hbar)) overflow float64 at dt = "
+            f"{dt:.3g}, grid lengths {grid.y.length:.3g} x {grid.z.length:.3g} of {ny} x "
+            f"{grid.z.npoints} points, m = {m:.3g} and m wc = {m * wc:.3g}"))
 
     def step(self, values: np.ndarray) -> np.ndarray:
         return self.advance(values, 1)

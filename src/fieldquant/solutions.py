@@ -11,7 +11,8 @@ from typing import Callable
 
 import numpy as np
 
-from .config import MAX_LADDER_DEPTH, SystemConfig, ConfigError, cyclotron_frequency
+from .config import (MAX_LADDER_DEPTH, SystemConfig, cyclotron_frequency, refuse_overflow,
+                     require_geometry)
 
 MAX_OSCILLATOR_N = 64
 LADDER_CACHE_SIZE = 256     # ladder polynomials kept across configs
@@ -37,20 +38,14 @@ def phi_electric(x, t, cfg: SystemConfig):
     Constant modulus in x; unit L2 norm over the box with the default
     normalization convention.
     """
-    if cfg.geometry != "electric_1d":
-        raise ConfigError("geometry", "phi_electric requires geometry electric_1d")
+    require_geometry(cfg, "electric_1d", "phi_electric")
     return plane_wave(x, t, cfg)
 
 
 def _force_squared(q: float, E: float) -> float:
     """(q E)^2; a field whose square float64 cannot hold raises ValueError."""
-    try:
-        out = (q * E) ** 2
-    except OverflowError:
-        out = math.inf
-    if out == math.inf:
-        raise ValueError(f"field too strong: (q E)^2 overflows float64 at q E = {q * E:.3g}")
-    return out
+    return refuse_overflow(lambda: (q * E) ** 2, lambda: (
+        f"field too strong: (q E)^2 overflows float64 at q E = {q * E:.3g}"))
 
 
 def plane_wave_phase(x, t, cfg: SystemConfig):
@@ -88,10 +83,6 @@ class BivariatePoly:
             c = c[:, :-1]
         self.coeffs = c
 
-    @property
-    def degree_x(self) -> int:
-        return self.coeffs.shape[0] - 1
-
     def eval(self, x, t):
         """Horner evaluation, x-major: coefficients in t evaluated first."""
         x = np.asarray(x)
@@ -109,17 +100,17 @@ def _ladder_cache(j: int, hbar: float, m: float, q: float, E: float) -> Bivariat
         return BivariatePoly(np.ones((1, 1)))
     p = _ladder_cache(j - 1, hbar, m, q, E).coeffs
     nx, nt = p.shape
-    out = np.zeros((nx + 1, nt + 2), dtype=complex)
-    # an order whose coefficients overflow is refused below, with one message
-    with np.errstate(over="ignore", invalid="ignore"):
+
+    def recurse():
+        out = np.zeros((nx + 1, nt + 2), dtype=complex)
         out[:nx, 2:] += (_force_squared(q, E) / (2.0 * m)) * p    # (q E)^2 t^2 / 2m
         out[1:, :nt] += (-q * E) * p                               # - q E x
         out[:nx, :nt - 1] += (p[:, 1:] * np.arange(1, nt)) * (1j * hbar)   # i hbar d/dt
-    if not np.isfinite(out).all():
-        # P_{j-1} was finite, or its own call would have raised
-        raise ValueError(f"ladder order {j} has non-finite coefficients at q E = {q * E:.3g}; "
-                         "float64 cannot hold this order of the ladder")
-    return BivariatePoly(out)
+        return out
+    # P_{j-1} is finite, or its own call would have raised
+    return BivariatePoly(refuse_overflow(recurse, lambda: (
+        f"ladder order {j} has non-finite coefficients at q E = {q * E:.3g}; "
+        "float64 cannot hold this order of the ladder")))
 
 
 def degeneracy_polynomial(j: int, cfg: SystemConfig) -> BivariatePoly:
@@ -142,18 +133,15 @@ def _taylor_coefficient(j: int, dt_shift: float, cfg: SystemConfig) -> complex:
     # c_j = (i * s * dt / hbar)^j / j!, computed in log space so J up to 64
     # cannot overflow; s is the eigen_sign convention.
     s = _eigen_sign(cfg)
-    arg = s * dt_shift / cfg.hbar
-    if not math.isfinite(arg):   # math.exp(inf) returns inf instead of raising
-        raise ValueError(f"dt / hbar overflows float64 at dt = {dt_shift} "
-                         f"and hbar = {cfg.hbar:.3g}")
+    # refused here: math.exp(inf) returns inf instead of raising
+    arg = refuse_overflow(lambda: s * dt_shift / cfg.hbar, lambda: (
+        f"dt / hbar overflows float64 at dt = {dt_shift} and hbar = {cfg.hbar:.3g}"))
     if arg == 0.0:
         return 1.0 + 0.0j if j == 0 else 0.0j
     log_mag = j * math.log(abs(arg)) - math.lgamma(j + 1)
     phase = (1j ** (j % 4)) * ((1.0 if arg > 0 else -1.0) ** j)
-    try:
-        return math.exp(log_mag) * phase
-    except OverflowError:
-        raise ValueError(f"Taylor coefficient c_{j} at dt = {dt_shift} overflows float64") from None
+    return refuse_overflow(lambda: math.exp(log_mag) * phase, lambda: (
+        f"Taylor coefficient c_{j} at dt = {dt_shift} overflows float64"))
 
 
 def superposition_taylor(x, t, dt_shift, J: int, cfg: SystemConfig):
@@ -216,8 +204,7 @@ def oscillator_eigenfunction(n: int, xi, cfg: SystemConfig):
 
 def landau_level(n: int, cfg: SystemConfig) -> float:
     """E_n = hbar |wc| (n + 1/2), for either sign of the charge."""
-    if cfg.geometry != "parallel_eb":
-        raise ConfigError("geometry", "landau_level requires geometry parallel_eb")
+    require_geometry(cfg, "parallel_eb", "landau_level")
     if n < 0:
         raise ValueError(f"oscillator index n must be nonnegative, got {n}")
     return cfg.hbar * abs(cyclotron_frequency(cfg)) * (n + 0.5)
@@ -241,8 +228,7 @@ def phi2_family_y(y, z, dy_shift, n: int, cfg: SystemConfig):
 
         exp(i m wc z dy / hbar) * phi_n(sqrt(m wc / hbar) (y - dy))
     """
-    if cfg.geometry != "parallel_eb":
-        raise ConfigError("geometry", "phi2_family_y requires geometry parallel_eb")
+    require_geometry(cfg, "parallel_eb", "phi2_family_y")
     wc = cyclotron_frequency(cfg)
     alpha = oscillator_scale(cfg)
     y = np.asarray(y, dtype=float)
@@ -259,8 +245,7 @@ def phi2_family_z(y, z, dz_shift, n: int, cfg: SystemConfig):
     Under (py - m wc z) this closed form carries eigenvalue -m wc dz; the
     sign convention is immaterial, like the sign of the time displacement.
     """
-    if cfg.geometry != "parallel_eb":
-        raise ConfigError("geometry", "phi2_family_z requires geometry parallel_eb")
+    require_geometry(cfg, "parallel_eb", "phi2_family_z")
     wc = cyclotron_frequency(cfg)
     alpha = oscillator_scale(cfg)
     y = np.asarray(y, dtype=float)

@@ -15,11 +15,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .config import SystemConfig, cyclotron_frequency
+from .config import SystemConfig, cyclotron_frequency, refuse_overflow
 from .solutions import (AnalyticSolution, electric_shifted, oscillator_scale, parallel_family,
                         plane_wave, plane_wave_phase)
 from .grids import (Grid2D, WaveField, GridMismatchError, fourier_multiply, landau_grid,
-                    sample, residual_samples)
+                    relative_residual, sample, residual_samples)
 
 UNITARY_TABLE = {"Ux": ("x", "t"), "Uy": ("y", "z"), "Uz": ("z", None), "Ut": ("t", None)}
 UNITARY_KINDS = tuple(UNITARY_TABLE)
@@ -124,7 +124,7 @@ def conjugation_symmetry_check(u: Unitary, solution: AnalyticSolution, grid,
     else:
         base, ref, _ = residual_samples(solution, grid, t, h)
         rhs = _field_transform(u, WaveField(grid, base, t), cfg).values
-    return float(np.linalg.norm(lhs - rhs) / np.linalg.norm(ref.values))
+    return relative_residual(lhs - rhs, ref.values, grid)
 
 
 # --- invariance phase and quantization -----------------------------------------
@@ -253,15 +253,9 @@ class QuantizationReport:
 def _charge_squared(cfg: SystemConfig) -> float:
     """q^2 of the resistance unit h / q^2; a charge for which float64 cannot
     hold q^2 or h / q^2 raises ValueError."""
-    q = cfg.charge
-    try:
-        out = q ** 2
-    except OverflowError:
-        out = math.inf
-    if not (0 < out < math.inf and cfg.units.h / out < math.inf):
-        raise ValueError(f"charge out of range: float64 cannot hold q^2 and h/q^2 "
-                         f"at q = {q:.3g}")
-    return out
+    q = cfg.charge   # an underflowed q^2 = 0 raises ZeroDivisionError
+    return refuse_overflow(lambda: (q ** 2, cfg.units.h / q ** 2), lambda: (
+        f"charge out of range: float64 cannot hold q^2 and h/q^2 at q = {q:.3g}"))[0]
 
 
 def quantization_report(dx_shift: float, dt_shift: float, cfg: SystemConfig,

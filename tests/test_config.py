@@ -2,12 +2,15 @@
 
 import json
 import math
+import warnings
 
+import numpy as np
 import pytest
 
 from fieldquant import constants
 from fieldquant.config import (ConfigError, build_config, cyclotron_frequency,
-                               load_config, natural_config, serialize, unit_system)
+                               load_config, natural_config, refuse_overflow,
+                               require_geometry, serialize, unit_system)
 
 
 def test_minimal_natural_config():
@@ -116,3 +119,46 @@ def test_magnetic_field_ignored_in_electric_geometry():
 def test_von_klitzing_reference_matches_exact_constants():
     computed = constants.PLANCK_SI / constants.ELEMENTARY_CHARGE_SI ** 2
     assert abs(computed - constants.VON_KLITZING_OHM) < constants.VON_KLITZING_OHM_TOL
+
+
+@pytest.mark.parametrize("compute", [
+    lambda: np.array([1e200]) * 1e200,                  # numpy overflow
+    lambda: np.array([np.inf]) - np.inf,                # numpy invalid
+    lambda: 1e200 ** 2,                                 # Python OverflowError
+    lambda: math.exp(1e3),                              # OverflowError of math
+    lambda: 1.0 / 0.0,                                  # ZeroDivisionError
+    lambda: 1e308 * 10.0,                               # non-finite scalar, no error
+    lambda: complex(math.inf, 0.0),                     # non-finite complex scalar
+    lambda: np.array([1.0, math.nan]),                  # non-finite array member
+    lambda: (1.0, np.array([0.0, math.inf])),           # non-finite tuple member
+], ids=["np-over", "np-invalid", "pow", "math-exp", "zero-div", "scalar", "complex",
+        "array", "tuple"])
+def test_refuse_overflow_gives_the_message_and_no_warning(compute):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="^too big$"):
+            refuse_overflow(compute, lambda: "too big")
+
+
+def test_refuse_overflow_returns_the_value_and_formats_nothing():
+    def never():
+        raise AssertionError("message formatted on success")
+
+    def config_error():
+        raise ConfigError("x", "passes through")
+
+    arr = np.array([1.0, 2.0])
+    assert refuse_overflow(lambda: arr, never) is arr
+    pair = (3.0, arr)
+    assert refuse_overflow(lambda: pair, never) is pair
+    assert refuse_overflow(lambda: 1e-320 * 1e-10, never) == 0.0   # underflow is not refused
+    with pytest.raises(ConfigError, match="passes through"):   # so is every other error
+        refuse_overflow(config_error, never)
+
+
+def test_require_geometry():
+    cfg = natural_config()
+    require_geometry(cfg, "electric_1d", "anyone")
+    with pytest.raises(ConfigError, match="^landau_level requires geometry parallel_eb$") as info:
+        require_geometry(cfg, "parallel_eb", "landau_level")
+    assert info.value.field == "geometry"

@@ -92,6 +92,17 @@ def test_cn_rejects_non_finite_input():
         P.CrankNicolson1D(grid, CFG40, 1e-3).step(values)
 
 
+def test_cn_refuses_a_grid_whose_kinetic_coefficients_overflow():
+    """dx^2 of a 1e200-long box overflows float64 in the kinetic coefficients
+    hbar^2 / (m dx^2), before any diagonal is formed: the same ValueError as
+    an overflowing diagonal, not Python's OverflowError."""
+    grid = G.Grid1D(1e200, 64, "dirichlet")
+    with pytest.raises(ValueError, match=r"^the Crank-Nicolson diagonals i dt \(hbar\^2/\(m dx\^2\) "
+                                         r"- q E x\) / \(2 hbar\) overflow float64 at dt = 0\.001, "
+                                         r"dx = 1\.56e\+198, m = 1 and q E = 1$"):
+        P.CrankNicolson1D(grid, natural_config(), 1e-3)
+
+
 @pytest.mark.parametrize("bad", ["nan", "overflow"])
 def test_cn_advance_checks_the_result_once(bad):
     """A NaN input, or a finite one whose right-hand side overflows (a flat

@@ -2,7 +2,8 @@
 boundaries inside it.  The benchmark's span tracer (``bench/tracing.py``)
 wraps library attributes by name, so a rename in ``src/`` would break
 ``bench/run.py --trace 1`` without failing a test.  No module reaches into
-another module's private names."""
+another module's private names, and none writes its own float64 or geometry
+refusal."""
 
 import ast
 import json
@@ -73,3 +74,36 @@ def test_no_new_cross_module_private_uses():
     assert len(paths) > 1
     found = set().union(*map(_private_uses, paths))
     assert not found, sorted(found)
+
+
+def _hand_written_refusals(path: pathlib.Path) -> list[tuple[str, int, str]]:
+    """``errstate`` uses, ``except`` clauses naming ``FloatingPointError`` or
+    ``OverflowError``, and ``raise ConfigError("geometry", ...)`` in one
+    package module, as (module, line, what)."""
+    found = []
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.Attribute) and node.attr == "errstate":
+            found.append((path.stem, node.lineno, "errstate"))
+        elif isinstance(node, ast.ExceptHandler) and node.type is not None:
+            types = node.type.elts if isinstance(node.type, ast.Tuple) else [node.type]
+            for t in types:
+                if isinstance(t, ast.Name) and t.id in ("FloatingPointError", "OverflowError"):
+                    found.append((path.stem, node.lineno, f"except {t.id}"))
+        elif (isinstance(node, ast.Raise) and isinstance(node.exc, ast.Call)
+              and isinstance(node.exc.func, ast.Name) and node.exc.func.id == "ConfigError"
+              and node.exc.args and isinstance(node.exc.args[0], ast.Constant)
+              and node.exc.args[0].value == "geometry"):
+            found.append((path.stem, node.lineno, 'raise ConfigError("geometry", ...)'))
+    return found
+
+
+def test_float64_and_geometry_refusals_go_through_the_config_helpers():
+    """Outside ``config`` (home of ``refuse_overflow``, ``require_geometry``
+    and ``cyclotron_frequency``, whose wording is its own), a value float64
+    cannot hold is refused through ``refuse_overflow`` and a wrong geometry
+    through ``require_geometry``: no module writes its own guard."""
+    paths = sorted(p for p in pathlib.Path(fieldquant.__file__).parent.glob("*.py")
+                   if p.stem != "config")
+    assert len(paths) > 1
+    found = [hit for p in paths for hit in _hand_written_refusals(p)]
+    assert not found, found
