@@ -14,8 +14,9 @@ so code serving fields of either dimension needs no test of the grid type.
 Measurements take one pass per field and quantity, over a stack of fields:
 the density re^2 + im^2 once, a norm as its sum, a position as one dot with
 its marginal, an overlap as one ``np.vdot``, momenta as spectral moments of
-re^2 + im^2 of one FFT.  Each reduction reads one field, so a field of a
-stack measures bit for bit as it would alone.
+re^2 + im^2 of one FFT, or of the spectra a stepper hands over with its
+fields.  Each reduction reads one field, so a field of a stack measures bit
+for bit as it would alone, given the same spectra.
 """
 
 from __future__ import annotations
@@ -240,7 +241,11 @@ def fourier_multiply(values: np.ndarray, axis_grid: Grid1D, multiplier, axis: in
     shape = [1] * values.ndim
     shape[axis] = axis_grid.npoints
     k = axis_grid.wavenumbers.reshape(shape)
-    return np.fft.ifft(multiplier(k) * np.fft.fft(values, axis=axis), axis=axis)
+    # one transform buffer, filled, multiplied and inverted in place: a new
+    # array per transform held two of them at the peak
+    spectrum = np.fft.fft(values, axis=axis, out=np.empty(values.shape, complex))
+    np.multiply(multiplier(k), spectrum, out=spectrum)
+    return np.fft.ifft(spectrum, axis=axis, out=spectrum)
 
 
 def _momentum_power(f: WaveField, cfg: SystemConfig, axis: int, power: int) -> np.ndarray:
@@ -348,28 +353,30 @@ OBSERVABLES = {1: ("x", "px", "pi_x", "H"),
                2: ("y", "z", "py", "pz", "pi_y", "pi_z", "H")}
 
 
-def _moments(v: np.ndarray, grid, axis: int, hbar: float, n2: np.ndarray, powers=(1, 2),
-             overwrite: bool = False):
-    """Normalized spectral moments <p^power> along one axis, one array over
-    the stack ``v`` per power (Parseval): hbar^power k^power . w dv / (N n2)
-    with w = |fft(v)|^2 summed over the other axis.  One FFT (into ``v`` if
-    ``overwrite``), w = re^2 + im^2 formed in its own buffer, one dot per
-    field and power."""
+def _spectral_weights(v: np.ndarray, grid, axis: int, overwrite: bool = False) -> np.ndarray:
+    """w = |fft(v)|^2 along one axis, summed over the other axis of a 2D
+    field, for each field of the stack ``v``: one FFT (into ``v`` if
+    ``overwrite``), w = re^2 + im^2 formed in its own buffer."""
     fax = _field_axes(grid)
-    ag = grid.axes[axis]
     spectrum = np.fft.fft(v, axis=fax[axis], out=v if overwrite else np.empty(v.shape, complex))
     squares = spectrum.view(float)   # re and im interleaved: one contiguous pass
     np.square(squares, out=squares)
     w = spectrum.real   # in place: a new weight array per block raised peak RSS
     w += spectrum.imag
-    if len(fax) == 2:
-        w = w.sum(axis=fax[1 - axis])
+    return w if len(fax) == 1 else w.sum(axis=fax[1 - axis])
+
+
+def _moments(w: np.ndarray, grid, axis: int, hbar: float, n2: np.ndarray, powers=(1, 2)):
+    """Normalized spectral moments <p^power> along one axis from the
+    weights ``w`` of each field (Parseval): hbar^power k^power . w dv / (N n2),
+    one array over the stack per power and one dot per field and power."""
+    ag = grid.axes[axis]
     scale = grid.cell / ag.npoints / n2
     return [_dots(ag.wavenumbers ** power, w) * (hbar ** power * scale) for power in powers]
 
 
 def stack_expectations(grid, stack: np.ndarray, times, cfg: SystemConfig,
-                       reference: np.ndarray | None = None):
+                       reference: np.ndarray | None = None, spectra=None):
     """Norms and normalized expectation values of a stack of fields.
 
     ``stack`` holds one field of ``grid`` per leading index, at the matching
@@ -380,12 +387,15 @@ def stack_expectations(grid, stack: np.ndarray, times, cfg: SystemConfig,
     pi_y = py - m wc z and pi_z = pz.
 
     The method is the module's: one density, dot, ``np.vdot`` or FFT per
-    field and quantity (``_density_sums``, ``_overlaps``, ``_moments``, plus
-    the FFT of conj(G) v for the 2D gauge term), so a field of the stack
-    measures bit for bit as it would alone.  The moments stay spectral
-    on a wall-bounded grid too (stencil moments would change every recorded
-    trajectory: ``evolve1d``, the Ehrenfest check), so its fields must stay
-    clear of the walls.
+    field and quantity (``_density_sums``, ``_overlaps``, ``_spectral_weights``
+    and ``_moments``, plus the FFT of conj(G) v for the 2D gauge term).
+    ``spectra`` hands over the py and pz weights of 2D fields, one array
+    per axis over the stack of Sigma_z |F_y v|^2 and Sigma_y |F_z v|^2 (F the
+    unnormalized DFT), in place of the y- and z-FFTs.  So a field of the
+    stack measures bit for bit as it would alone, given the same spectra.
+    The moments stay spectral on a wall-bounded grid too (stencil
+    moments would change every recorded trajectory: ``evolve1d``, the
+    Ehrenfest check), so its fields must stay clear of the walls.
     """
     n2, position_sums = _density_sums(stack, grid)
     if np.any(n2 <= 0):
@@ -393,17 +403,20 @@ def stack_expectations(grid, stack: np.ndarray, times, cfg: SystemConfig,
     pos = [s / n2 for s in position_sums]
     qE = cfg.charge * cfg.electric
     if len(pos) == 1:
-        px, px2 = _moments(stack, grid, 0, cfg.hbar, n2)
+        px, px2 = _moments(_spectral_weights(stack, grid, 0), grid, 0, cfg.hbar, n2)
         values = {"x": pos[0], "px": px, "pi_x": px - qE * np.asarray(times, dtype=float),
                   "H": px2 / (2.0 * cfg.mass) - qE * pos[0]}
     else:
-        py, py2 = _moments(stack, grid, 0, cfg.hbar, n2)
-        (pz,) = _moments(stack, grid, 1, cfg.hbar, n2, (1,))
+        if spectra is None:
+            spectra = [_spectral_weights(stack, grid, axis) for axis in (0, 1)]
+        py, py2 = _moments(spectra[0], grid, 0, cfg.hbar, n2)
+        (pz,) = _moments(spectra[1], grid, 1, cfg.hbar, n2, (1,))
         # per field: numpy buffers a broadcast product in a block-sized scratch
         conj_twist, twisted = np.conj(gauge_twist(grid, cfg)), np.empty(stack.shape, complex)
         for v, out in zip(stack, twisted):
             np.multiply(conj_twist, v, out=out)
-        (pi_z2,) = _moments(twisted, grid, 1, cfg.hbar, n2, (2,), overwrite=True)
+        (pi_z2,) = _moments(_spectral_weights(twisted, grid, 1, overwrite=True),
+                            grid, 1, cfg.hbar, n2, (2,))
         values = {"y": pos[0], "z": pos[1], "py": py, "pz": pz,
                   "pi_y": py - cfg.mass * cyclotron_frequency(cfg) * pos[1], "pi_z": pz,
                   "H": (py2 + pi_z2) / (2.0 * cfg.mass)}

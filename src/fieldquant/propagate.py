@@ -5,11 +5,13 @@ problem (wall-bounded, exactly norm preserving) and Strang splitting for
 the transverse gauge problem (periodic).  Neither assumes anything about
 the analytic solutions they are checked against.  Both steppers expose
 ``advance(values, steps)``, ``step(values)`` (``advance(values, 1)``) and
-``rows(values, cadence)``, a generator of the state after every ``cadence``
-steps.  A Crank-Nicolson row is one advance; the split step keeps its state
-in k-space from one row to the next, and its first row is its advance.
-``evolve`` records a trajectory row every ``cadence`` steps, and
-``estimate_order`` gives the Richardson convergence order of either method.
+``rows(values, cadence)``, a generator of (state, spectra) pairs: the initial
+state, then the state after every ``cadence`` steps.  A Crank-Nicolson row is
+one advance, without spectra; the split step keeps its state in k-space from
+one row to the next, so its second row is its advance, and it hands over each
+row's momentum weights (``grids.stack_expectations`` takes them).  ``evolve``
+records a trajectory row every ``cadence`` steps, and ``estimate_order``
+gives the Richardson convergence order of either method.
 """
 
 from __future__ import annotations
@@ -101,15 +103,22 @@ class CrankNicolson1D:
         return self.advance(values, 1)
 
     def advance(self, values: np.ndarray, steps: int) -> np.ndarray:
-        """``steps`` steps, each one right-hand-side product and one back
+        """``_advance`` checked: NaN and inf survive every linear step, so one
+        finiteness check of the result covers a non-finite input and an
+        overflow at any step."""
+        if steps == 0:
+            return values
+        values = self._advance(values, steps)
+        if not np.isfinite(values).all():
+            raise ValueError("array must not contain infs or NaNs")
+        return values
+
+    def _advance(self, values: np.ndarray, steps: int) -> np.ndarray:
+        """``steps`` >= 1 steps, each one right-hand-side product and one back
         substitution.  The right-hand side is built in two buffers used in
         turn (the solve overwrites one, the next product reads it into the
         other), so no step allocates and ``values`` is never written.  One
-        product b_off * values feeds both off-diagonal adds, read shifted.
-        NaN and inf survive every linear step, so one finiteness check of
-        the result covers a non-finite input and an overflow at any step."""
-        if steps == 0:
-            return values
+        product b_off * values feeds both off-diagonal adds, read shifted."""
         n = values.shape[0]
         # each buffer with its two shifted views, made once per advance
         bufs = [(b, b[:-1], b[1:]) for b in (np.empty(n, dtype=complex),
@@ -126,17 +135,17 @@ class CrankNicolson1D:
             values, info = zgttrs(*lu, rhs, overwrite_b=1)
             if info != 0:
                 raise RuntimeError(f"tridiagonal Crank-Nicolson solve failed (info={info})")
-        if not np.isfinite(values).all():
-            raise ValueError("array must not contain infs or NaNs")
         return values
 
     def rows(self, values: np.ndarray, cadence: int):
-        """The state after every ``cadence`` steps, each row one ``advance``:
-        its buffers are freed between rows, so a trajectory holds no scratch
-        while its rows are measured."""
+        """``values``, then the state after every ``cadence`` steps, each one
+        ``_advance`` (``evolve`` checks its stacked rows): its buffers are
+        freed between rows, so a trajectory holds no scratch while its rows
+        are measured."""
+        yield values, None
         while True:
-            values = self.advance(values, cadence)
-            yield values
+            values = self._advance(values, cadence)
+            yield values, None
 
 
 class SplitStepYZ:
@@ -145,7 +154,10 @@ class SplitStepYZ:
     B = (hbar k_z - m wc y)^2 / 2m diagonal in the mixed (y, k_z)
     representation, so no 2D transform is ever needed.
 
-    A step costs one y-FFT pair and two in-place multiplies.  The two
+    A step costs one y-FFT pair and two multiplies, all in place.  A row
+    adds two inverse transforms (y, then z) and the squares of its momentum
+    weights, so ``evolve`` at cadence 1 runs five FFTs per row: these four
+    and its gauge-twisted z-FFT.  The two
     per-step kicks (gauge and fused k_y) are stored at the full C-contiguous
     (N_z, N_y) shape of the stepping buffers, so each multiply is one
     contiguous loop; the k_y half-kick, which acts once at the start of a
@@ -188,52 +200,72 @@ class SplitStepYZ:
         if steps == 0:
             return values
         rows = self.rows(values, steps)
-        row = next(rows)
+        next(rows)   # the initial state
+        row, _ = next(rows)
         rows.close()   # frees the k-space state before the copy
         return np.ascontiguousarray(row)
 
     def rows(self, values: np.ndarray, cadence: int):
-        """The state after every ``cadence`` Strang steps, held in (k_y, k_z)
+        """``values``, then the state after every ``cadence`` Strang steps,
+        each with its ``_split_spectra``.  The state is held in (k_y, k_z)
         between gauge kicks for the whole trajectory: the closing half-kick
         in k_y of one step and the opening one of the next act as one full
         kick, across rows too.  Between rows the generator holds that one
         state buffer, stored C-contiguous as (k_z, k_y); ``values`` is never
-        written.  Each row is a new array: the (y, z) transpose of a
+        written.  Each later row is a new array: the (y, z) transpose of a
         C-contiguous buffer, so it is Fortran-ordered (``evolve`` copies it
         into its C-ordered stack, ``advance`` returns a C-ordered copy)."""
         fft = np.fft.fft
         w = fft(values, axis=1)   # (y, k_z)
         u = np.ascontiguousarray(w.T)   # (k_z, y)
         w = w.reshape(u.shape)   # the first transform's output, reused
+        fft(u, out=w)   # (k_z, k_y)
+        spectra = _split_spectra(w, u)
+        del u
+        yield values, spectra
+        del values
         # a complex product can round differently with its operands swapped,
         # so each kick's operand order is part of the result
-        np.multiply(self._half_kick, fft(u, out=w), out=w)
-        del values, u
+        np.multiply(self._half_kick, w, out=w)
         while True:
             yield self._row(w, cadence)
             w *= self._kick
 
-    def _row(self, w: np.ndarray, steps: int) -> np.ndarray:
+    def _row(self, w: np.ndarray, steps: int):
         """Advance ``w``, the (k_z, k_y) state after an opening half-kick in
         k_y, in place by ``steps`` Strang steps short of the last closing
-        half-kick, and return the row: the state with that half-kick, in
-        (y, z).  Every FFT runs along the last axis, between ``w`` and one
-        scratch buffer (the state in (k_z, y)), and the kicks act in place.
-        The row is tapped off into the scratch buffer as the inverse
-        y-transform of w times the half-kick, then the inverse z-transform
-        along its first axis, and returned as its transpose."""
+        half-kick, and return the row, the state with that half-kick in
+        (y, z), and its spectra.  Every FFT runs along the last axis, and
+        every FFT and kick acts in place.  The row is tapped off into one new
+        array, which first holds the squares of w for the spectra: w times
+        the half-kick, its inverse y-transform, then its inverse z-transform
+        along the first axis, returned as its transpose."""
         fft, ifft = np.fft.fft, np.fft.ifft
         half, kick, gauge = self._half_kick, self._kick, self._kick_gauge
+        for k in range(steps):
+            if k:
+                w *= kick
+            ifft(w, out=w, norm="forward")
+            np.multiply(gauge, w, out=w)
+            fft(w, out=w)
         u = np.empty_like(w)
-        for _ in range(steps - 1):
-            np.multiply(gauge, ifft(w, out=u, norm="forward"), out=u)
-            fft(u, out=w)
-            w *= kick
-        np.multiply(gauge, ifft(w, out=u, norm="forward"), out=u)
-        fft(u, out=w)
+        spectra = _split_spectra(w, u)
         np.multiply(w, half, out=u)
-        ifft(u, out=u, norm="forward")
-        return ifft(u, axis=0, out=u).T   # (y, z)
+        ifft(u, out=u, norm="forward")   # (k_z, y)
+        return ifft(u, axis=0, out=u).T, spectra   # (y, z)
+
+
+def _split_spectra(w: np.ndarray, squares: np.ndarray):
+    """The py and pz weights (Sigma_z |F_y psi|^2, Sigma_y |F_z psi|^2, F the
+    unnormalized DFT) of the state psi with |F_z F_y psi| = |w|: the
+    half-kick left out of w is a phase over N_y, which the unscaled inverse
+    y-transform undoes.  By Parseval along z and y they are the column sums
+    over N_z and the row sums over N_y of |w|^2, squared into ``squares`` (a
+    buffer of the shape of ``w``) as re^2 and im^2 interleaved."""
+    nz, ny = w.shape
+    squares = np.square(w.view(float), out=squares.view(float))
+    col = squares.sum(axis=0)
+    return (col[0::2] + col[1::2]) / nz, squares.sum(axis=1) / ny
 
 
 def _make_stepper(f0: WaveField, spec: EvolutionSpec, cfg: SystemConfig):
@@ -259,11 +291,13 @@ def evolve(f0: WaveField, spec: EvolutionSpec, cfg: SystemConfig) -> TrajectoryR
     """Repeated stepping with cadence recording; the final field rides along
     on the record.  The fidelity column is the overlap with the initial field.
 
-    Rows are drawn from the stepper's ``rows`` into a stack of at most
-    ``ROW_BLOCK_BYTES`` of states, and each full stack is checked for
-    finiteness and measured by one ``stack_expectations`` call: one density
-    per block, then one dot, ``np.vdot`` or FFT per row and quantity, so each
-    row measures bit for bit as its field would alone."""
+    Rows, the initial one included, are drawn from the stepper's ``rows``
+    into a stack of at most ``ROW_BLOCK_BYTES`` of states, and each full
+    stack is checked for finiteness (the one check of a Crank-Nicolson row)
+    and measured by one ``stack_expectations`` call with the spectra the
+    stepper hands over: one density per block, then one dot, ``np.vdot`` or
+    FFT per row and quantity, so each row measures bit for bit as its field
+    would alone, given the same spectra."""
     stepper = _make_stepper(f0, spec, cfg)
     ref_norm = norm(f0)
     if ref_norm == 0:   # the fidelity column divides by it
@@ -276,15 +310,18 @@ def evolve(f0: WaveField, spec: EvolutionSpec, cfg: SystemConfig) -> TrajectoryR
     states = stepper.rows(f0.values, spec.cadence)
     row = 0
     while row < nrows:
-        block, times = stack[:min(len(stack), nrows - row)], []
+        block, times, spectra = stack[:min(len(stack), nrows - row)], [], []
         for i in range(len(block)):
-            block[i] = next(states) if row else f0.values
+            block[i], row_spectra = next(states)
+            spectra.append(row_spectra)
             times.append(f0.t + row * spec.cadence * spec.dt if row else f0.t)
             row += 1
         if not np.isfinite(block).all():
             raise ValueError("field contains non-finite samples")
+        # one array per axis over the block, for its one dot per row
+        spectra = None if spectra[0] is None else [np.array(w) for w in zip(*spectra)]
         norms, values, overlaps = stack_expectations(f0.grid, block, times, cfg,
-                                                     reference=f0.values)
+                                                     reference=f0.values, spectra=spectra)
         # hypot is Python's abs(complex); numpy's complex abs rounds differently
         fidelity = np.hypot(overlaps.real, overlaps.imag) / (ref_norm * norms)
         columns = (times, norms, *(values[n] for n in names), fidelity)

@@ -267,6 +267,12 @@ def quantization_report(dx_shift: float, dt_shift: float, cfg: SystemConfig,
     then lies within it of an integer, so no verdict can be given.  It also
     raises where V/I and (h/q^2) n_real, equal in exact arithmetic, differ
     by more than 4 ulp of R."""
+    return _quantization_report(dx_shift, dt_shift, cfg, tol, None)
+
+
+def _quantization_report(dx_shift: float, dt_shift: float, cfg: SystemConfig, tol: float,
+                         q2: float | None) -> QuantizationReport:
+    """``quantization_report`` with q^2 given, or refused in turn if None."""
     if dt_shift == 0:
         raise ValueError("undefined current: dt must be nonzero")
     q, E, h = cfg.charge, cfg.electric, cfg.units.h
@@ -279,7 +285,8 @@ def quantization_report(dx_shift: float, dt_shift: float, cfg: SystemConfig,
     voltage = E * dx_shift
     current = q / dt_shift
     resistance = voltage / current
-    q2 = _charge_squared(cfg)
+    if q2 is None:
+        q2 = _charge_squared(cfg)
     klitzing = resistance * q2 / h
     gap, budget = abs(resistance - (h / q2) * n_real), 4 * math.ulp(abs(resistance) + 1.0)
     if gap > budget:
@@ -302,14 +309,14 @@ def scan_quantization(dx_shift: float, dt_values, cfg: SystemConfig,
     unresolvable message of ``quantization_report``."""
     if not 0 < tol < 0.5:
         raise ValueError(f"quantization tolerance tol must lie in (0, 0.5), got {tol}")
-    _charge_squared(cfg)   # every point needs it: refuse the scan, not each point
+    q2 = _charge_squared(cfg)   # every point needs it: refuse the scan, not each point
     out = []
     for dt_shift in dt_values:
         if dt_shift == 0:
             out.append("undefined current")
             continue
         try:
-            out.append(quantization_report(dx_shift, float(dt_shift), cfg, tol))
+            out.append(_quantization_report(dx_shift, float(dt_shift), cfg, tol, q2))
         except ValueError as exc:
             out.append(str(exc))
     return out

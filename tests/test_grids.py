@@ -250,6 +250,23 @@ def test_wall_axis_gets_the_stencil():
                           kinetic - CFG.charge * CFG.electric * _WALL.x * f.values)
 
 
+@pytest.mark.parametrize("label, grid, axis", [
+    ("1d", G.Grid1D(8.0, 256, "periodic"), 0),
+    ("2d-y", G.landau_grid(CFG_PAR, npoints=32, ly=24.0), 0),
+    ("2d-z", G.Grid2D(G.Grid1D(24.0, 48), G.Grid1D(10.0, 32)), 1),
+])
+def test_fourier_multiply_equals_the_unbuffered_transforms_bit_for_bit(label, grid, axis):
+    """Reference: ifft(m * fft(v)) with a new array per transform."""
+    values = random_band_limited(grid, 4).values
+    ag = grid.axes[axis]
+    shape = [1] * values.ndim
+    shape[axis] = ag.npoints
+    k = ag.wavenumbers.reshape(shape)
+    for multiplier in (lambda k: CFG.hbar * k, lambda k: np.exp(-1j * k * 0.37)):
+        ref = np.fft.ifft(multiplier(k) * np.fft.fft(values, axis=axis), axis=axis)
+        assert np.array_equal(G.fourier_multiply(values, ag, multiplier, axis), ref)
+
+
 def test_hamiltonian_1d_on_plane_wave():
     k = 2.0 * math.pi * 4 / GRID.length
     f = G.WaveField(GRID, np.exp(1j * k * GRID.x), 0.0)
@@ -501,7 +518,9 @@ def one_field_norm(f):
     return math.sqrt(np.sum(_density_marginal(f, 0)) * f.grid.cell)
 
 
-def one_field_expectations(names, f, cfg):
+def one_field_expectations(names, f, cfg, spectra=None):
+    """``spectra``: the py and pz weights a stepper hands over with a 2D
+    field, used in place of the y- and z-FFTs (not the twisted one)."""
     dv = f.grid.cell
     n2 = np.sum(_density_marginal(f, 0)) * dv
 
@@ -509,15 +528,18 @@ def one_field_expectations(names, f, cfg):
         return float(np.dot(_axes(f)[axis].x, _density_marginal(f, axis)) * dv / n2)
 
     def moment(axis, power, twisted=False):
-        v = np.conj(G.gauge_twist(f.grid, cfg)) * f.values if twisted else f.values
-        spectrum = np.fft.fft(v, axis=axis)
-        # re^2 + im^2 in the spectrum's own buffer: a dot with that strided
-        # view sums in another order than one with a contiguous copy
-        w = spectrum.real
-        w **= 2
-        w += spectrum.imag ** 2
-        if f.values.ndim == 2:
-            w = w.sum(axis=1 - axis)
+        if spectra is not None and not twisted:
+            w = spectra[axis]
+        else:
+            v = np.conj(G.gauge_twist(f.grid, cfg)) * f.values if twisted else f.values
+            spectrum = np.fft.fft(v, axis=axis)
+            # re^2 + im^2 in the spectrum's own buffer: a dot with that strided
+            # view sums in another order than one with a contiguous copy
+            w = spectrum.real
+            w **= 2
+            w += spectrum.imag ** 2
+            if f.values.ndim == 2:
+                w = w.sum(axis=1 - axis)
         ag = _axes(f)[axis]
         scale = cfg.hbar ** power * (dv / ag.npoints / n2)
         return float(np.dot(ag.wavenumbers ** power, w) * scale)

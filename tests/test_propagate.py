@@ -130,8 +130,9 @@ def test_advance_leaves_the_input_unmodified(landau_eigenstate):
             assert not np.shares_memory(out, values)
             assert np.array_equal(values, before)
         rows = stepper.rows(values, 2)
+        assert next(rows)[0] is values   # the initial row
         for _ in range(3):
-            assert not np.shares_memory(next(rows), values)
+            assert not np.shares_memory(next(rows)[0], values)
         assert np.array_equal(values, before)
 
 
@@ -323,9 +324,11 @@ def test_cn_rows_equal_chained_advance_bit_for_bit(n, cadence):
     v = gaussian_packet(grid, sigma=0.7, x0=0.3, p0=0.8).values
     stepper = P.CrankNicolson1D(grid, CFG40, 1e-3)
     rows, ref = stepper.rows(v, cadence), v
+    state, spectra = next(rows)
+    assert state is v and spectra is None   # the initial row
     for _ in range(12):
         ref = stepper.advance(ref, cadence)
-        assert np.array_equal(next(rows), ref)
+        assert np.array_equal(next(rows)[0], ref)
 
 
 # Streamed split rows fuse the closing half-kick of a row with the opening one
@@ -345,13 +348,72 @@ def test_split_rows_match_chained_advance_at_roundoff(grid, cadence, nrows):
     v = random_band_limited(grid, 11).values
     stepper = P.SplitStepYZ(grid, CFG_PAR, P.cyclotron_period(CFG_PAR) / 512)
     rows, ref, worst = stepper.rows(v, cadence), v, 0.0
+    assert next(rows)[0] is v
     for i in range(nrows):
         ref = stepper.advance(ref, cadence)
-        got = next(rows)
+        got = next(rows)[0]
         if i == 0:   # the first row is an advance from the same state
             assert np.array_equal(got, ref)
         worst = max(worst, float(np.max(np.abs(got - ref))))
     assert worst <= SPLIT_ROWS_BOUND * np.max(np.abs(v))
+
+
+# Reference: the row loop as it was before it stepped in place, between the
+# state and one scratch buffer that the row was finally tapped off into.
+
+def two_buffer_row(stepper, w, steps):
+    fft, ifft = np.fft.fft, np.fft.ifft
+    half, kick, gauge = stepper._half_kick, stepper._kick, stepper._kick_gauge
+    u = np.empty_like(w)
+    for _ in range(steps - 1):
+        np.multiply(gauge, ifft(w, out=u, norm="forward"), out=u)
+        fft(u, out=w)
+        w *= kick
+    np.multiply(gauge, ifft(w, out=u, norm="forward"), out=u)
+    fft(u, out=w)
+    np.multiply(w, half, out=u)
+    ifft(u, out=u, norm="forward")
+    return ifft(u, axis=0, out=u).T
+
+
+@pytest.mark.parametrize("grid", [
+    pytest.param(G.landau_grid(CFG_PAR, npoints=64, ly=24.0), id="64x64"),
+    pytest.param(G.Grid2D(G.Grid1D(24.0, 48), G.Grid1D(16.0, 32)), id="48x32"),
+])
+@pytest.mark.parametrize("steps", [1, 2, 7])
+def test_split_row_stepping_in_place_equals_the_two_buffer_loop_bit_for_bit(grid, steps):
+    stepper = P.SplitStepYZ(grid, CFG_PAR, P.cyclotron_period(CFG_PAR) / 512)
+    rng = np.random.default_rng(steps)
+    w = rng.normal(size=(grid.z.npoints, grid.y.npoints)) * (1 + 1j)
+    ref_w = w.copy()
+    row, _ = stepper._row(w, steps)
+    ref = two_buffer_row(stepper, ref_w, steps)
+    assert np.array_equal(row, ref)
+    assert np.array_equal(w, ref_w)   # the state carried to the next row
+
+
+@pytest.mark.parametrize("grid", [
+    pytest.param(G.landau_grid(CFG_PAR, npoints=64, ly=24.0), id="64x64"),
+    pytest.param(G.landau_grid(CFG_PAR, npoints=48, ly=24.0), id="48x48"),
+    pytest.param(G.Grid2D(G.Grid1D(24.0, 48), G.Grid1D(16.0, 32)), id="48x32"),
+])
+def test_split_row_spectra_reproduce_the_fft_moments(grid):
+    """The py and pz weights handed over with each split row, the initial
+    one included, give py, py^2 (through H) and pz within 1e-13 of the
+    moments of the FFT path on the same state; the other values are equal."""
+    f0 = random_band_limited(grid, 11)
+    rows = P.SplitStepYZ(grid, CFG_PAR, P.cyclotron_period(CFG_PAR) / 64).rows(f0.values, 3)
+    for _ in range(6):
+        state, spectra = next(rows)
+        stack = np.ascontiguousarray(state)[None]
+        fft_values = G.stack_expectations(grid, stack, (0.0,), CFG_PAR)[1]
+        got = G.stack_expectations(grid, stack, (0.0,), CFG_PAR,
+                                   spectra=[w[None] for w in spectra])[1]
+        for name, ref in fft_values.items():
+            if name in ("py", "pz", "pi_y", "pi_z", "H"):
+                assert abs(got[name][0] - ref[0]) <= 1e-13 * max(1.0, abs(ref[0])), name
+            else:
+                assert got[name][0] == ref[0], name
 
 
 @pytest.mark.parametrize("method", ["cn_1d", "split_yz"])
@@ -383,8 +445,8 @@ def test_evolve_rows_match_reference_measurement(method):
     got = np.array(P.evolve(f0, spec, cfg).rows)
     states, values, rows = P._make_stepper(f0, spec, cfg).rows(f0.values, 1), f0.values, []
     for step in range(65):
-        if step:   # a split row is a transposed view; evolve measures a C-ordered copy
-            values = np.ascontiguousarray(next(states))
+        # a split row is a transposed view; evolve measures a C-ordered copy
+        values = np.ascontiguousarray(next(states)[0])
         f = G.WaveField(grid, values, f0.t + step * dt)
         fid = abs(G.inner_product(f0, f)) / (G.norm(f0) * G.norm(f))
         rows.append([f.t, G.norm(f), *(reference_expectation(n, f, cfg) for n in names), fid])
@@ -396,29 +458,33 @@ def test_evolve_rows_match_reference_measurement(method):
 
 
 # Reference: evolve as it was before rows were measured in blocks, one row
-# at a time through a one-field kernel (the current one unless given).
+# at a time through a one-field kernel (the current one unless given), which
+# takes the spectra the stepper hands over with each row (the parent kernel
+# has no use for them: it forms every weight by FFT).
 
 ONE_FIELD = (one_field_norm, one_field_inner_product, one_field_expectations)
-PARENT_KERNEL = (parent_norm, parent_inner_product, parent_expectations)
+PARENT_KERNEL = (parent_norm, parent_inner_product,
+                 lambda names, f, cfg, spectra: parent_expectations(names, f, cfg))
 
 
-def _record_row(f, cfg, reference, ref_norm, kernel):
+def _record_row(f, cfg, reference, ref_norm, kernel, spectra):
     norm, inner_product, expectations = kernel
     n = norm(f)
     fid = abs(inner_product(reference, f)) / (ref_norm * n)
-    return [f.t, n, *expectations(P._ROW_OBSERVABLES[f.values.ndim], f, cfg), fid]
+    return [f.t, n, *expectations(P._ROW_OBSERVABLES[f.values.ndim], f, cfg, spectra), fid]
 
 
 def row_by_row_evolve(f0, spec, cfg, kernel=ONE_FIELD):
     states = P._make_stepper(f0, spec, cfg).rows(f0.values, spec.cadence)
     ref_norm = kernel[0](f0)
-    rows = [_record_row(f0, cfg, f0, ref_norm, kernel)]
-    values, t = f0.values.copy(), f0.t
-    for row in range(1, spec.steps // spec.cadence + 1):
-        values = np.ascontiguousarray(next(states))   # as evolve stacks it
-        t = f0.t + row * spec.cadence * spec.dt
-        rows.append(_record_row(G.WaveField(f0.grid, values, t), cfg, f0, ref_norm, kernel))
-    return rows, G.WaveField(f0.grid, values, t)
+    rows = []
+    for row in range(spec.steps // spec.cadence + 1):
+        values, spectra = next(states)
+        values = np.ascontiguousarray(values)   # as evolve stacks it
+        t = f0.t + row * spec.cadence * spec.dt if row else f0.t
+        rows.append(_record_row(G.WaveField(f0.grid, values, t), cfg, f0, ref_norm, kernel,
+                                spectra))
+    return rows, G.WaveField(f0.grid, values.copy(), t)
 
 
 BLOCK_CASES = [
@@ -482,7 +548,7 @@ def test_evolve_raises_on_a_non_finite_state_inside_a_block(monkeypatch):
 
         def rows(self, values, cadence):
             while True:
-                yield self.advance(values, cadence)
+                yield self.advance(values, cadence), None
 
     monkeypatch.setattr(P, "_make_stepper", lambda f0, spec, cfg: NanOnFifthAdvance())
     with pytest.raises(ValueError, match="field contains non-finite samples"):

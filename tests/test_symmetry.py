@@ -457,6 +457,18 @@ def test_scan_quantization_integer_hits_only():
         assert abs(phase - 1.0) > 1e-8
 
 
+def test_scan_checks_the_charge_once(monkeypatch):
+    """q^2 is refused or kept once per scan, not once per point; the public
+    one-point report still checks it itself."""
+    calls = []
+    charge_squared = Y._charge_squared
+    monkeypatch.setattr(Y, "_charge_squared", lambda cfg: calls.append(cfg) or charge_squared(cfg))
+    reports = Y.scan_quantization(2.0 * math.pi, [0.5, 1.0, 1.5, 2.0], CFG)
+    assert len(calls) == 1 and all(isinstance(r, Y.QuantizationReport) for r in reports)
+    assert reports[1] == Y.quantization_report(2.0 * math.pi, 1.0, CFG)
+    assert len(calls) == 2
+
+
 def test_scan_handles_zero_dt():
     reports = Y.scan_quantization(1.0, [0.0, 0.5], CFG)
     assert reports[0] == "undefined current"
