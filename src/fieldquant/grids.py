@@ -241,8 +241,8 @@ def fourier_multiply(values: np.ndarray, axis_grid: Grid1D, multiplier, axis: in
     shape = [1] * values.ndim
     shape[axis] = axis_grid.npoints
     k = axis_grid.wavenumbers.reshape(shape)
-    # one transform buffer, filled, multiplied and inverted in place: a new
-    # array per transform held two of them at the peak
+    # one transform buffer, multiplied and inverted in place: new arrays for
+    # the product and the inverse held three blocks at the peak, this two
     spectrum = np.fft.fft(values, axis=axis, out=np.empty(values.shape, complex))
     np.multiply(multiplier(k), spectrum, out=spectrum)
     return np.fft.ifft(spectrum, axis=axis, out=spectrum)
