@@ -6,9 +6,10 @@ A normal-ordered term is one flat exponent tuple
 
 canonical by construction, with i^2 folded into the coefficient, so a
 conservation statement is decided by structural equality.  Terms keep
-``Fraction`` coefficients, while a product, commutator or adjoint takes each
-operand's terms as integer numerators over one common denominator, so its
-inner loop adds integers, and divides each output term once.
+``Fraction`` coefficients, while a product, a power, a commutator, a
+Heisenberg residual and an adjoint take each operand's terms as integer
+numerators over one common denominator, so their inner loops add integers
+from operands to result, and divide each output term once.
 """
 
 from __future__ import annotations
@@ -48,50 +49,50 @@ _P_BASE = _GEN_BASE + Gen.PX          # first momentum slot
 # noncommuting pairs as (position slot, momentum slot, contraction is -i*hbar)
 _PAIRS = tuple((_GEN_BASE + x, _GEN_BASE + p, p != Gen.DT)
                for x, p in ((Gen.X, Gen.PX), (Gen.Y, Gen.PY), (Gen.Z, Gen.PZ), (Gen.T, Gen.DT)))
+# the pairs of each 4-bit mask over _PAIRS, bit j for _PAIRS[j]
+_CONTRACTING = [()]
+for _pair in _PAIRS:
+    _CONTRACTING += [pairs + (_pair,) for pairs in _CONTRACTING]
 
 
 def _key_with(slot: int, power: int):
     return _KEY_ONE[:slot] + (power,) + _KEY_ONE[slot + 1:]
 
 
-def _accumulate(terms, ka, kb, coeff, budget, contractions_only=False):
+def _accumulate(terms, ka, kb, coeff, budget, pairs, contractions_only=False):
     """Add the integer coeff times (term ka) * (term kb), normal ordered, into
     the integer coefficients ``terms``, and return the number of parts formed,
     one per partial contraction.
 
     ka = X_a P_a and kb = X_b P_b, so only P_a X_b needs reordering, one
     noncommuting pair at a time, by p^e x^b = sum_k C(e,k) C(b,k) k!
-    (-i*hbar)^k x^(b-k) p^(e-k) (+1 for -i*hbar with dt, t); a pair with
-    exponents e and b multiplies the parts by min(e, b) + 1, and an expansion
-    past ``budget`` parts is refused before it is formed.  With
-    ``contractions_only`` the k = 0 term (the plain exponent sum, shared by
-    ka*kb and kb*ka) is left out.
+    (-i*hbar)^k x^(b-k) p^(e-k) (+1 for -i*hbar with dt, t), over the
+    ``pairs`` that contract (none costs one exponent sum and the i-power fold,
+    which takes any i power); a pair with exponents e and b multiplies the
+    parts by min(e, b) + 1, and an expansion past ``budget`` parts is refused
+    before it is formed.  With ``contractions_only`` the k = 0 term (the plain
+    exponent sum, shared by ka*kb and kb*ka) is left out.
     """
     # (exponents, integer weight) per partial contraction; the all-k = 0 entry stays first
     parts = [(list(map(add, ka, kb)), 1)]
-    for xs, ps, ihbar in _PAIRS:
+    for xs, ps, ihbar in pairs:
         e, b = ka[ps], kb[xs]
-        if not (e and b):
-            continue
         if len(parts) * (min(e, b) + 1) > budget:
             raise _too_large(f"more than {MAX_PRODUCT_PARTS} normal-ordered parts")
         expanded = []
         for exps, w in parts:
             expanded.append((exps, w))
-            c = 1
+            c = w
             for k in range(1, min(e, b) + 1):
-                c = c * (e - k + 1) * (b - k + 1) // k     # C(e,k) C(b,k) k!
+                c = c * (e - k + 1) * (b - k + 1) // k     # w C(e,k) C(b,k) k!
                 new = list(exps)
                 new[xs] -= k
                 new[ps] -= k
-                if ihbar:                                    # (-i*hbar)^k
-                    new[0] += k
-                    new[_HBAR] += k
-                    expanded.append((new, -c * w if k % 2 else c * w))
-                else:
-                    expanded.append((new, c * w))
+                new[0] += 3 * ihbar * k                      # (-i*hbar)^k = i^3k hbar^k
+                new[_HBAR] += ihbar * k
+                expanded.append((new, c))
         parts = expanded
-    for exps, w in parts[1:] if contractions_only else parts:
+    for exps, w in parts[contractions_only:]:
         ipow = exps[0]
         if ipow > 1:                                         # i^2 = -1
             exps[0] = ipow % 2
@@ -150,25 +151,20 @@ class OperatorExpr:
         return OperatorExpr({k: -v for k, v in self.terms.items()})
 
     def __mul__(self, other: "OperatorExpr") -> "OperatorExpr":
-        return self._times(other, MAX_PRODUCT_PARTS)[0]
-
-    def _times(self, other: "OperatorExpr", budget: int):
-        """self * other, and what is left of a budget of ``budget`` normal-ordered parts after forming it."""
         den, a, b = _numerators(self, other)
-        terms = {}
-        for ka, na in a:
-            for kb, nb in b:
-                budget -= _accumulate(terms, ka, kb, na * nb, budget)
-        return _over(terms, den), budget
+        return _over(_product(a, b, MAX_PRODUCT_PARTS)[0], den)
 
     def __pow__(self, n: int) -> "OperatorExpr":
-        """n products that share one budget of ``MAX_PRODUCT_PARTS`` parts."""
+        """n products in integer numerators over d^n (d: self's common denominator),
+        divided once; they refuse as n ``*`` would, but share one parts budget."""
         if n < 0:
             raise ValueError("negative operator powers are not defined")
-        out, budget = OperatorExpr.one(), MAX_PRODUCT_PARTS
+        d, rows = _numerators(self)
+        rows, acc, budget = list(rows), {_KEY_ONE: 1}, MAX_PRODUCT_PARTS
         for _ in range(n):
-            out, budget = out._times(self, budget)
-        return out
+            _refuse_pairs(sum(map(bool, acc.values())), len(rows))
+            acc, budget = _product(_masked(acc.items()), rows, budget)
+        return _over(acc, d ** n)
 
     def scale(self, value) -> "OperatorExpr":
         c = Fraction(value)
@@ -212,82 +208,104 @@ def _too_large(what: str) -> ValueError:
     return ValueError(f"operator product too large: {what}")
 
 
-def _numerators(*exprs: OperatorExpr, masks: bool = False):
-    """The product of the operands' common denominators, then per operand its
-    terms as (key, numerator) over the lcm of its coefficients' denominators:
-    an iterator for the first operand, which the outer loop reads once, so its
-    rows are never all held, and a list for each other one.
+def _refuse_pairs(m, n):
+    if m * n > MAX_TERM_PAIRS:
+        raise _too_large(f"{m} x {n} term pairs exceed the budget of {MAX_TERM_PAIRS}")
 
-    With ``masks`` each term also carries (positions, momenta): bit j is set
-    when it has the position, or the momentum, of ``_PAIRS[j]``.  Two operands
-    of more than ``MAX_TERM_PAIRS`` term pairs are refused first."""
-    if len(exprs) == 2 and len(exprs[0].terms) * len(exprs[1].terms) > MAX_TERM_PAIRS:
-        raise _too_large(f"{len(exprs[0].terms)} x {len(exprs[1].terms)} term pairs "
-                         f"exceed the budget of {MAX_TERM_PAIRS}")
+
+def _numerators(*exprs: OperatorExpr):
+    """The product of the operands' common denominators, then per operand its
+    ``_masked`` rows over its own: an iterator for the first operand, which
+    the outer loop reads once, so its rows are never all held, and a list for
+    each other one.  Two operands of more than ``MAX_TERM_PAIRS`` term pairs
+    are refused first."""
+    if len(exprs) == 2:
+        _refuse_pairs(len(exprs[0].terms), len(exprs[1].terms))
     dens = [lcm(*(c.denominator for c in expr.terms.values())) for expr in exprs]
-    rows = [_rows(expr, d, masks) for expr, d in zip(exprs, dens)]
+    rows = [_masked(expr.terms.items(), d) for expr, d in zip(exprs, dens)]
     return [prod(dens), rows[0], *map(list, rows[1:])]
 
 
-def _rows(expr: OperatorExpr, d: int, masks: bool):
-    for key, c in expr.terms.items():
-        n = c.numerator * (d // c.denominator)
-        if not masks:
-            yield key, n
-            continue
-        positions = momenta = 0
-        for bit, (xs, ps, _) in enumerate(_PAIRS):
-            if key[xs]:
-                positions |= 1 << bit
-            if key[ps]:
-                momenta |= 1 << bit
-        yield key, n, positions, momenta
+def _masked(items, d=1):
+    """Nonzero (key, coefficient) items as rows (key, coefficient * d,
+    positions, momenta), the masks' bit j set for the x, y, z, t of _PAIRS[j]."""
+    for key, c in items:
+        if c:
+            x, y, z, t, px, py, pz, dt = key[_GEN_BASE:]
+            yield (key, c.numerator * (d // c.denominator),
+                   (x and 1) | (y and 2) | (z and 4) | (t and 8),
+                   (px and 1) | (py and 2) | (pz and 4) | (dt and 8))
 
 
-def _over(terms: dict, den: int) -> OperatorExpr:
-    """The integer numerators ``terms`` over ``den``, divided in place."""
-    for key, v in terms.items():
-        terms[key] = Fraction(v, den)
-    return OperatorExpr(terms)
+def _product(a_rows, b_rows, budget):
+    """a*b's integer numerators from masked rows, and what is left of ``budget``."""
+    terms = {}
+    for ka, na, _, pa in a_rows:
+        for kb, nb, xb, _ in b_rows:
+            budget -= _accumulate(terms, ka, kb, na * nb, budget, _CONTRACTING[pa & xb])
+    return terms, budget
 
 
-def commutator(a: OperatorExpr, b: OperatorExpr) -> OperatorExpr:
-    """a*b - b*a, from the contraction terms of the two orders alone.
+def _contractions(a_rows, b_rows):
+    """The integer numerators of a*b - b*a from masked rows.
 
     ka*kb has contraction terms only where a momentum of ka meets its own
     position in kb, so a pair whose masks share no pair in either order
     contributes nothing and is skipped before its coefficient is formed."""
-    den, a_rows, b_rows = _numerators(a, b, masks=True)
     terms, budget = {}, MAX_PRODUCT_PARTS
     for ka, na, xa, pa in a_rows:
         for kb, nb, xb, pb in b_rows:
-            ab, ba = pa & xb, pb & xa
-            if ab or ba:
-                c = na * nb
-                if ab:
-                    budget -= _accumulate(terms, ka, kb, c, budget, contractions_only=True)
-                if ba:
-                    budget -= _accumulate(terms, kb, ka, -c, budget, contractions_only=True)
-    return _over(terms, den)
+            if ab := pa & xb:
+                budget -= _accumulate(terms, ka, kb, na * nb, budget, _CONTRACTING[ab], True)
+            if ba := pb & xa:
+                budget -= _accumulate(terms, kb, ka, -na * nb, budget, _CONTRACTING[ba], True)
+    return terms
+
+
+def _over(terms: dict, den: int) -> OperatorExpr:
+    """The nonzero integer numerators ``terms`` over ``den``."""
+    out = OperatorExpr()
+    for key, v in terms.items():
+        if v:
+            out.terms[key] = Fraction(v, den)
+    return out
+
+
+def commutator(a: OperatorExpr, b: OperatorExpr) -> OperatorExpr:
+    """a*b - b*a, from the contraction terms of the two orders alone."""
+    den, a_rows, b_rows = _numerators(a, b)
+    return _over(_contractions(a_rows, b_rows), den)
+
+
+def _dt_rows(items, den):
+    # d/dt of (key, coefficient) items, as integer numerators over den: t^k -> k t^(k-1)
+    slot = _GEN_BASE + Gen.T
+    for key, c in items:
+        if k := key[slot]:
+            yield key[:slot] + (k - 1,) + key[slot + 1:], k * c.numerator * (den // c.denominator)
 
 
 def partial_t(expr: OperatorExpr) -> OperatorExpr:
     """Formal derivative with respect to the explicit-time generator t."""
-    slot = _GEN_BASE + Gen.T
-    terms = {}
-    for key, coeff in expr.terms.items():
-        k = key[slot]
-        if k:
-            terms[key[:slot] + (k - 1,) + key[slot + 1:]] = k * coeff
-    return OperatorExpr(terms)
+    den = _numerators(expr)[0]
+    return _over(dict(_dt_rows(expr.terms.items(), den)), den)
 
 
 def heisenberg_residual(f: OperatorExpr, H: OperatorExpr) -> OperatorExpr:
-    """(1/(i*hbar)) [f, H] + df/dt; the zero expression iff f is conserved."""
+    """(1/(i*hbar)) [f, H] + df/dt; the zero expression iff f is conserved.
+
+    The commutator's loop runs with 1/(i*hbar) = i^3 hbar^-1 on each key of f
+    (hbar is key slot 1), df/dt's numerators are added over the same
+    denominator, and each term is divided once."""
     if H.contains_generator(Gen.DT):
         raise ValueError("Hamiltonian must be time-local (no dt generator)")
-    inv_ihbar = OperatorExpr.parameter("hbar", -1) * IMAG.scale(-1)  # 1/(i*hbar) = -i/hbar
-    return inv_ihbar * commutator(f, H) + partial_t(f)
+    den, f_rows, h_rows = _numerators(f, H)
+    terms = _contractions((((k[0] + 3, k[1] - 1) + k[2:], n, x, p) for k, n, x, p in f_rows),
+                          h_rows)
+    _refuse_pairs(1, sum(map(bool, terms.values())))   # as the product by 1/(i*hbar) did
+    for key, n in _dt_rows(f.terms.items(), den):
+        terms[key] = terms.get(key, 0) + n
+    return _over(terms, den)
 
 
 def adjoint(expr: OperatorExpr) -> OperatorExpr:
@@ -298,13 +316,11 @@ def adjoint(expr: OperatorExpr) -> OperatorExpr:
     by the product kernel."""
     den, rows = _numerators(expr)
     terms, budget = {}, MAX_PRODUCT_PARTS
-    for key, n in rows:
-        sign = -1 if key[0] == 1 else 1                # conjugate i
-        if key[_GEN_BASE + Gen.DT] % 2 == 1:           # dt^\dagger = -dt
-            sign = -sign
+    for key, n, x, p in rows:
+        sign = (-1) ** (key[0] + key[_GEN_BASE + Gen.DT])   # conjugate i; dt^\dagger = -dt
         momenta = key[:_GEN_BASE] + _KEY_ONE[_GEN_BASE:_P_BASE] + key[_P_BASE:]
         positions = _KEY_ONE[:_GEN_BASE] + key[_GEN_BASE:_P_BASE] + _KEY_ONE[_P_BASE:]
-        budget -= _accumulate(terms, momenta, positions, sign * n, budget)
+        budget -= _accumulate(terms, momenta, positions, sign * n, budget, _CONTRACTING[p & x])
     return _over(terms, den)
 
 
@@ -448,77 +464,59 @@ def _tokenize(text: str):
 
 class _Parser:
     def __init__(self, text: str):
-        self.text = text
         self.tokens = _tokenize(text)
         self.k = 0
         self.depth = 0
 
-    def peek(self):
-        return self.tokens[self.k]
-
     def next(self):
-        tok = self.tokens[self.k]
         self.k += 1
-        return tok
+        return self.tokens[self.k - 1]
 
-    def expect_op(self, op):
-        kind, val, off = self.peek()
-        if kind != "op" or val != op:
-            raise ParseError(f"expected {op!r}", off)
-        return self.next()
+    def take(self, ops):
+        # the next token's operator, consumed, if it is one of ops; else ''
+        kind, val, _ = self.tokens[self.k]
+        if kind == "op" and val in ops:
+            self.k += 1
+            return val
+        return ""
 
     def parse(self) -> OperatorExpr:
         expr = self.parse_expr()
-        kind, val, off = self.peek()
+        kind, val, off = self.tokens[self.k]
         if kind != "end":
             raise ParseError(f"unexpected token {val!r}", off)
         return expr
 
     def parse_expr(self) -> OperatorExpr:
-        kind, val, off = self.peek()
-        negate = False
-        if kind == "op" and val in "+-":
-            self.next()
-            negate = val == "-"
+        sign = self.take("+-")
         out = self.parse_term()
-        if negate:
+        if sign == "-":
             out = -out
-        while True:
-            kind, val, off = self.peek()
-            if kind == "op" and val in "+-":
-                self.next()
-                term = self.parse_term()
-                out = out - term if val == "-" else out + term
-            else:
-                return out
+        while sign := self.take("+-"):
+            term = self.parse_term()
+            out = out - term if sign == "-" else out + term
+        return out
 
     def parse_term(self) -> OperatorExpr:
         out = self.parse_factor()
-        while True:
-            kind, val, off = self.peek()
-            if kind == "op" and val == "*":
-                self.next()
-                out = out * self.parse_factor()
-            else:
-                return out
+        while self.take("*"):
+            out = out * self.parse_factor()
+        return out
 
     def parse_factor(self) -> OperatorExpr:
         base = self.parse_atom()
-        kind, val, off = self.peek()
-        if kind == "op" and val == "^":
-            self.next()
-            kind, val, off = self.peek()
-            if kind == "op" and val == "-":
-                raise ParseError("negative exponent", off)
-            if kind != "number":
-                raise ParseError("expected integer exponent", off)
-            self.next()
-            if val.denominator != 1:
-                raise ParseError("exponent must be an integer", off)
-            if val > MAX_POWER:
-                raise ParseError(f"exponent too large (limit {MAX_POWER})", off)
-            return base ** int(val)
-        return base
+        if not self.take("^"):
+            return base
+        kind, val, off = self.next()
+        if kind == "op" and val == "-":
+            raise ParseError("negative exponent", off)
+        if kind != "number":
+            raise ParseError("expected integer exponent", off)
+        if val.denominator != 1:
+            raise ParseError("exponent must be an integer", off)
+        if val > MAX_POWER:
+            raise ParseError(f"exponent too large (limit {MAX_POWER})", off)
+        return base ** int(val)
 
     def parse_atom(self) -> OperatorExpr:
         kind, val, off = self.next()
@@ -535,7 +533,8 @@ class _Parser:
                 raise ParseError(f"nested too deeply (limit {MAX_NESTING})", off)
             self.depth += 1
             inner = self.parse_expr()
-            self.expect_op(")")
+            if not self.take(")"):
+                raise ParseError("expected ')'", self.tokens[self.k][2])
             self.depth -= 1
             return inner
         raise ParseError(f"unexpected token {val!r}", off)

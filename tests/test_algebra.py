@@ -221,6 +221,24 @@ def test_residual_of_conserved_products_is_zero():
             assert A.heisenberg_residual(f ** k * e_op ** l, h).is_zero, (k, l)
 
 
+def _workload_power(k=5):
+    # P is a combination of the parallel-field conserved operators with
+    # nonzero rational coefficients, as in the symbolic benchmark
+    ops = (A.momentum_minus_force_time(), A.gauge_momentum_y(), A.momentum_z(),
+           A.energy_operator())
+    poly = OperatorExpr.zero()
+    for c, op in zip((Fraction(3, 7), Fraction(-2, 5), Fraction(5, 3), Fraction(-1, 9)), ops):
+        poly = poly + op.scale(c)
+    return poly ** k
+
+
+def _counting(monkeypatch, owner, name):
+    """Count the calls of ``owner.name`` from here on."""
+    calls, fn = [], getattr(owner, name)
+    monkeypatch.setattr(owner, name, lambda *args, **kw: calls.append(1) or fn(*args, **kw))
+    return calls
+
+
 def _contracting_orders(ka, kb):
     """Orders (ka*kb, kb*ka) of a term pair that have a contraction term."""
     def meets(left, right):
@@ -229,24 +247,55 @@ def _contracting_orders(ka, kb):
 
 
 def test_commutator_visits_only_pairs_that_contract(monkeypatch):
-    # P is a combination of the parallel-field conserved operators with
-    # nonzero rational coefficients, as in the symbolic benchmark
-    ops = (A.momentum_minus_force_time(), A.gauge_momentum_y(), A.momentum_z(),
-           A.energy_operator())
-    poly = OperatorExpr.zero()
-    for c, op in zip((Fraction(3, 7), Fraction(-2, 5), Fraction(5, 3), Fraction(-1, 9)), ops):
-        poly = poly + op.scale(c)
-    a, h = poly ** 5, A.hamiltonian_parallel(CFG_PAR)
+    """The commutator, and the residual that runs its loop, visit only the
+    orders of a term pair that have a contraction term."""
+    a, h = _workload_power(), A.hamiltonian_parallel(CFG_PAR)
     contracting = sum(_contracting_orders(ka, kb) for ka in a.terms for kb in h.terms)
     assert (contracting, 2 * len(a.terms) * len(h.terms)) == (855, 4584)
-    calls = []
-    accumulate = A._accumulate
-    monkeypatch.setattr(A, "_accumulate",
-                        lambda *args, **kw: calls.append(1) or accumulate(*args, **kw))
+    calls = _counting(monkeypatch, A, "_accumulate")
     result = A.commutator(a, h)
-    monkeypatch.undo()
     assert len(calls) <= contracting
+    calls.clear()
+    residual = A.heisenberg_residual(a, h)
+    assert len(calls) <= contracting
+    monkeypatch.undo()
     assert result == a * h - h * a
+    assert residual.is_zero
+
+
+def test_residual_forms_no_product_and_divides_once(monkeypatch):
+    """The residual stays in integer numerators from f and H to its result:
+    no ``OperatorExpr`` product, and one division of each term."""
+    a, h = _workload_power(), A.hamiltonian_parallel(CFG_PAR)
+    witness = a + X
+    products = _counting(monkeypatch, OperatorExpr, "__mul__")
+    divisions = _counting(monkeypatch, A, "_over")
+    for f in (a, witness):
+        divisions.clear()
+        A.heisenberg_residual(f, h)
+        assert (len(products), len(divisions)) == (0, 1)
+
+
+def test_residual_refuses_a_commutator_past_the_term_budget(monkeypatch):
+    """A commutator of more than ``MAX_TERM_PAIRS`` terms is refused as its
+    product by 1/(i*hbar) would refuse it; one at the budget goes through."""
+    f, h = A.parse_operator("(1 + x)^4*(1 + y)^4"), A.parse_operator("px^2 + py^2")
+    assert (len(f.terms) * len(h.terms), len(A.commutator(f, h).terms)) == (50, 61)
+    monkeypatch.setattr(A, "MAX_TERM_PAIRS", 60)
+    with pytest.raises(ValueError) as err:
+        A.heisenberg_residual(f, h)
+    assert str(err.value) == "operator product too large: 1 x 61 term pairs exceed the budget of 60"
+    monkeypatch.setattr(A, "MAX_TERM_PAIRS", 61)
+    assert len(A.heisenberg_residual(f, h).terms) == 61
+
+
+def test_power_divides_once(monkeypatch):
+    """A power keeps one integer accumulator through all of its products."""
+    base = _workload_power(1)
+    divisions = _counting(monkeypatch, A, "_over")
+    products = _counting(monkeypatch, OperatorExpr, "__mul__")
+    base ** 5
+    assert (len(divisions), len(products)) == (1, 0)
 
 
 def test_bare_momentum_is_not_conserved():
@@ -425,6 +474,28 @@ def test_a_power_shares_one_part_budget(monkeypatch):
     assert base ** 40 == chained
 
 
+@pytest.mark.parametrize("text, n, pairs, parts, message", [
+    ("x + y + z + px", 6, 100, A.MAX_PRODUCT_PARTS, "46 x 4 term pairs exceed the budget of 100"),
+    ("x^5*px^5", 3, A.MAX_TERM_PAIRS, 5, "more than 5 normal-ordered parts"),
+])
+def test_power_and_chained_products_refuse_alike(monkeypatch, text, n, pairs, parts, message):
+    """Where one product of the chain passes a budget, the power refuses
+    with the chain's message, at the same product."""
+    base = A.parse_operator(text)
+    monkeypatch.setattr(A, "MAX_TERM_PAIRS", pairs)
+    monkeypatch.setattr(A, "MAX_PRODUCT_PARTS", parts)
+
+    def chained():
+        out = OperatorExpr.one()
+        for _ in range(n):
+            out = out * base
+
+    for form in (lambda: base ** n, chained):
+        with pytest.raises(ValueError) as err:
+            form()
+        assert str(err.value) == f"operator product too large: {message}"
+
+
 # --- reference Fraction kernel ------------------------------------------------------------
 # The product kernel as it was before products accumulated integer numerators over a
 # common denominator: every term pair and every part is formed in ``Fraction``
@@ -599,6 +670,15 @@ def test_random_products_match_fraction_reference(a, b):
     _same_terms(a * b, fraction_product(a, b))
     _same_terms(A.commutator(a, b), fraction_commutator(a, b))
     _same_terms(A.adjoint(a), fraction_adjoint(a))
+
+
+@given(small_exprs(), st.integers(0, 6))
+@settings(max_examples=100, deadline=None)
+def test_power_equals_the_chained_products(p, n):
+    chained = OperatorExpr.one()
+    for _ in range(n):
+        chained = chained * p
+    _same_terms(p ** n, chained)
 
 
 @given(small_exprs(), small_exprs())

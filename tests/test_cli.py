@@ -119,6 +119,15 @@ def test_operator_power_past_the_term_budget_exits_2_in_time():
     assert "Traceback" not in out.stderr
 
 
+def test_operator_power_past_the_part_budget_exits_2_in_time():
+    """README's example of a power whose products each stay small but share
+    one budget of ``MAX_PRODUCT_PARTS`` normal-ordered parts, which runs out."""
+    out = run_subprocess(["verify", "--filter", "symbolic", "--op", "(px*x)^300"], timeout=30)
+    assert out.returncode == 2
+    assert out.stderr == ("error: operator product too large: "
+                          "more than 100000 normal-ordered parts\n")
+
+
 def test_overflowing_ladder_order_exits_2_without_warnings(tmp_path):
     """A field whose ladder coefficients overflow float64 at order 2 gives one
     message naming that order, and no numpy RuntimeWarning."""
