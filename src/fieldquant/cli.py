@@ -95,12 +95,13 @@ def _print_result(args, path: str, payload: dict) -> None:
 
 def _trajectory_outputs(args, record, metadata, stem: str, summary_extra=None):
     csv_path = os.path.join(args.out_dir, f"{stem}_trajectory.csv")
-    _write_csv(csv_path, metadata, record.columns, record.rows)
+    rows = record.rows.tolist()   # Python floats format faster than numpy's
+    _write_csv(csv_path, metadata, record.columns, rows)
     summary = {
-        "rows": len(record.rows),
+        "rows": len(rows),
         "columns": record.columns,
-        "t_final": record.rows[-1][0],   # evolve always records the initial row
-        "norm_final": record.rows[-1][1],
+        "t_final": rows[-1][0],   # evolve always records the initial row
+        "norm_final": rows[-1][1],
     }
     if summary_extra:
         summary.update(summary_extra)

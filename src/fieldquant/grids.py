@@ -349,8 +349,7 @@ def norm(f: WaveField) -> float:
     return math.sqrt(_density_sums(f.values[None], f.grid)[0][0])
 
 
-OBSERVABLES = {1: ("x", "px", "pi_x", "H"),
-               2: ("y", "z", "py", "pz", "pi_y", "pi_z", "H")}
+OBSERVABLES = {1: ("x", "px", "H"), 2: ("y", "z", "py", "pz", "H")}
 
 
 def _spectral_weights(v: np.ndarray, grid, axis: int, overwrite: bool = False) -> np.ndarray:
@@ -375,16 +374,15 @@ def _moments(w: np.ndarray, grid, axis: int, hbar: float, n2: np.ndarray, powers
     return [_dots(ag.wavenumbers ** power, w) * (hbar ** power * scale) for power in powers]
 
 
-def stack_expectations(grid, stack: np.ndarray, times, cfg: SystemConfig,
+def stack_expectations(grid, stack: np.ndarray, cfg: SystemConfig,
                        reference: np.ndarray | None = None, spectra=None):
     """Norms and normalized expectation values of a stack of fields.
 
-    ``stack`` holds one field of ``grid`` per leading index, at the matching
-    entry of ``times``.  Returns ``(norms, values, overlaps)``: the norm of
-    each field, ``values`` mapping each name of ``OBSERVABLES[ndim]``, in
-    order, to an array over the stack, and <reference|f> per field (None
-    without a reference).  pi_x = px - q E t reads each field's time;
-    pi_y = py - m wc z and pi_z = pz.
+    ``stack`` holds one field of ``grid`` per leading index.  Returns
+    ``(norms, values, overlaps)``: the norm of each field, ``values`` mapping
+    each name of ``OBSERVABLES[ndim]``, in order, to an array over the
+    stack, and <reference|f> per field (None without a reference).  The
+    conserved px - q E t and py - m wc z are ``algebra``'s, not measured here.
 
     The method is the module's: one density, dot, ``np.vdot`` or FFT per
     field and quantity (``_density_sums``, ``_overlaps``, ``_spectral_weights``
@@ -401,11 +399,10 @@ def stack_expectations(grid, stack: np.ndarray, times, cfg: SystemConfig,
     if np.any(n2 <= 0):
         raise ValueError("expectation of an empty field")
     pos = [s / n2 for s in position_sums]
-    qE = cfg.charge * cfg.electric
     if len(pos) == 1:
         px, px2 = _moments(_spectral_weights(stack, grid, 0), grid, 0, cfg.hbar, n2)
-        values = {"x": pos[0], "px": px, "pi_x": px - qE * np.asarray(times, dtype=float),
-                  "H": px2 / (2.0 * cfg.mass) - qE * pos[0]}
+        values = {"x": pos[0], "px": px,
+                  "H": px2 / (2.0 * cfg.mass) - cfg.charge * cfg.electric * pos[0]}
     else:
         if spectra is None:
             spectra = [_spectral_weights(stack, grid, axis) for axis in (0, 1)]
@@ -418,7 +415,6 @@ def stack_expectations(grid, stack: np.ndarray, times, cfg: SystemConfig,
         (pi_z2,) = _moments(_spectral_weights(twisted, grid, 1, overwrite=True),
                             grid, 1, cfg.hbar, n2, (2,))
         values = {"y": pos[0], "z": pos[1], "py": py, "pz": pz,
-                  "pi_y": py - cfg.mass * cyclotron_frequency(cfg) * pos[1], "pi_z": pz,
                   "H": (py2 + pi_z2) / (2.0 * cfg.mass)}
     overlaps = None if reference is None else _overlaps(reference, stack, grid)
     return np.sqrt(n2), values, overlaps
@@ -427,7 +423,7 @@ def stack_expectations(grid, stack: np.ndarray, times, cfg: SystemConfig,
 def expectation(opname: str, f: WaveField, cfg: SystemConfig) -> float:
     """Normalized expectation value of one observable of ``OBSERVABLES``,
     measured by ``stack_expectations`` (see it for the method)."""
-    values = stack_expectations(f.grid, f.values[None], (f.t,), cfg)[1]
+    values = stack_expectations(f.grid, f.values[None], cfg)[1]
     if opname not in values:
         raise ValueError(f"unknown {len(f.grid.axes)}D observable {opname!r}")
     return float(values[opname][0])

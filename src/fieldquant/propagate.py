@@ -3,26 +3,27 @@
 Two second-order methods: Crank-Nicolson for the 1D linear-potential
 problem (wall-bounded, exactly norm preserving) and Strang splitting for
 the transverse gauge problem (periodic).  Neither assumes anything about
-the analytic solutions they are checked against.  Both steppers expose
-``advance(values, steps)``, ``step(values)`` (``advance(values, 1)``) and
-``rows(values, cadence)``, a generator of (state, spectra) pairs: the initial
-state, then the state after every ``cadence`` steps.  A Crank-Nicolson row is
-one advance, without spectra; the split step keeps its state in k-space from
-one row to the next, so its second row is its advance, and it hands over each
-row's momentum weights (``grids.stack_expectations`` takes them).  ``evolve``
-records a trajectory row every ``cadence`` steps, and ``estimate_order``
-gives the Richardson convergence order of either method.
+the analytic solutions they are checked against.  A stepper defines one
+thing, ``rows(values, cadence)``: a generator of (state, spectra) pairs, the
+initial state, then the state after every ``cadence`` steps.  ``advance``
+and ``step`` come from it, once for both methods: ``advance(values, steps)``
+is the second row of ``rows(values, steps)``, checked finite, and ``step``
+is ``advance(values, 1)``.  A Crank-Nicolson row carries no spectra; the
+split step keeps its state in k-space from one row to the next and hands
+over each row's momentum weights (``grids.stack_expectations`` takes them).
+``evolve`` records a trajectory row every ``cadence`` steps, and
+``estimate_order`` gives the Richardson convergence order of either method.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .config import SystemConfig, cyclotron_frequency, refuse_overflow
-from .grids import (Grid1D, Grid2D, WaveField, GridMismatchError, norm,
+from .grids import (OBSERVABLES, Grid1D, Grid2D, WaveField, GridMismatchError, norm,
                     stack_expectations)
 
 
@@ -51,19 +52,40 @@ class EvolutionSpec:
 @dataclass
 class TrajectoryRecord:
     columns: list[str]
-    rows: list[list[float]] = field(default_factory=list)
-    final: WaveField | None = None
+    rows: np.ndarray   # float64, one row per recorded state and one column per name
+    final: WaveField
 
     def column(self, name: str) -> np.ndarray:
-        idx = self.columns.index(name)
-        return np.array([row[idx] for row in self.rows])
+        return self.rows[:, self.columns.index(name)]
 
     @property
     def times(self) -> np.ndarray:
         return self.column("t")
 
 
-class CrankNicolson1D:
+class _Stepper:
+    """``advance`` and ``step`` of a stepper, from its ``rows``."""
+
+    def step(self, values: np.ndarray) -> np.ndarray:
+        return self.advance(values, 1)
+
+    def advance(self, values: np.ndarray, steps: int) -> np.ndarray:
+        """The second row of ``rows(values, steps)``, C-ordered and checked:
+        NaN and inf survive every linear step, so one finiteness check of
+        the result covers a non-finite input and an overflow at any step."""
+        if steps == 0:
+            return values
+        rows = self.rows(values, steps)
+        next(rows)   # the initial state
+        row, _ = next(rows)
+        rows.close()   # frees the stepper's state before the copy
+        row = np.ascontiguousarray(row)
+        if not np.isfinite(row).all():
+            raise ValueError("array must not contain infs or NaNs")
+        return row
+
+
+class CrankNicolson1D(_Stepper):
     """(1 + i dt H / 2 hbar) psi' = (1 - i dt H / 2 hbar) psi with the
     three-point kinetic stencil and V(x) = -q E x, zero at the walls.
 
@@ -99,20 +121,6 @@ class CrankNicolson1D:
         self._b_diag = 1.0 - h_diag
         self._b_off = -lam * kin_off
 
-    def step(self, values: np.ndarray) -> np.ndarray:
-        return self.advance(values, 1)
-
-    def advance(self, values: np.ndarray, steps: int) -> np.ndarray:
-        """``_advance`` checked: NaN and inf survive every linear step, so one
-        finiteness check of the result covers a non-finite input and an
-        overflow at any step."""
-        if steps == 0:
-            return values
-        values = self._advance(values, steps)
-        if not np.isfinite(values).all():
-            raise ValueError("array must not contain infs or NaNs")
-        return values
-
     def _advance(self, values: np.ndarray, steps: int) -> np.ndarray:
         """``steps`` >= 1 steps, each one right-hand-side product and one back
         substitution.  The right-hand side is built in two buffers used in
@@ -139,7 +147,7 @@ class CrankNicolson1D:
 
     def rows(self, values: np.ndarray, cadence: int):
         """``values``, then the state after every ``cadence`` steps, each one
-        ``_advance`` (``evolve`` checks its stacked rows): its buffers are
+        ``_advance`` (``evolve`` and ``advance`` check the rows): its buffers are
         freed between rows, so a trajectory holds no scratch while its rows
         are measured."""
         yield values, None
@@ -148,7 +156,7 @@ class CrankNicolson1D:
             yield values, None
 
 
-class SplitStepYZ:
+class SplitStepYZ(_Stepper):
     """Strang splitting exp(-i dt A / 2 hbar) exp(-i dt B / hbar)
     exp(-i dt A / 2 hbar) with A = py^2/2m diagonal in k_y and
     B = (hbar k_z - m wc y)^2 / 2m diagonal in the mixed (y, k_z)
@@ -192,18 +200,6 @@ class SplitStepYZ:
             f"the split-step kicks exp(-i dt p^2 / (2 m hbar)) overflow float64 at dt = "
             f"{dt:.3g}, grid lengths {grid.y.length:.3g} x {grid.z.length:.3g} of {ny} x "
             f"{grid.z.npoints} points, m = {m:.3g} and m wc = {m * wc:.3g}"))
-
-    def step(self, values: np.ndarray) -> np.ndarray:
-        return self.advance(values, 1)
-
-    def advance(self, values: np.ndarray, steps: int) -> np.ndarray:
-        if steps == 0:
-            return values
-        rows = self.rows(values, steps)
-        next(rows)   # the initial state
-        row, _ = next(rows)
-        rows.close()   # frees the k-space state before the copy
-        return np.ascontiguousarray(row)
 
     def rows(self, values: np.ndarray, cadence: int):
         """``values``, then the state after every ``cadence`` Strang steps,
@@ -278,18 +274,14 @@ def _make_stepper(f0: WaveField, spec: EvolutionSpec, cfg: SystemConfig):
     return SplitStepYZ(f0.grid, cfg, spec.dt)
 
 
-_ROW_OBSERVABLES = {1: ("x", "px", "H"), 2: ("y", "z", "py", "pz", "H")}
 ROW_BLOCK_BYTES = 1 << 17   # states per measured block; larger blocks measured slower
-
-
-def _record_columns(f0: WaveField) -> list[str]:
-    names = _ROW_OBSERVABLES[f0.values.ndim]
-    return ["t", "norm", *("energy" if n == "H" else f"{n}_mean" for n in names), "fidelity"]
 
 
 def evolve(f0: WaveField, spec: EvolutionSpec, cfg: SystemConfig) -> TrajectoryRecord:
     """Repeated stepping with cadence recording; the final field rides along
-    on the record.  The fidelity column is the overlap with the initial field.
+    on the record.  The record's columns are t, the norm, the ``OBSERVABLES``
+    of the field's dimension and the fidelity, the overlap with the initial
+    field.
 
     Rows, the initial one included, are drawn from the stepper's ``rows``
     into a stack of at most ``ROW_BLOCK_BYTES`` of states, and each full
@@ -297,18 +289,19 @@ def evolve(f0: WaveField, spec: EvolutionSpec, cfg: SystemConfig) -> TrajectoryR
     and measured by one ``stack_expectations`` call with the spectra the
     stepper hands over: one density per block, then one dot, ``np.vdot`` or
     FFT per row and quantity, so each row measures bit for bit as its field
-    would alone, given the same spectra."""
+    would alone, given the same spectra.  Each block's rows are stacked as it
+    is measured (the record grows with the run, never allocated for all its
+    rows up front) and the blocks are joined once at the end."""
     stepper = _make_stepper(f0, spec, cfg)
     ref_norm = norm(f0)
     if ref_norm == 0:   # the fidelity column divides by it
         raise ValueError("evolve needs an initial field of nonzero norm")
-    names = _ROW_OBSERVABLES[f0.values.ndim]
-    record = TrajectoryRecord(columns=_record_columns(f0))
+    names = OBSERVABLES[f0.values.ndim]
     nrows = spec.steps // spec.cadence + 1
     stack = np.empty((max(1, min(nrows, ROW_BLOCK_BYTES // f0.values.nbytes)),
                       *f0.values.shape), dtype=complex)
     states = stepper.rows(f0.values, spec.cadence)
-    row = 0
+    row, blocks = 0, []
     while row < nrows:
         block, times, spectra = stack[:min(len(stack), nrows - row)], [], []
         for i in range(len(block)):
@@ -320,14 +313,14 @@ def evolve(f0: WaveField, spec: EvolutionSpec, cfg: SystemConfig) -> TrajectoryR
             raise ValueError("field contains non-finite samples")
         # one array per axis over the block, for its one dot per row
         spectra = None if spectra[0] is None else [np.array(w) for w in zip(*spectra)]
-        norms, values, overlaps = stack_expectations(f0.grid, block, times, cfg,
+        norms, values, overlaps = stack_expectations(f0.grid, block, cfg,
                                                      reference=f0.values, spectra=spectra)
         # hypot is Python's abs(complex); numpy's complex abs rounds differently
         fidelity = np.hypot(overlaps.real, overlaps.imag) / (ref_norm * norms)
-        columns = (times, norms, *(values[n] for n in names), fidelity)
-        record.rows.extend(np.column_stack(columns).tolist())
-    record.final = WaveField(f0.grid, block[-1].copy(), times[-1])
-    return record
+        blocks.append(np.column_stack((times, norms, *values.values(), fidelity)))
+    columns = ["t", "norm", *("energy" if n == "H" else f"{n}_mean" for n in names), "fidelity"]
+    return TrajectoryRecord(columns, np.concatenate(blocks),
+                            WaveField(f0.grid, block[-1].copy(), times[-1]))
 
 
 def estimate_order(f0: WaveField, T: float, method: str, cfg: SystemConfig,

@@ -406,11 +406,17 @@ GROUPS = {
 def run_verify(cfg: SystemConfig | None = None, filters=(),
                op_text: str | None = None) -> VerifyReport:
     """Run the named check groups; ``filters`` keeps groups whose name
-    contains any of the given substrings."""
+    contains any of the given substrings.  Filters that keep no group, or
+    drop the symbolic group ``op_text`` is checked in, are refused."""
     if cfg is None:
         cfg = natural_config()
+    groups = [g for g in GROUPS if not filters or any(f in g for f in filters)]
+    if not groups:
+        raise ValueError(f"no check group name contains {' or '.join(map(repr, filters))}; "
+                         f"the groups are {', '.join(GROUPS)}")
+    if op_text and "symbolic" not in groups:
+        raise ValueError("--op needs the symbolic group, which --filter leaves out")
     report = VerifyReport()
-    for group, checks in GROUPS.items():
-        if not filters or any(f in group for f in filters):
-            report.extend(checks(cfg, op_text))
+    for group in groups:
+        report.extend(GROUPS[group](cfg, op_text))
     return report

@@ -41,6 +41,25 @@ def test_verify_adhoc_operator_not_conserved():
     assert run(["verify", "--filter", "symbolic", "--op", "px"]) == 1
 
 
+def test_verify_refuses_a_filter_that_matches_no_group(capsys):
+    """No verdict for checks that never ran: the refusal names the groups."""
+    assert run(["verify", "--filter", "nosuchgroup", "--json"]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == ("error: no check group name contains 'nosuchgroup'; the groups are "
+                   "symbolic, residual, ladder, resummation, landau, symmetry, quantization, "
+                   "newton, propagator\n")
+
+
+def test_verify_refuses_an_op_whose_group_is_filtered_out(capsys):
+    """``--op`` is checked in the symbolic group; a filter that leaves it out
+    would drop the ad-hoc check and report the rest as passed."""
+    assert run(["verify", "--filter", "resid", "--op", "px"]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == "error: --op needs the symbolic group, which --filter leaves out\n"
+
+
 def test_verify_tampered_hamiltonian_fails(tmp_path):
     cfg = {"m": 1, "q": 1, "E": 1, "L": 8.0,
            "hamiltonian_override": "1/2*px^2 + q*E*x"}

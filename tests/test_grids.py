@@ -387,7 +387,8 @@ def test_momentum_expectation_tracks_field():
     t = G.commensurate_time(CFG, GRID, 2)
     f = G.sample(S.electric_fundamental(CFG), GRID, t)
     assert abs(G.expectation("px", f, CFG) - t) < 1e-8
-    assert abs(G.expectation("pi_x", f, CFG)) < 1e-8
+    # the conserved pi_x = px - q E t
+    assert abs(G.expectation("px", f, CFG) - CFG.charge * CFG.electric * f.t) < 1e-8
 
 
 def test_landau_energy_expectation():
@@ -401,10 +402,13 @@ def test_gauge_momentum_expectations():
     g2 = G.landau_grid(CFG_PAR, npoints=64, ly=24.0)
     dy = G.snap_shift(g2.y, 0.75)
     fy = G.sample(S.parallel_family(CFG_PAR, "family_y", 0, dy, box=g2.z.length), g2, 0.0)
-    assert G.expectation("pi_z", fy, CFG_PAR) == pytest.approx(dy, abs=1e-10)
+    # the conserved pi_z = pz and pi_y = py - m wc z
+    assert G.expectation("pz", fy, CFG_PAR) == pytest.approx(dy, abs=1e-10)
     dz = G.snap_offset(g2.z, 0.7)
     fz = G.sample(S.parallel_family(CFG_PAR, "family_z", 1, dz, box=g2.y.length), g2, 0.0)
-    assert G.expectation("pi_y", fz, CFG_PAR) == pytest.approx(-dz, abs=1e-10)
+    pi_y = (G.expectation("py", fz, CFG_PAR)
+            - CFG_PAR.mass * cyclotron_frequency(CFG_PAR) * G.expectation("z", fz, CFG_PAR))
+    assert pi_y == pytest.approx(-dz, abs=1e-10)
 
 
 def test_unknown_observable():
@@ -579,8 +583,20 @@ def parent_expectations(names, f, cfg):
     return _one_field_value(names, f, cfg, position, moment)
 
 
-NAMES_1D = ("x", "px", "pi_x", "H")
-NAMES_2D = ("y", "z", "py", "pz", "pi_y", "pi_z", "H")
+NAMES_1D = ("x", "px", "H")
+NAMES_2D = ("y", "z", "py", "pz", "H")
+# the conserved momenta pi_x = px - q E t, pi_y = py - m wc z and pi_z = pz,
+# formed from the kernel's values and checked against every reference
+PI_NAMES = {1: ("pi_x",), 2: ("pi_y", "pi_z")}
+
+
+def kernel_pi(values, i, f, cfg):
+    """The conserved momenta of field ``i`` from the kernel's values, operation
+    for operation as the kernel formed them (with ``f.t`` for each time)."""
+    if f.values.ndim == 1:
+        return [float(values["px"][i] - cfg.charge * cfg.electric * f.t)]
+    wc = cyclotron_frequency(cfg)
+    return [float(values["py"][i] - cfg.mass * wc * values["z"][i]), float(values["pz"][i])]
 
 
 def random_band_limited(grid, seed, t=0.0):
@@ -613,9 +629,10 @@ KERNEL_CASES = [
 @pytest.mark.parametrize("label, grid, cfg, names", KERNEL_CASES, ids=[c[0] for c in KERNEL_CASES])
 def test_expectations_match_reference_measurement(label, grid, cfg, names, seed):
     f = random_band_limited(grid, seed, t=0.1 * seed)
-    values = G.stack_expectations(grid, f.values[None], (f.t,), cfg)[1]
+    values = G.stack_expectations(grid, f.values[None], cfg)[1]
     got = [float(values[name][0]) for name in names]
-    for name, value in zip(names, got):
+    pi_names = PI_NAMES[len(grid.axes)]
+    for name, value in zip(names + pi_names, got + kernel_pi(values, 0, f, cfg)):
         ref = reference_expectation(name, f, cfg)
         assert abs(value - ref) <= 1e-13 * max(1.0, abs(ref)), name
     # one kernel call equals the per-name calls bit for bit
@@ -625,13 +642,13 @@ def test_expectations_match_reference_measurement(label, grid, cfg, names, seed)
 @pytest.mark.parametrize("label, grid, cfg, names", KERNEL_CASES, ids=[c[0] for c in KERNEL_CASES])
 def test_stacked_expectations_equal_one_field_calls(label, grid, cfg, names):
     """Five fields at five times measured in one stacked call equal the
-    one-field kernel on each, bit for bit: every name (pi_x reads each
-    field's own time), the norms and the overlaps with a reference."""
+    one-field kernel on each, bit for bit: every name, the conserved
+    momenta formed from them (pi_x reads each field's own time), the norms
+    and the overlaps with a reference."""
     fields = [random_band_limited(grid, seed, t=0.3 * seed - 0.4) for seed in range(5)]
     stack = np.array([f.values for f in fields])
     reference = random_band_limited(grid, 11)
-    norms, values, overlaps = G.stack_expectations(
-        grid, stack, [f.t for f in fields], cfg, reference=reference.values)
+    norms, values, overlaps = G.stack_expectations(grid, stack, cfg, reference=reference.values)
     # every observable of the field dimension, in order, over the whole stack
     assert tuple(values) == G.OBSERVABLES[len(grid.axes)] == names
     assert all(v.shape == (len(fields),) for v in values.values())
@@ -639,6 +656,8 @@ def test_stacked_expectations_equal_one_field_calls(label, grid, cfg, names):
         got = [float(values[name][i]) for name in names]
         assert got == one_field_expectations(names, f, cfg)
         assert got == [G.expectation(name, f, cfg) for name in names]
+        pi_names = PI_NAMES[len(grid.axes)]
+        assert kernel_pi(values, i, f, cfg) == one_field_expectations(pi_names, f, cfg)
         assert norms[i] == one_field_norm(f) == G.norm(f)
         assert complex(overlaps[i]) == one_field_inner_product(reference, f)
         assert complex(overlaps[i]) == G.inner_product(reference, f)
@@ -651,10 +670,12 @@ def test_kernel_stays_within_roundoff_of_the_parent_kernel(label, grid, cfg, nam
     fields = [random_band_limited(grid, seed, t=0.3 * seed - 0.4) for seed in range(5)]
     reference = random_band_limited(grid, 11)
     norms, values, overlaps = G.stack_expectations(
-        grid, np.array([f.values for f in fields]), [f.t for f in fields], cfg,
-        reference=reference.values)
-    got = np.array([[norms[i], *(values[n][i] for n in names)] for i in range(len(fields))])
-    ref = np.array([[parent_norm(f), *parent_expectations(names, f, cfg)] for f in fields])
+        grid, np.array([f.values for f in fields]), cfg, reference=reference.values)
+    pi_names = PI_NAMES[len(grid.axes)]
+    got = np.array([[norms[i], *(values[n][i] for n in names), *kernel_pi(values, i, f, cfg)]
+                    for i, f in enumerate(fields)])
+    ref = np.array([[parent_norm(f), *parent_expectations(names + pi_names, f, cfg)]
+                    for f in fields])
     assert np.all(np.abs(got - ref) <= 1e-13 * np.max(np.abs(ref), axis=0))
     parent_overlaps = np.array([parent_inner_product(reference, f) for f in fields])
     assert np.all(np.abs(overlaps - parent_overlaps) <= 1e-13 * np.max(np.abs(parent_overlaps)))
@@ -679,7 +700,7 @@ def test_one_kernel_call_on_a_full_block_allocates_no_more_than_the_parent(
     field = random_band_limited(grid, 3).values
     assert ROW_BLOCK_BYTES // field.nbytes == nfields
     stack = np.array([field] * nfields)
-    args = (grid, stack, [0.0] * nfields, cfg)
+    args = (grid, stack, cfg)
     G.stack_expectations(*args, reference=field)   # fills the twist and FFT caches
     tracemalloc.start()
     try:
@@ -693,7 +714,7 @@ def test_one_kernel_call_on_a_full_block_allocates_no_more_than_the_parent(
 def test_stacked_expectations_refuse_an_empty_field():
     fields = np.array([random_band_limited(GRID, 1).values, np.zeros(GRID.npoints)])
     with pytest.raises(ValueError, match="empty field"):
-        G.stack_expectations(GRID, fields, [0.0, 0.0], CFG)
+        G.stack_expectations(GRID, fields, CFG)
 
 
 def test_gauge_twist_is_cached_and_read_only():

@@ -12,8 +12,8 @@ from fieldquant import grids as G
 from fieldquant import propagate as P
 from fieldquant import solutions as S
 from fieldquant.config import cyclotron_frequency, natural_config
-from test_grids import (one_field_expectations, one_field_inner_product, one_field_norm,
-                        parent_expectations, parent_inner_product, parent_norm,
+from test_grids import (kernel_pi, one_field_expectations, one_field_inner_product,
+                        one_field_norm, parent_expectations, parent_inner_product, parent_norm,
                         random_band_limited, reference_expectation)
 
 CFG40 = natural_config(L=40.0)
@@ -134,6 +134,68 @@ def test_advance_leaves_the_input_unmodified(landau_eigenstate):
         for _ in range(3):
             assert not np.shares_memory(next(rows)[0], values)
         assert np.array_equal(values, before)
+
+
+# --- the stepper contract: ``advance`` and ``step`` come from ``rows`` -------------
+
+def test_split_advance_rejects_non_finite_input(landau_eigenstate):
+    """Both steppers share one ``advance``, so a split advance checks its
+    result as a Crank-Nicolson one does, with the same message."""
+    grid, f0 = landau_eigenstate
+    values = f0.values.copy()
+    values[3, 5] = np.nan
+    stepper = P.SplitStepYZ(grid, CFG_PAR, 0.01)
+    for advance in (lambda: stepper.advance(values, 3), lambda: stepper.step(values)):
+        with pytest.raises(ValueError, match="^array must not contain infs or NaNs$"):
+            advance()
+
+
+def test_advance_by_zero_steps_returns_its_input(landau_eigenstate):
+    grid = G.Grid1D(40.0, 256, "dirichlet")
+    cases = [(P.CrankNicolson1D(grid, CFG40, 1e-3), gaussian_packet(grid).values),
+             (P.SplitStepYZ(landau_eigenstate[0], CFG_PAR, 0.01), landau_eigenstate[1].values)]
+    for stepper, values in cases:
+        assert stepper.advance(values, 0) is values
+
+
+@pytest.mark.parametrize("method", ["cn_1d", "split_yz"])
+def test_advance_is_the_second_row_and_step_one_advance(landau_eigenstate, method):
+    """For each stepper, ``advance(v, n)`` equals the second row of
+    ``rows(v, n)`` bit for bit, C-ordered, and ``step`` equals ``advance(v, 1)``."""
+    if method == "cn_1d":
+        grid = G.Grid1D(40.0, 256, "dirichlet")
+        stepper, v = P.CrankNicolson1D(grid, CFG40, 1e-3), gaussian_packet(grid, p0=0.5).values
+    else:
+        stepper, v = P.SplitStepYZ(landau_eigenstate[0], CFG_PAR, 0.01), landau_eigenstate[1].values
+    for steps in (1, 5):
+        rows = stepper.rows(v, steps)
+        next(rows)
+        got = stepper.advance(v, steps)
+        assert got.flags.c_contiguous
+        assert np.array_equal(got, next(rows)[0])
+    assert np.array_equal(stepper.step(v), stepper.advance(v, 1))
+
+
+@pytest.mark.parametrize("method", ["cn_1d", "split_yz"])
+def test_record_rows_are_one_float64_array(landau_eigenstate, method):
+    """``rows`` is one (rows, columns) float64 array, and ``column`` equals
+    the column a list of rows gives, bit for bit."""
+    if method == "cn_1d":
+        f0, cfg = gaussian_packet(G.Grid1D(40.0, 256, "dirichlet"), p0=0.5), CFG40
+        spec = P.EvolutionSpec(dt=1e-3, steps=40, cadence=1)
+    else:
+        f0, cfg = landau_eigenstate[1], CFG_PAR
+        spec = P.EvolutionSpec(dt=P.cyclotron_period(CFG_PAR) / 64, steps=9, cadence=1,
+                               method=method)
+    rec = P.evolve(f0, spec, cfg)
+    assert isinstance(rec.rows, np.ndarray) and rec.rows.dtype == np.float64
+    assert rec.rows.shape == (spec.steps + 1, len(rec.columns))
+    listed = rec.rows.tolist()
+    for idx, name in enumerate(rec.columns):
+        column = rec.column(name)
+        assert column.dtype == np.float64
+        assert np.array_equal(column, np.array([row[idx] for row in listed]))
+    assert np.array_equal(rec.times, rec.column("t"))
 
 
 def test_cn_free_particle_spreads_in_place():
@@ -406,14 +468,16 @@ def test_split_row_spectra_reproduce_the_fft_moments(grid):
     for _ in range(6):
         state, spectra = next(rows)
         stack = np.ascontiguousarray(state)[None]
-        fft_values = G.stack_expectations(grid, stack, (0.0,), CFG_PAR)[1]
-        got = G.stack_expectations(grid, stack, (0.0,), CFG_PAR,
-                                   spectra=[w[None] for w in spectra])[1]
+        fft_values = G.stack_expectations(grid, stack, CFG_PAR)[1]
+        got = G.stack_expectations(grid, stack, CFG_PAR, spectra=[w[None] for w in spectra])[1]
         for name, ref in fft_values.items():
-            if name in ("py", "pz", "pi_y", "pi_z", "H"):
+            if name in ("py", "pz", "H"):
                 assert abs(got[name][0] - ref[0]) <= 1e-13 * max(1.0, abs(ref[0])), name
             else:
                 assert got[name][0] == ref[0], name
+        f = G.WaveField(grid, stack[0], 0.0)   # pi_y and pi_z, from py, z and pz
+        for value, ref in zip(kernel_pi(got, 0, f, CFG_PAR), kernel_pi(fft_values, 0, f, CFG_PAR)):
+            assert abs(value - ref) <= 1e-13 * max(1.0, abs(ref))
 
 
 @pytest.mark.parametrize("method", ["cn_1d", "split_yz"])
@@ -471,7 +535,7 @@ def _record_row(f, cfg, reference, ref_norm, kernel, spectra):
     norm, inner_product, expectations = kernel
     n = norm(f)
     fid = abs(inner_product(reference, f)) / (ref_norm * n)
-    return [f.t, n, *expectations(P._ROW_OBSERVABLES[f.values.ndim], f, cfg, spectra), fid]
+    return [f.t, n, *expectations(G.OBSERVABLES[f.values.ndim], f, cfg, spectra), fid]
 
 
 def row_by_row_evolve(f0, spec, cfg, kernel=ONE_FIELD):
@@ -512,7 +576,7 @@ def test_evolve_rows_match_row_by_row_measurement_bit_for_bit(landau_eigenstate,
         spec = P.EvolutionSpec(dt=1e-3, steps=steps, cadence=cadence)
     rows, final = row_by_row_evolve(f0, spec, cfg)
     rec = P.evolve(f0, spec, cfg)
-    assert rec.rows == rows
+    assert rec.rows.tolist() == rows
     assert np.array_equal(rec.final.values, final.values)
     assert rec.final.t == final.t
     assert not np.shares_memory(rec.final.values, f0.values)

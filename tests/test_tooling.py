@@ -1,7 +1,8 @@
 """Guards for the tooling that sits outside the library, and for the module
 boundaries inside it.  The benchmark's span tracer (``bench/tracing.py``)
 wraps library attributes by name, so a rename in ``src/`` would break
-``bench/run.py --trace 1`` without failing a test.  No module reaches into
+``bench/run.py --trace 1`` without failing a test; its workloads read the
+library's outputs, so they are run once here too.  No module reaches into
 another module's private names, and none writes its own float64 or geometry
 refusal."""
 
@@ -46,6 +47,31 @@ def test_bench_tracer_wraps_attributes_that_exist():
     spans = json.loads(out.stdout.splitlines()[-1])
     for span in ("propagate.build", "propagate.cn_step.64", "propagate.split_step.16"):
         assert span in spans
+
+
+# runs every job of every benchmark workload once, in a fresh interpreter: the
+# jobs' checks read the library's outputs (``record.rows``, ``record.column``,
+# the CLI's CSVs), so an interface change that breaks the benchmark fails here
+WORKLOAD_PROBE = textwrap.dedent("""
+    import json, sys
+    import workloads
+
+    problems = {}
+    for name in workloads.WORKLOADS:
+        for job in workloads.build(name, 1, sys.argv[1]).jobs:
+            problems[f"{name}: {job.name}"] = job.check(job.run())[0]
+    print(json.dumps(problems))
+""")
+
+
+def test_every_benchmark_job_runs_and_passes_its_own_check(tmp_path):
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([str(ROOT / "bench"), str(ROOT / "src")])}
+    out = subprocess.run([sys.executable, "-c", WORKLOAD_PROBE, str(tmp_path)], env=env,
+                         cwd=ROOT, capture_output=True, text=True, timeout=120)
+    assert out.returncode == 0, out.stderr
+    problems = json.loads(out.stdout.splitlines()[-1])
+    assert len(problems) >= 3
+    assert {name: p for name, p in problems.items() if p} == {}
 
 
 def _private_uses(path: pathlib.Path) -> set[tuple[str, str, str]]:
