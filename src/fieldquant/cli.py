@@ -240,6 +240,8 @@ def cmd_eval(args) -> int:
         header = ["x"]
     elif family in ("family-y", "family-z"):
         require_geometry(cfg, "parallel_eb", family)
+        if args.current:
+            raise ValueError(f"--current applies to the 1D families, not {family}")
         grid = gr.landau_grid(cfg, npoints=args.grid_n, ly=args.ly)
         if family == "family-y":
             shift, box = gr.snap_shift(grid.y, args.shift), grid.z.length
@@ -249,8 +251,7 @@ def cmd_eval(args) -> int:
         header = ["y", "z"]
     else:
         raise ConfigError("family", f"unknown family {family!r}")
-    current = args.current and len(grid.axes) == 1
-    header += ["t", "re", "im", "abs2"] + (["J", "rho", "v"] if current else [])
+    header += ["t", "re", "im", "abs2"] + (["J", "rho", "v"] if args.current else [])
     rows = []
     for t in times:
         f = gr.sample(state, grid, t)
@@ -258,9 +259,9 @@ def cmd_eval(args) -> int:
         refuse_overflow(lambda: peak * peak, lambda: (
             f"|psi|^2 overflows float64 at t = {t}: |psi| reaches {peak:.3g}"))
         prof = None
-        if current and family in ("fundamental", "shifted"):   # the closed form i k psi
+        if args.current and family in ("fundamental", "shifted"):   # the closed form i k psi
             prof = obs.probability_current_1d(state, cfg, t, x=grid.x)
-        elif current:   # fd4, with no current read across the periodic wrap
+        elif args.current:   # fd4, with no current read across the periodic wrap
             prof = obs.probability_current_1d(f, cfg)
             wrap = np.r_[:gr.STENCIL_REACH, -gr.STENCIL_REACH:0]
             prof.current[wrap] = prof.velocity[wrap] = math.nan
@@ -268,7 +269,7 @@ def cmd_eval(args) -> int:
             val = f.values[index]
             row = [axis.x[i] for axis, i in zip(grid.axes, index)]
             row += [t, val.real, val.imag, abs(val) ** 2]
-            if current:
+            if args.current:
                 j, v = prof.current[index], prof.velocity[index]
                 row += ["" if math.isnan(j) else j, prof.density[index],
                         "" if math.isnan(v) else v]

@@ -1,4 +1,4 @@
-"""Run configuration: unit system, particle, fields, box and displacements.
+"""Run configuration: unit system, particle, fields and box.
 
 A ``SystemConfig`` is one flat, immutable record shared by every other
 module: ``mass``, ``charge``, ``electric``, ``magnetic`` and ``geometry``
@@ -14,7 +14,7 @@ from __future__ import annotations
 import cmath
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -88,15 +88,6 @@ def unit_system(kind: str) -> UnitSystem:
 
 
 @dataclass(frozen=True)
-class DisplacementParams:
-    dx: float = 0.0
-    dy: float = 0.0
-    dz: float = 0.0
-    dt: float = 0.0
-    eigen_sign: str = "minus"
-
-
-@dataclass(frozen=True)
 class SystemConfig:
     units: UnitSystem
     mass: float
@@ -105,7 +96,7 @@ class SystemConfig:
     magnetic: float
     geometry: str
     box_length: float
-    displacements: DisplacementParams = field(default_factory=DisplacementParams)
+    eigen_sign: str = "minus"
     plane_wave_norm: str = "sqrt_box"   # "sqrt_box": 1/sqrt(L) (unit L2 norm); "box": 1/L
     ladder_depth: int = 6
     hamiltonian_override: str | None = None
@@ -156,7 +147,6 @@ def build_config(raw: dict) -> SystemConfig:
         B       magnetic field intensity, >= 0           (default 0)
         units   natural | cgs | si                       (default natural)
         geometry  electric_1d | parallel_eb              (default electric_1d)
-        dx, dy, dz, dt   displacement parameters         (default 0)
         eigen_sign       plus | minus                    (default minus)
         plane_wave_norm  sqrt_box | box                  (default sqrt_box)
         ladder_depth     max ladder order, 0..64         (default 6)
@@ -167,8 +157,8 @@ def build_config(raw: dict) -> SystemConfig:
     if not isinstance(raw, dict):
         raise ConfigError("document", "configuration must be a mapping")
 
-    known = {"m", "q", "E", "B", "L", "units", "geometry", "dx", "dy", "dz", "dt",
-             "eigen_sign", "plane_wave_norm", "ladder_depth", "hamiltonian_override"}
+    known = {"m", "q", "E", "B", "L", "units", "geometry", "eigen_sign",
+             "plane_wave_norm", "ladder_depth", "hamiltonian_override"}
     for key in raw:
         if key not in known:
             raise ConfigError(key, f"unknown configuration key {key!r}")
@@ -209,14 +199,6 @@ def build_config(raw: dict) -> SystemConfig:
     if eigen_sign not in EIGEN_SIGNS:
         raise ConfigError("eigen_sign", f"eigen_sign must be one of {EIGEN_SIGNS}")
 
-    displacements = DisplacementParams(
-        dx=_as_float("dx", raw.get("dx", 0.0)),
-        dy=_as_float("dy", raw.get("dy", 0.0)),
-        dz=_as_float("dz", raw.get("dz", 0.0)),
-        dt=_as_float("dt", raw.get("dt", 0.0)),
-        eigen_sign=eigen_sign,
-    )
-
     plane_wave_norm = raw.get("plane_wave_norm", "sqrt_box")
     if plane_wave_norm not in PLANE_WAVE_NORMS:
         raise ConfigError("plane_wave_norm",
@@ -241,7 +223,7 @@ def build_config(raw: dict) -> SystemConfig:
         magnetic=magnetic,
         geometry=geometry,
         box_length=box_length,
-        displacements=displacements,
+        eigen_sign=eigen_sign,
         plane_wave_norm=plane_wave_norm,
         ladder_depth=ladder_depth,
         hamiltonian_override=override,
@@ -258,11 +240,7 @@ def serialize(cfg: SystemConfig) -> dict:
         "B": cfg.magnetic,
         "geometry": cfg.geometry,
         "L": cfg.box_length,
-        "dx": cfg.displacements.dx,
-        "dy": cfg.displacements.dy,
-        "dz": cfg.displacements.dz,
-        "dt": cfg.displacements.dt,
-        "eigen_sign": cfg.displacements.eigen_sign,
+        "eigen_sign": cfg.eigen_sign,
         "plane_wave_norm": cfg.plane_wave_norm,
         "ladder_depth": cfg.ladder_depth,
     }

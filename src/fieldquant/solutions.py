@@ -20,7 +20,7 @@ LADDER_CACHE_SIZE = 256     # ladder polynomials kept across configs
 
 def _eigen_sign(cfg: SystemConfig) -> float:
     # "minus" convention shifts t -> t - dt, "plus" shifts t -> t + dt
-    return 1.0 if cfg.displacements.eigen_sign == "minus" else -1.0
+    return 1.0 if cfg.eigen_sign == "minus" else -1.0
 
 
 # --- one-dimensional constant force ---------------------------------------

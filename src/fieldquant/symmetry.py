@@ -328,9 +328,11 @@ MAX_SUPERPOSITION_N = 16
 
 
 def build_parallel_superposition(a_coeffs, abar_coeffs, cfg: SystemConfig,
-                                 grid: Grid2D | None = None) -> AnalyticSolution:
+                                 grid: Grid2D | None = None, *, dx: float = 0.0, dy: float = 0.0,
+                                 dz: float = 0.0, dt: float = 0.0) -> AnalyticSolution:
     """Closed-form superposition sum_n a_n Ut Ux Uy zeta_n
-    + sum_n abar_n Ut Ux Uz zetabar_n, Gram-normalized on a transverse grid.
+    + sum_n abar_n Ut Ux Uz zetabar_n, Gram-normalized on a transverse grid;
+    ``dx``, ``dy``, ``dz`` and ``dt`` are the displacements of Ux, Uy, Uz and Ut.
 
     zeta_n carries the unshifted oscillator along y; zetabar_n carries the
     gauge-twisted oscillator along z.  All components share the same
@@ -347,12 +349,11 @@ def build_parallel_superposition(a_coeffs, abar_coeffs, cfg: SystemConfig,
     if not (np.all(np.isfinite(a_coeffs)) and np.all(np.isfinite(abar_coeffs))):
         raise ValueError("superposition coefficients must be finite")
 
-    d = cfg.displacements
     if grid is None:
         grid = landau_grid(cfg)
     components = [(complex(c), parallel_family(cfg, fam, n, shift, box).fn)
-                  for fam, coeffs, shift, box in (("family_y", a_coeffs, d.dy, grid.z.length),
-                                                  ("family_z", abar_coeffs, d.dz, grid.y.length))
+                  for fam, coeffs, shift, box in (("family_y", a_coeffs, dy, grid.z.length),
+                                                  ("family_z", abar_coeffs, dz, grid.y.length))
                   for n, c in enumerate(coeffs) if c != 0]
 
     # Gram matrix of the transverse parts at t = 0; different Landau levels
@@ -374,6 +375,6 @@ def build_parallel_superposition(a_coeffs, abar_coeffs, cfg: SystemConfig,
 
     base = AnalyticSolution(
         family="parallel_superposition", ndim=3, fn=evaluator, cfg=cfg,
-        shifts=(("dy", d.dy), ("dz", d.dz)),
+        shifts=(("dy", dy), ("dz", dz)),
         label="Gram-normalized two-family superposition")
-    return apply_unitary(Unitary("Ut", d.dt), apply_unitary(Unitary("Ux", d.dx), base, cfg), cfg)
+    return apply_unitary(Unitary("Ut", dt), apply_unitary(Unitary("Ux", dx), base, cfg), cfg)

@@ -407,15 +407,18 @@ def run_verify(cfg: SystemConfig | None = None, filters=(),
                op_text: str | None = None) -> VerifyReport:
     """Run the named check groups; ``filters`` keeps groups whose name
     contains any of the given substrings.  Filters that keep no group, or
-    drop the symbolic group ``op_text`` is checked in, are refused."""
+    drop the symbolic group that reads ``op_text`` or a config's
+    ``hamiltonian_override``, are refused."""
     if cfg is None:
         cfg = natural_config()
     groups = [g for g in GROUPS if not filters or any(f in g for f in filters)]
     if not groups:
         raise ValueError(f"no check group name contains {' or '.join(map(repr, filters))}; "
                          f"the groups are {', '.join(GROUPS)}")
-    if op_text and "symbolic" not in groups:
-        raise ValueError("--op needs the symbolic group, which --filter leaves out")
+    for name, given in (("--op", bool(op_text)),
+                        ("hamiltonian_override", cfg.hamiltonian_override is not None)):
+        if given and "symbolic" not in groups:
+            raise ValueError(f"{name} needs the symbolic group, which --filter leaves out")
     report = VerifyReport()
     for group in groups:
         report.extend(GROUPS[group](cfg, op_text))

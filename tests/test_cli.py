@@ -68,6 +68,19 @@ def test_verify_tampered_hamiltonian_fails(tmp_path):
     assert run(["verify", "--filter", "symbolic", "--config", str(path)]) == 1
 
 
+def test_verify_refuses_a_hamiltonian_override_whose_group_is_filtered_out(tmp_path, capsys):
+    """Only the symbolic group reads ``hamiltonian_override``; a filter that
+    leaves it out would pass the other groups on the untampered system."""
+    path = tmp_path / "tampered.json"
+    path.write_text(json.dumps({"m": 1, "q": 1, "E": 1, "L": 8.0,
+                                "hamiltonian_override": "1/2*px^2 + q*E*x"}))
+    assert run(["verify", "--filter", "newton", "--config", str(path)]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == ("error: hamiltonian_override needs the symbolic group, "
+                   "which --filter leaves out\n")
+
+
 def test_verify_json_output(capsys, tmp_path):
     assert run(["verify", "--filter", "symbolic", "--json",
                 "--out-dir", str(tmp_path)]) == 0
@@ -360,6 +373,20 @@ def test_eval_grid_current_is_left_out_where_its_stencil_reads_across_the_wrap(t
     assert blank == [0, 1, 126, 127]
     assert all(rows[i]["v"] == "" and rows[i]["rho"] != "" for i in blank)
     assert all(math.isfinite(float(row["J"])) for i, row in enumerate(rows) if i not in blank)
+
+
+@pytest.mark.parametrize("family", ["family-y", "family-z"])
+def test_eval_refuses_current_on_a_2d_family(tmp_path, capsys, family):
+    """The probability current is computed for the 1D families only; a 2D
+    family refuses ``--current`` instead of writing a CSV without it."""
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"m": 1, "q": 1, "E": 1, "B": 1.0, "L": 8.0,
+                                "geometry": "parallel_eb"}))
+    out_dir = tmp_path / "out"
+    assert run(["eval", "--family", family, "--grid-n", "16", "--times", "0", "--current",
+                "--config", str(path), "--out-dir", str(out_dir)]) == 2
+    assert capsys.readouterr().err == f"error: --current applies to the 1D families, not {family}\n"
+    assert not out_dir.exists()
 
 
 def test_eval_is_deterministic(tmp_path):

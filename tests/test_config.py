@@ -19,7 +19,7 @@ def test_minimal_natural_config():
     assert cfg.units.c == 1.0
     assert cfg.box_length == 10.0
     assert cfg.geometry == "electric_1d"
-    assert cfg.displacements.eigen_sign == "minus"
+    assert cfg.eigen_sign == "minus"
 
 
 def test_defaults_applied():
@@ -41,6 +41,9 @@ def test_defaults_applied():
     ({"m": 1, "q": 1, "E": 1, "L": 10, "bogus": 3}, "bogus", "unknown configuration key"),
     ({"m": 1, "q": 1, "E": 1, "L": 10, "ladder_depth": True}, "ladder_depth",
      "ladder_depth must be a nonnegative integer"),
+    # the displacements are flags of the commands that read them, not config keys
+    *(({"m": 1, "q": 1, "E": 1, "L": 10, key: 0.0}, key, f"unknown configuration key {key!r}")
+      for key in ("dx", "dy", "dz", "dt")),
 ])
 def test_validation_errors(raw, bad_field, message):
     with pytest.raises(ConfigError) as err:
@@ -81,8 +84,8 @@ def test_natural_units_fix_hbar_and_c():
 
 def test_config_round_trip():
     cfg = build_config({"m": 2.0, "q": -1.5, "E": 0.25, "B": 1.0, "L": 12.0,
-                        "geometry": "parallel_eb", "dx": 0.1, "dt": -0.2,
-                        "eigen_sign": "plus", "units": "natural"})
+                        "geometry": "parallel_eb", "eigen_sign": "plus",
+                        "units": "natural"})
     assert build_config(serialize(cfg)) == cfg
 
 

@@ -331,21 +331,22 @@ def test_superposition_phase_is_measured_under_the_float64_guard(super_setup):
     origins, x less its Ux shift and t less its time origin: the canonical
     state is measured, and a strong field or a far shift, whose sampled
     phase reaches 9e6 rad, is refused instead of read 8e-10 off."""
-    cfg, g2 = super_setup
-    psi = Y.build_parallel_superposition([1.0, 0.4], [0.5, 0.0, 0.25], cfg, g2)
+    cfg, g2, d = super_setup
+    psi = Y.build_parallel_superposition([1.0, 0.4], [0.5, 0.0, 0.25], cfg, g2, **d)
     assert abs(Y.invariance_phase(0.7, 0.9, cfg, state=psi) - cmath.exp(0.63j)) < 1e-9
     for E, dx, dt, reach in ((900, 0.7, 4.0, "8.66e+06"), (1, 1e7, 0.9, "9e+06")):
         strong = build_config({"m": 1, "q": 1, "E": E, "B": 1.0, "L": 8.0,
-                               "geometry": "parallel_eb", "dx": dx, "dt": dt})
-        psi = Y.build_parallel_superposition([1.0, 0.4], [0.5, 0.0, 0.25], strong)
+                               "geometry": "parallel_eb"})
+        psi = Y.build_parallel_superposition([1.0, 0.4], [0.5, 0.0, 0.25], strong,
+                                             dx=dx, dt=dt)
         with pytest.raises(ValueError, match=re.escape(f"the sampled phase reaches {reach} rad")):
             Y.invariance_phase(0.7, dt, strong, state=psi)
 
 
 def test_custom_state_phase_matches_scalar_reference_bit_for_bit(super_setup):
-    cfg, g2 = super_setup
-    psi = Y.build_parallel_superposition([1.0, 0.4], [0.5, 0.0, 0.25], cfg, g2)
-    for dx in (cfg.displacements.dx, 1.9):
+    cfg, g2, d = super_setup
+    psi = Y.build_parallel_superposition([1.0, 0.4], [0.5, 0.0, 0.25], cfg, g2, **d)
+    for dx in (d["dx"], 1.9):
         _assert_bitwise(Y.invariance_phase(dx, 0.9, cfg, state=psi),
                         _reference_invariance_phase(dx, 0.9, cfg, state=psi))
 
@@ -482,29 +483,28 @@ def super_setup():
     g2 = G.landau_grid(natural_config(B=1.0, geometry="parallel_eb", L=8.0),
                        npoints=64, ly=24.0)
     cfg = build_config({
-        "m": 1, "q": 1, "E": 1, "B": 1.0, "L": 8.0, "geometry": "parallel_eb",
-        "dx": 0.7, "dy": G.snap_shift(g2.y, 0.5), "dz": G.snap_offset(g2.z, 0.7),
-        "dt": 0.9})
-    return cfg, g2
+        "m": 1, "q": 1, "E": 1, "B": 1.0, "L": 8.0, "geometry": "parallel_eb"})
+    shifts = {"dx": 0.7, "dy": G.snap_shift(g2.y, 0.5), "dz": G.snap_offset(g2.z, 0.7),
+              "dt": 0.9}
+    return cfg, g2, shifts
 
 
 def test_single_term_superposition_matches_transformed_product(super_setup):
-    cfg, g2 = super_setup
-    psi = Y.build_parallel_superposition([1.0], [], cfg, g2)
-    d = cfg.displacements
+    cfg, g2, d = super_setup
+    psi = Y.build_parallel_superposition([1.0], [], cfg, g2, **d)
     x, y, z, t = 0.31, 0.8, -0.4, 0.65
-    t_eff = t - d.dt
-    expected = (cmath.exp(1j * t_eff * d.dx)
-                * S.plane_wave(x - d.dx, t_eff, cfg)
+    t_eff = t - d["dt"]
+    expected = (cmath.exp(1j * t_eff * d["dx"])
+                * S.plane_wave(x - d["dx"], t_eff, cfg)
                 * cmath.exp(-1j * S.landau_level(0, cfg) * t_eff)
-                * complex(S.phi2_family_y(y, z, d.dy, 0, cfg))
+                * complex(S.phi2_family_y(y, z, d["dy"], 0, cfg))
                 / math.sqrt(g2.z.length))
     assert complex(psi.fn(x, y, z, t)) == pytest.approx(expected, rel=1e-10)
 
 
 def test_superposition_norm_after_gram_correction(super_setup):
-    cfg, g2 = super_setup
-    psi = Y.build_parallel_superposition([1.0, 0.4], [0.5, 0.0, 0.25], cfg, g2)
+    cfg, g2, d = super_setup
+    psi = Y.build_parallel_superposition([1.0, 0.4], [0.5, 0.0, 0.25], cfg, g2, **d)
     yy, zz = g2.y.x[:, None], g2.z.x[None, :]
     vals = psi.fn(0.13, yy, zz, 0.5)
     # |x factor|^2 integrates to 1 over the box, leaving the transverse norm
@@ -513,16 +513,15 @@ def test_superposition_norm_after_gram_correction(super_setup):
 
 
 def test_superposition_invariance_phase(super_setup):
-    cfg, g2 = super_setup
-    psi = Y.build_parallel_superposition([1.0, 0.4], [0.5, 0.0, 0.25], cfg, g2)
-    d = cfg.displacements
-    for dx_probe in (d.dx, 1.9):
-        measured = Y.invariance_phase(dx_probe, d.dt, cfg, state=psi)
-        assert measured == pytest.approx(cmath.exp(1j * dx_probe * d.dt), abs=1e-9)
+    cfg, g2, d = super_setup
+    psi = Y.build_parallel_superposition([1.0, 0.4], [0.5, 0.0, 0.25], cfg, g2, **d)
+    for dx_probe in (d["dx"], 1.9):
+        measured = Y.invariance_phase(dx_probe, d["dt"], cfg, state=psi)
+        assert measured == pytest.approx(cmath.exp(1j * dx_probe * d["dt"]), abs=1e-9)
 
 
 def test_superposition_input_validation(super_setup):
-    cfg, g2 = super_setup
+    cfg, g2, _ = super_setup
     with pytest.raises(ValueError, match="empty superposition"):
         Y.build_parallel_superposition([0.0], [0.0], cfg, g2)
     with pytest.raises(ValueError, match="levels per family"):
