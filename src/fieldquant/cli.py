@@ -5,7 +5,7 @@ Subcommands: verify, evolve1d, evolve-landau, quantize, eval.  All accept
 ``--config <path>`` (JSON, see config.build_config) plus overrides.  CSV
 outputs carry ``#`` metadata lines and are byte-identical across runs with
 identical inputs; exit codes are 0 (all pass), 1 (check failures), 2
-(usage or config errors).
+(usage, config or output errors).
 """
 
 from __future__ import annotations
@@ -29,9 +29,7 @@ from .verify import run_verify
 
 
 def _fmt(value) -> str:
-    if isinstance(value, float):
-        return f"{value:.17g}"
-    return str(value)
+    return f"{value:.17g}" if isinstance(value, float) else str(value)
 
 
 def _write_csv(path: str, metadata: dict, header: list[str], rows) -> None:
@@ -53,24 +51,22 @@ def _write_json(path: str, payload: dict) -> None:
 
 def _load_cfg(args) -> SystemConfig:
     raw = read_document(args.config) if args.config else serialize(natural_config())
-    if getattr(args, "units", None) and isinstance(raw, dict):
+    if args.units and isinstance(raw, dict):
         # the document's numbers, and a charge "e" or "-e", read in the new system
         raw = {**raw, "units": args.units}
     return build_config(raw)
 
 
-def _config_metadata(cfg: SystemConfig, command: str) -> dict:
-    meta = {f"config.{k}": v for k, v in serialize(cfg).items()}
-    meta["command"] = command
-    return meta
+def _config_metadata(cfg: SystemConfig, command: str, options: dict) -> dict:
+    return {**{f"config.{k}": v for k, v in serialize(cfg).items()}, "command": command,
+            **options}
 
 
 # --- verify ---------------------------------------------------------------
 
 def cmd_verify(args) -> int:
-    cfg = _load_cfg(args)
-    filters = args.filter or ()
-    report = run_verify(cfg, filters=filters, op_text=args.op)
+    cfg = _load_cfg(args) if args.config or args.units else None
+    report = run_verify(cfg, filters=args.filter or (), op_text=args.op)
     if args.json:
         print(json.dumps(report.as_dict(), indent=2, sort_keys=True))
     else:
@@ -93,7 +89,7 @@ def _print_result(args, path: str, payload: dict) -> None:
     print(json.dumps(payload, indent=2, sort_keys=True) if args.json else path)
 
 
-def _trajectory_outputs(args, record, metadata, stem: str, summary_extra=None):
+def _trajectory_outputs(args, record, metadata, stem: str, extra: dict):
     csv_path = os.path.join(args.out_dir, f"{stem}_trajectory.csv")
     rows = record.rows.tolist()   # Python floats format faster than numpy's
     _write_csv(csv_path, metadata, record.columns, rows)
@@ -102,9 +98,8 @@ def _trajectory_outputs(args, record, metadata, stem: str, summary_extra=None):
         "columns": record.columns,
         "t_final": rows[-1][0],   # evolve always records the initial row
         "norm_final": rows[-1][1],
+        **extra,
     }
-    if summary_extra:
-        summary.update(summary_extra)
     _write_json(os.path.join(args.out_dir, f"{stem}_summary.json"), summary)
     _print_result(args, csv_path, summary)
     return 0
@@ -112,6 +107,8 @@ def _trajectory_outputs(args, record, metadata, stem: str, summary_extra=None):
 
 def cmd_evolve1d(args) -> int:
     cfg = _load_cfg(args)
+    if args.steps == 0 and (args.cadence or args.richardson):
+        raise ValueError("--cadence and --richardson need at least one step, not --steps 0")
     grid = gr.Grid1D(cfg.box_length, args.grid_n, "dirichlet")
     x = grid.x
     sigma = args.sigma
@@ -129,15 +126,15 @@ def cmd_evolve1d(args) -> int:
                               cadence=args.cadence or max(args.steps, 1), method="cn_1d")
     record = prop.evolve(f0, spec, cfg)
     extra = {}
-    if args.richardson and args.steps:
+    if args.richardson:
         extra["order_estimate"] = prop.estimate_order(
             f0, args.steps * args.dt, "cn_1d", cfg, base_steps=min(args.steps, 64))
     if args.steps:
         extra["newton_max_residual"] = obs.newton_check(record, cfg)["max_residual"] \
             if len(record.rows) >= 3 else None
-    meta = _config_metadata(cfg, "evolve1d")
-    meta.update({"dt": args.dt, "steps": args.steps, "sigma": sigma,
-                 "x0": args.x0, "p0": args.p0, "grid_n": args.grid_n})
+    meta = _config_metadata(cfg, "evolve1d", {
+        "dt": args.dt, "steps": args.steps, "sigma": sigma, "x0": args.x0, "p0": args.p0,
+        "grid_n": args.grid_n})
     return _trajectory_outputs(args, record, meta, "evolve1d", extra)
 
 
@@ -159,10 +156,9 @@ def cmd_evolve_landau(args) -> int:
     if args.richardson:
         extra["order_estimate"] = prop.estimate_order(f0, period, "split_yz", cfg,
                                                       base_steps=64)
-    meta = _config_metadata(cfg, "evolve-landau")
-    meta.update({"n": args.n, "dy": dy, "periods": args.periods,
-                 "steps_per_period": args.steps_per_period,
-                 "grid_n": args.grid_n, "ly": args.ly})
+    meta = _config_metadata(cfg, "evolve-landau", {
+        "n": args.n, "dy": dy, "periods": args.periods,
+        "steps_per_period": args.steps_per_period, "grid_n": args.grid_n, "ly": args.ly})
     return _trajectory_outputs(args, record, meta, "evolve_landau", extra)
 
 
@@ -181,9 +177,7 @@ def cmd_quantize(args) -> int:
     if si_mode:
         header.append("R_ohm")
     header.append("error")
-    rows = []
-    hits = []
-    reasons = []
+    rows, hits, reasons = [], [], []
     for dt_shift, rep in zip(dts, sym.scan_quantization(args.dx, dts, cfg, args.tol)):
         if isinstance(rep, str):   # no verdict at this point; rep is the reason
             rows.append([dt_shift] + [""] * (len(header) - 2) + [rep])
@@ -197,9 +191,9 @@ def cmd_quantize(args) -> int:
         rows.append(row)
         if rep.is_quantized:
             hits.append({"dt": rep.dt, "n": rep.nearest, "R_over_RK": rep.resistance_in_klitzing})
-    meta = _config_metadata(cfg, "quantize")
-    meta.update({"dx": args.dx, "dt_min": args.dt_min, "dt_max": args.dt_max,
-                 "dt_steps": args.dt_steps, "tol": args.tol})
+    meta = _config_metadata(cfg, "quantize", {
+        "dx": args.dx, "dt_min": args.dt_min, "dt_max": args.dt_max,
+        "dt_steps": args.dt_steps, "tol": args.tol})
     csv_path = os.path.join(args.out_dir, "quantize_scan.csv")
     _write_csv(csv_path, meta, header, rows)
     summary = {"integer_hits": hits, "points": len(rows), "dx": args.dx}
@@ -213,44 +207,43 @@ def cmd_quantize(args) -> int:
 
 # --- eval ------------------------------------------------------------------------
 
-def _parse_times(text: str) -> list[float]:
-    return [float(v) for v in text.split(",") if v.strip() != ""]
+# family -> (geometry, options it reads besides --times and --grid-n, state builder).
+# The builder takes the config and the values of those options but current, in order;
+# a family that reads ly is sampled on landau_grid, which it gets in ly's place.
+EVAL_FAMILIES = {
+    "fundamental": ("electric_1d", ("current",), sol.electric_fundamental),
+    "shifted": ("electric_1d", ("dt_shift", "current"), sol.electric_shifted),
+    "ladder": ("electric_1d", ("n", "current"), sol.electric_ladder),
+    "taylor": ("electric_1d", ("dt_shift", "order", "current"), sol.electric_taylor),
+    "oscillator": ("parallel_eb", ("n", "current"), sol.oscillator_1d),
+    "family-y": ("parallel_eb", ("n", "shift", "ly"), lambda cfg, n, dy, grid: sol.parallel_family(
+        cfg, "family_y", n, gr.snap_shift(grid.y, dy), grid.z.length)),
+    "family-z": ("parallel_eb", ("n", "shift", "ly"), lambda cfg, n, dz, grid: sol.parallel_family(
+        cfg, "family_z", n, gr.snap_offset(grid.z, dz), grid.y.length)),
+}
 
 
 def cmd_eval(args) -> int:
     cfg = _load_cfg(args)
-    times = _parse_times(args.times)
+    times = [float(v) for v in args.times.split(",") if v.strip()]
+    if not times:
+        raise ValueError(f"--times {args.times!r} lists no time")
     for option, value in [("--times", t) for t in times] + [
             ("--dt-shift", args.dt_shift), ("--shift", args.shift), ("--ly", args.ly)]:
         if not math.isfinite(value):
             raise ValueError(f"{option} must be finite, got {value}")
     family = args.family
-    if family in ("fundamental", "shifted", "ladder", "taylor", "oscillator"):
-        grid = gr.Grid1D(cfg.box_length, args.grid_n, "periodic")
-        if family == "fundamental":
-            state = sol.electric_fundamental(cfg)
-        elif family == "shifted":
-            state = sol.electric_shifted(cfg, args.dt_shift)
-        elif family == "ladder":
-            state = sol.electric_ladder(cfg, args.n)
-        elif family == "taylor":
-            state = sol.electric_taylor(cfg, args.dt_shift, args.order)
-        else:
-            state = sol.oscillator_1d(cfg, args.n)
-        header = ["x"]
-    elif family in ("family-y", "family-z"):
-        require_geometry(cfg, "parallel_eb", family)
-        if args.current:
-            raise ValueError(f"--current applies to the 1D families, not {family}")
-        grid = gr.landau_grid(cfg, npoints=args.grid_n, ly=args.ly)
-        if family == "family-y":
-            shift, box = gr.snap_shift(grid.y, args.shift), grid.z.length
-        else:
-            shift, box = gr.snap_offset(grid.z, args.shift), grid.y.length
-        state = sol.parallel_family(cfg, family.replace("-", "_"), args.n, shift, box)
-        header = ["y", "z"]
+    geometry, reads, build = EVAL_FAMILIES[family]
+    require_geometry(cfg, geometry, family)
+    for dest in ("n", "dt_shift", "order", "shift", "ly", "current"):
+        if dest not in reads and getattr(args, dest) != args.default(dest):
+            readers = ", ".join(f for f in EVAL_FAMILIES if dest in EVAL_FAMILIES[f][1])
+            raise ValueError(f"--{dest.replace('_', '-')} applies to {readers}, not {family}")
+    if "ly" in reads:
+        grid, header = gr.landau_grid(cfg, npoints=args.grid_n, ly=args.ly), ["y", "z"]
     else:
-        raise ConfigError("family", f"unknown family {family!r}")
+        grid, header = gr.Grid1D(cfg.box_length, args.grid_n, "periodic"), ["x"]
+    state = build(cfg, *[grid if d == "ly" else getattr(args, d) for d in reads if d != "current"])
     header += ["t", "re", "im", "abs2"] + (["J", "rho", "v"] if args.current else [])
     rows = []
     for t in times:
@@ -258,7 +251,6 @@ def cmd_eval(args) -> int:
         peak = float(np.abs(f.values).max())
         refuse_overflow(lambda: peak * peak, lambda: (
             f"|psi|^2 overflows float64 at t = {t}: |psi| reaches {peak:.3g}"))
-        prof = None
         if args.current and family in ("fundamental", "shifted"):   # the closed form i k psi
             prof = obs.probability_current_1d(state, cfg, t, x=grid.x)
         elif args.current:   # fd4, with no current read across the periodic wrap
@@ -274,9 +266,8 @@ def cmd_eval(args) -> int:
                 row += ["" if math.isnan(j) else j, prof.density[index],
                         "" if math.isnan(v) else v]
             rows.append(row)
-    meta = _config_metadata(cfg, "eval")
-    meta.update({"family": family, "label": state.label, "grid_n": args.grid_n,
-                 "times": args.times})
+    meta = _config_metadata(cfg, "eval", {
+        "family": family, "label": state.label, "grid_n": args.grid_n, "times": args.times})
     path = os.path.join(args.out_dir, f"eval_{family.replace('-', '_')}.csv")
     _write_csv(path, meta, header, rows)
     _print_result(args, path, {"csv": path, "rows": len(rows)})
@@ -343,9 +334,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = subs.add_parser("eval", help="dump closed-form solutions as CSV")
     _add_common(p)
-    p.add_argument("--family", required=True,
-                   choices=("fundamental", "shifted", "ladder", "taylor",
-                            "oscillator", "family-y", "family-z"))
+    p.add_argument("--family", required=True, choices=EVAL_FAMILIES)
     p.add_argument("--n", type=int, default=0, help="quantum number / ladder order")
     p.add_argument("--dt-shift", type=float, default=0.0)
     p.add_argument("--order", type=int, default=10, help="truncation order (taylor)")
@@ -355,19 +344,22 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--ly", type=float, default=24.0)
     p.add_argument("--current", action="store_true",
                    help="append current/density/velocity columns (1D families)")
-    p.set_defaults(fn=cmd_eval)
+    p.set_defaults(fn=cmd_eval, default=p.get_default)
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        return args.fn(args)
+        code = args.fn(args)
+        sys.stdout.flush()   # a closed stdout is reported here, not at exit
+        return code
     except ConfigError as exc:
         print(f"config error [{exc.field}]: {exc}", file=sys.stderr)
         return 2
-    except ValueError as exc:   # ParseError and NyquistError among them
+    except (ValueError, OSError) as exc:   # ParseError, NyquistError, an unwritable --out-dir
+        if isinstance(exc, BrokenPipeError):   # stdout's reader left: write the rest nowhere
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except prop.AlreadyConvergedError as exc:

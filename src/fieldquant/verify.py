@@ -407,18 +407,23 @@ def run_verify(cfg: SystemConfig | None = None, filters=(),
                op_text: str | None = None) -> VerifyReport:
     """Run the named check groups; ``filters`` keeps groups whose name
     contains any of the given substrings.  Filters that keep no group, or
-    drop the symbolic group that reads ``op_text`` or a config's
-    ``hamiltonian_override``, are refused."""
-    if cfg is None:
-        cfg = natural_config()
+    none of the groups that read a given input (a ``cfg`` not None among
+    them), are refused."""
     groups = [g for g in GROUPS if not filters or any(f in g for f in filters)]
     if not groups:
         raise ValueError(f"no check group name contains {' or '.join(map(repr, filters))}; "
                          f"the groups are {', '.join(GROUPS)}")
-    for name, given in (("--op", bool(op_text)),
-                        ("hamiltonian_override", cfg.hamiltonian_override is not None)):
-        if given and "symbolic" not in groups:
-            raise ValueError(f"{name} needs the symbolic group, which --filter leaves out")
+    # each input, whether it was given, and the groups that read it
+    for name, given, readers in (
+            ("--op", bool(op_text), ("symbolic",)),
+            ("hamiltonian_override", getattr(cfg, "hamiltonian_override", None) is not None,
+             ("symbolic",)),
+            ("--config or --units", cfg is not None, ("symbolic", "quantization"))):
+        if given and not set(readers) & set(groups):
+            raise ValueError(f"{name} needs the {' or '.join(readers)} group, "
+                             "which --filter leaves out")
+    if cfg is None:
+        cfg = natural_config()
     report = VerifyReport()
     for group in groups:
         report.extend(GROUPS[group](cfg, op_text))

@@ -1,6 +1,7 @@
 """Command-line interface: subcommands, exit codes, deterministic outputs."""
 
 import contextlib
+import fcntl
 import io
 import json
 import math
@@ -13,7 +14,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import fieldquant
-from fieldquant.cli import main
+from fieldquant.cli import EVAL_FAMILIES, main
 from fieldquant.verify import _witness
 
 
@@ -79,6 +80,25 @@ def test_verify_refuses_a_hamiltonian_override_whose_group_is_filtered_out(tmp_p
     assert out == ""
     assert err == ("error: hamiltonian_override needs the symbolic group, "
                    "which --filter leaves out\n")
+
+
+ELECTRIC_CFG = {"m": 1, "q": 1, "E": 1, "L": 8}
+
+
+@pytest.mark.parametrize("group, code", [("landau", 2), ("quant", 0)])
+def test_verify_refuses_a_config_no_selected_group_reads(tmp_path, capsys, group, code):
+    """Only the symbolic and quantization groups read the config; the others
+    run on canonical setups, so a config under them would go unread."""
+    path = tmp_path / "c.json"
+    path.write_text(json.dumps(ELECTRIC_CFG))
+    assert run(["verify", "--filter", group, "--config", str(path)]) == code
+    out, err = capsys.readouterr()
+    if code == 2:
+        assert out == ""
+        assert err == ("error: --config or --units needs the symbolic or quantization "
+                       "group, which --filter leaves out\n")
+    else:
+        assert out.endswith("5 checks, 0 failures\n") and err == ""
 
 
 def test_verify_json_output(capsys, tmp_path):
@@ -282,6 +302,34 @@ def test_quantize_point_beyond_the_resistance_ulp_budget_gets_no_verdict(tmp_pat
     assert (tmp_path / "quantize_scan.csv").read_text().endswith(f",{reason}\n")
 
 
+@pytest.mark.parametrize("name, reason", [("a_file", "File exists"),
+                                          ("a_file/x", "Not a directory")])
+def test_unwritable_out_dir_exits_2(tmp_path, capsys, name, reason):
+    (tmp_path / "a_file").write_text("")
+    out_dir = str(tmp_path / name)
+    assert run(["eval", "--family", "fundamental", "--out-dir", out_dir]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: [Errno ") and err.endswith(f"] {reason}: {out_dir!r}\n")
+
+
+@pytest.mark.skipif(not hasattr(fcntl, "F_SETPIPE_SZ"), reason="needs a resizable pipe")
+def test_stdout_closed_by_its_reader_exits_2_without_a_traceback():
+    """``verify --json | head -c 10``: the 11 kB report overfills a 4 kB pipe,
+    whose reader leaves after 10 bytes."""
+    read_end, write_end = os.pipe()
+    fcntl.fcntl(write_end, fcntl.F_SETPIPE_SZ, 4096)
+    src = str(pathlib.Path(fieldquant.__file__).resolve().parents[1])
+    proc = subprocess.Popen([sys.executable, "-m", "fieldquant.cli", "verify", "--json"],
+                            stdout=write_end, stderr=subprocess.PIPE, text=True,
+                            env={**os.environ, "PYTHONPATH": src})
+    os.close(write_end)
+    assert os.read(read_end, 10)
+    os.close(read_end)
+    err = proc.communicate(timeout=60)[1]
+    assert "Traceback" not in err
+    assert (proc.returncode, err) == (2, "error: [Errno 32] Broken pipe\n")
+
+
 def test_usage_error_is_exit_2():
     with pytest.raises(SystemExit) as err:
         run(["quantize"])  # missing required flags
@@ -375,18 +423,63 @@ def test_eval_grid_current_is_left_out_where_its_stencil_reads_across_the_wrap(t
     assert all(math.isfinite(float(row["J"])) for i, row in enumerate(rows) if i not in blank)
 
 
-@pytest.mark.parametrize("family", ["family-y", "family-z"])
-def test_eval_refuses_current_on_a_2d_family(tmp_path, capsys, family):
-    """The probability current is computed for the 1D families only; a 2D
-    family refuses ``--current`` instead of writing a CSV without it."""
+# each option some family leaves unread: a value other than its default, and
+# the families that read it
+EVAL_OPTIONS = {
+    "--n": (["1"], "ladder, oscillator, family-y, family-z"),
+    "--dt-shift": (["0.3"], "shifted, taylor"),
+    "--order": (["3"], "taylor"),
+    "--shift": (["2"], "family-y, family-z"),
+    "--ly": (["5"], "family-y, family-z"),
+    "--current": ([], "fundamental, shifted, ladder, taylor, oscillator"),
+}
+UNREAD = [(family, option) for family, (_, reads, _) in EVAL_FAMILIES.items()
+          for option in EVAL_OPTIONS if option[2:].replace("-", "_") not in reads]
+
+
+def _eval_config(tmp_path, geometry):
     path = tmp_path / "cfg.json"
-    path.write_text(json.dumps({"m": 1, "q": 1, "E": 1, "B": 1.0, "L": 8.0,
-                                "geometry": "parallel_eb"}))
+    path.write_text(json.dumps(PARALLEL_CFG if geometry == "parallel_eb" else ELECTRIC_CFG))
+    return str(path)
+
+
+@pytest.mark.parametrize("family, option", UNREAD, ids=[f"{f}{o}" for f, o in UNREAD])
+def test_eval_refuses_an_option_its_family_does_not_read(tmp_path, capsys, family, option):
+    """An option the family does not read, set away from its default, is
+    refused instead of being dropped from a CSV that looks like its answer."""
+    assert len(UNREAD) == 26
+    value, readers = EVAL_OPTIONS[option]
     out_dir = tmp_path / "out"
-    assert run(["eval", "--family", family, "--grid-n", "16", "--times", "0", "--current",
-                "--config", str(path), "--out-dir", str(out_dir)]) == 2
-    assert capsys.readouterr().err == f"error: --current applies to the 1D families, not {family}\n"
+    assert run(["eval", "--family", family, "--grid-n", "16", "--times", "0", option, *value,
+                "--config", _eval_config(tmp_path, EVAL_FAMILIES[family][0]),
+                "--out-dir", str(out_dir)]) == 2
+    assert capsys.readouterr().err == f"error: {option} applies to {readers}, not {family}\n"
     assert not out_dir.exists()
+
+
+@pytest.mark.parametrize("family, geometry", [
+    ("fundamental", "electric_1d"), ("shifted", "electric_1d"), ("ladder", "electric_1d"),
+    ("taylor", "electric_1d"), ("oscillator", "parallel_eb"), ("family-y", "parallel_eb"),
+    ("family-z", "parallel_eb")])
+def test_eval_refuses_a_family_on_the_wrong_geometry(tmp_path, capsys, family, geometry):
+    """One refusal, before any grid or state is built, names the family and
+    the geometry it needs."""
+    assert EVAL_FAMILIES[family][0] == geometry
+    other = "electric_1d" if geometry == "parallel_eb" else "parallel_eb"
+    out_dir = tmp_path / "out"
+    assert run(["eval", "--family", family, "--grid-n", "16", "--config",
+                _eval_config(tmp_path, other), "--out-dir", str(out_dir)]) == 2
+    assert capsys.readouterr().err == (f"config error [geometry]: {family} requires "
+                                       f"geometry {geometry}\n")
+    assert not out_dir.exists()
+
+
+@pytest.mark.parametrize("times", ["", ","])
+def test_eval_refuses_times_that_list_no_time(tmp_path, capsys, times):
+    assert run(["eval", "--family", "fundamental", "--times", times,
+                "--out-dir", str(tmp_path / "out")]) == 2
+    assert capsys.readouterr().err == f"error: --times {times!r} lists no time\n"
+    assert not (tmp_path / "out").exists()
 
 
 def test_eval_is_deterministic(tmp_path):
@@ -434,6 +527,15 @@ def test_evolve1d_zero_steps_single_row(tmp_path):
     data = [line for line in lines if not line.startswith("#")]
     assert data[0].startswith("t,norm,x_mean")
     assert len(data) == 2  # header + initial row
+
+
+@pytest.mark.parametrize("option", [["--richardson"], ["--cadence", "1"]])
+def test_evolve1d_zero_steps_refuses_what_needs_a_step(tmp_path, capsys, option):
+    assert run(["evolve1d", "--steps", "0", *option, "--grid-n", "128",
+                "--out-dir", str(tmp_path)]) == 2
+    assert capsys.readouterr().err == ("error: --cadence and --richardson need at least "
+                                       "one step, not --steps 0\n")
+    assert not list(tmp_path.iterdir())
 
 
 def test_evolve1d_monotone_time_and_richardson(tmp_path):
