@@ -22,10 +22,8 @@ from . import constants
 
 GEOMETRIES = ("electric_1d", "parallel_eb")
 UNIT_KINDS = ("natural", "cgs", "si")
-EIGEN_SIGNS = ("plus", "minus")
-PLANE_WAVE_NORMS = ("sqrt_box", "box")
-# highest ladder_depth and Taylor resummation order; the ladder recursion
-# nests one call per order, so a deeper order ends in a RecursionError
+# highest ladder and Taylor resummation order; the ladder recursion nests
+# one call per order, so a deeper order ends in a RecursionError
 MAX_LADDER_DEPTH = 64
 
 
@@ -96,9 +94,6 @@ class SystemConfig:
     magnetic: float
     geometry: str
     box_length: float
-    eigen_sign: str = "minus"
-    plane_wave_norm: str = "sqrt_box"   # "sqrt_box": 1/sqrt(L) (unit L2 norm); "box": 1/L
-    ladder_depth: int = 6
     hamiltonian_override: str | None = None
 
     @property
@@ -147,18 +142,16 @@ def build_config(raw: dict) -> SystemConfig:
         B       magnetic field intensity, >= 0           (default 0)
         units   natural | cgs | si                       (default natural)
         geometry  electric_1d | parallel_eb              (default electric_1d)
-        eigen_sign       plus | minus                    (default minus)
-        plane_wave_norm  sqrt_box | box                  (default sqrt_box)
-        ladder_depth     max ladder order, 0..64         (default 6)
         hamiltonian_override  operator text replacing the
                               built-in Hamiltonian in symbolic
                               conservation checks (default null)
+
+    Any other key is refused as an unknown configuration key.
     """
     if not isinstance(raw, dict):
         raise ConfigError("document", "configuration must be a mapping")
 
-    known = {"m", "q", "E", "B", "L", "units", "geometry", "eigen_sign",
-             "plane_wave_norm", "ladder_depth", "hamiltonian_override"}
+    known = {"m", "q", "E", "B", "L", "units", "geometry", "hamiltonian_override"}
     for key in raw:
         if key not in known:
             raise ConfigError(key, f"unknown configuration key {key!r}")
@@ -195,22 +188,6 @@ def build_config(raw: dict) -> SystemConfig:
     if geometry == "electric_1d":
         magnetic = 0.0  # B plays no role in this geometry
 
-    eigen_sign = raw.get("eigen_sign", "minus")
-    if eigen_sign not in EIGEN_SIGNS:
-        raise ConfigError("eigen_sign", f"eigen_sign must be one of {EIGEN_SIGNS}")
-
-    plane_wave_norm = raw.get("plane_wave_norm", "sqrt_box")
-    if plane_wave_norm not in PLANE_WAVE_NORMS:
-        raise ConfigError("plane_wave_norm",
-                          f"plane_wave_norm must be one of {PLANE_WAVE_NORMS}")
-
-    ladder_depth = raw.get("ladder_depth", 6)
-    if isinstance(ladder_depth, bool) or not isinstance(ladder_depth, int) or ladder_depth < 0:
-        raise ConfigError("ladder_depth", "ladder_depth must be a nonnegative integer")
-    if ladder_depth > MAX_LADDER_DEPTH:
-        raise ConfigError("ladder_depth",
-                          f"ladder_depth must be at most {MAX_LADDER_DEPTH}, got {ladder_depth}")
-
     override = raw.get("hamiltonian_override")
     if override is not None and not isinstance(override, str):
         raise ConfigError("hamiltonian_override", "hamiltonian_override must be operator text")
@@ -223,9 +200,6 @@ def build_config(raw: dict) -> SystemConfig:
         magnetic=magnetic,
         geometry=geometry,
         box_length=box_length,
-        eigen_sign=eigen_sign,
-        plane_wave_norm=plane_wave_norm,
-        ladder_depth=ladder_depth,
         hamiltonian_override=override,
     )
 
@@ -240,9 +214,6 @@ def serialize(cfg: SystemConfig) -> dict:
         "B": cfg.magnetic,
         "geometry": cfg.geometry,
         "L": cfg.box_length,
-        "eigen_sign": cfg.eigen_sign,
-        "plane_wave_norm": cfg.plane_wave_norm,
-        "ladder_depth": cfg.ladder_depth,
     }
     if cfg.hamiltonian_override is not None:
         out["hamiltonian_override"] = cfg.hamiltonian_override

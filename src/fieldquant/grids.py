@@ -200,12 +200,14 @@ def _check_nyquist(solution: AnalyticSolution, grid, t: float):
 
 
 def sample(solution: AnalyticSolution, grid: Grid1D | Grid2D, t: float) -> WaveField:
-    """Pointwise evaluation at cell centers, guarded against aliasing."""
+    """Pointwise evaluation at cell centers, guarded against aliasing and
+    against samples float64 cannot hold (a weak field's t^3 phase at a huge t)."""
     _check_nyquist(solution, grid, t)
     if solution.ndim != len(grid.axes):
         raise GridMismatchError(
             f"cannot sample a {solution.ndim}D solution on a {len(grid.axes)}D grid")
-    return WaveField(grid, solution.fn(*grid.coords, t), t)
+    return WaveField(grid, refuse_overflow(lambda: solution.fn(*grid.coords, t), lambda: (
+        f"float64 cannot hold the samples at t = {t}")), t)
 
 
 # --- discrete derivatives ----------------------------------------------------

@@ -18,25 +18,14 @@ MAX_OSCILLATOR_N = 64
 LADDER_CACHE_SIZE = 256     # ladder polynomials kept across configs
 
 
-def _eigen_sign(cfg: SystemConfig) -> float:
-    # "minus" convention shifts t -> t - dt, "plus" shifts t -> t + dt
-    return 1.0 if cfg.eigen_sign == "minus" else -1.0
-
-
 # --- one-dimensional constant force ---------------------------------------
-
-def _box_amplitude(cfg: SystemConfig) -> float:
-    L = cfg.box_length
-    return 1.0 / math.sqrt(L) if cfg.plane_wave_norm == "sqrt_box" else 1.0 / L
-
 
 def phi_electric(x, t, cfg: SystemConfig):
     """Fundamental solution of the linear-potential problem:
 
         (1/sqrt(L)) * exp(-i q^2 E^2 t^3 / (6 m hbar) + i q E t x / hbar)
 
-    Constant modulus in x; unit L2 norm over the box with the default
-    normalization convention.
+    Constant modulus in x; unit L2 norm over the box.
     """
     require_geometry(cfg, "electric_1d", "phi_electric")
     return plane_wave(x, t, cfg)
@@ -59,12 +48,12 @@ def plane_wave_phase(x, t, cfg: SystemConfig):
 def plane_wave(x, t, cfg: SystemConfig):
     """phi_electric without the geometry guard: also the x factor of the
     parallel-field product solutions."""
-    return _box_amplitude(cfg) * np.exp(1j * plane_wave_phase(x, t, cfg))
+    return (1.0 / math.sqrt(cfg.box_length)) * np.exp(1j * plane_wave_phase(x, t, cfg))
 
 
 def psi_electric_shifted(x, t, dt_shift, cfg: SystemConfig):
-    """Time-shifted solution phi(x, t - dt) (sign set by eigen_sign)."""
-    return phi_electric(x, np.asarray(t, dtype=float) - _eigen_sign(cfg) * dt_shift, cfg)
+    """Time-shifted solution phi(x, t - dt); a negative dt shifts to later times."""
+    return phi_electric(x, np.asarray(t, dtype=float) - dt_shift, cfg)
 
 
 # --- degeneracy ladder -----------------------------------------------------
@@ -118,9 +107,8 @@ def degeneracy_polynomial(j: int, cfg: SystemConfig) -> BivariatePoly:
 
         P_0 = 1,  P_{j+1} = i hbar dP_j/dt + (q^2 E^2 t^2 / 2m - q E x) P_j.
     """
-    if not 0 <= j <= cfg.ladder_depth:
-        raise ValueError(f"ladder order {j} lies outside 0..{cfg.ladder_depth}, "
-                         "the configured depth")
+    if not 0 <= j <= MAX_LADDER_DEPTH:
+        raise ValueError(f"ladder order {j} lies outside 0..{MAX_LADDER_DEPTH}")
     return _ladder_cache(j, cfg.hbar, cfg.mass, cfg.charge, cfg.electric)
 
 
@@ -130,11 +118,9 @@ def ladder_state(x, t, j: int, cfg: SystemConfig):
 
 
 def _taylor_coefficient(j: int, dt_shift: float, cfg: SystemConfig) -> complex:
-    # c_j = (i * s * dt / hbar)^j / j!, computed in log space so J up to 64
-    # cannot overflow; s is the eigen_sign convention.
-    s = _eigen_sign(cfg)
+    # c_j = (i * dt / hbar)^j / j!, computed in log space so J up to 64 cannot overflow
     # refused here: math.exp(inf) returns inf instead of raising
-    arg = refuse_overflow(lambda: s * dt_shift / cfg.hbar, lambda: (
+    arg = refuse_overflow(lambda: dt_shift / cfg.hbar, lambda: (
         f"dt / hbar overflows float64 at dt = {dt_shift} and hbar = {cfg.hbar:.3g}"))
     if arg == 0.0:
         return 1.0 + 0.0j if j == 0 else 0.0j
@@ -148,9 +134,8 @@ def superposition_taylor(x, t, dt_shift, J: int, cfg: SystemConfig):
     """Partial resummation sum_{j<=J} c_j P_j(x,t) phi(x,t); converges to
     psi_electric_shifted(x, t, dt_shift) as J grows.
 
-    The truncation order is independent of the symbolic ladder-depth cap
-    (the numeric polynomial table grows mildly); the log-space coefficients
-    keep J up to 64 overflow-free.
+    J shares the ladder's order cap, MAX_LADDER_DEPTH; the log-space
+    coefficients keep every J up to it overflow-free.
     """
     if not 0 <= J <= MAX_LADDER_DEPTH:
         raise ValueError(f"superposition order must lie in 0..{MAX_LADDER_DEPTH}")
@@ -300,7 +285,7 @@ def electric_shifted(cfg: SystemConfig, dt_shift) -> AnalyticSolution:
         # more than evaluating the batch
         label="psi(x,t)=phi(x,t-dt), dt=" + (str(dt_shift) if np.ndim(dt_shift) == 0
                                              else f"<{np.size(dt_shift)} values>"),
-        time_origin=_eigen_sign(cfg) * dt_shift)
+        time_origin=dt_shift)
 
 
 def electric_ladder(cfg: SystemConfig, j: int) -> AnalyticSolution:

@@ -266,15 +266,18 @@ def quantization_report(dx_shift: float, dt_shift: float, cfg: SystemConfig,
     Raises ValueError where the tolerance reaches 1/2: every real number
     then lies within it of an integer, so no verdict can be given.  It also
     raises where V/I and (h/q^2) n_real, equal in exact arithmetic, differ
-    by more than 4 ulp of R."""
-    return _quantization_report(dx_shift, dt_shift, cfg, tol, None)
+    by more than 4 ulp of R.  It is the one-point ``scan_quantization``, so
+    it raises that point's reason ("undefined current" at dt = 0) and the
+    scan's refusal of a tol outside (0, 0.5)."""
+    (report,) = scan_quantization(dx_shift, [dt_shift], cfg, tol)
+    if isinstance(report, str):
+        raise ValueError(report)
+    return report
 
 
 def _quantization_report(dx_shift: float, dt_shift: float, cfg: SystemConfig, tol: float,
-                         q2: float | None) -> QuantizationReport:
-    """``quantization_report`` with q^2 given, or refused in turn if None."""
-    if dt_shift == 0:
-        raise ValueError("undefined current: dt must be nonzero")
+                         q2: float) -> QuantizationReport:
+    """``quantization_report`` at a nonzero dt, with q^2 given."""
     q, E, h = cfg.charge, cfg.electric, cfg.units.h
     n_real = _n_real(dx_shift, dt_shift, cfg)
     tol_eff = tol * (1.0 + abs(n_real))  # condition of the phase grows with n
@@ -285,8 +288,6 @@ def _quantization_report(dx_shift: float, dt_shift: float, cfg: SystemConfig, to
     voltage = E * dx_shift
     current = q / dt_shift
     resistance = voltage / current
-    if q2 is None:
-        q2 = _charge_squared(cfg)
     klitzing = resistance * q2 / h
     gap, budget = abs(resistance - (h / q2) * n_real), 4 * math.ulp(abs(resistance) + 1.0)
     if gap > budget:

@@ -184,7 +184,7 @@ def test_overflowing_ladder_order_exits_2_without_warnings(tmp_path):
     """A field whose ladder coefficients overflow float64 at order 2 gives one
     message naming that order, and no numpy RuntimeWarning."""
     path = tmp_path / "strong.json"
-    path.write_text(json.dumps({"m": 1, "q": 1, "E": 1e150, "L": 8, "ladder_depth": 4}))
+    path.write_text(json.dumps({"m": 1, "q": 1, "E": 1e150, "L": 8}))
     out = run_subprocess(["eval", "--config", str(path), "--family", "ladder", "--n", "3",
                           "--grid-n", "16", "--out-dir", str(tmp_path)])
     assert out.returncode == 2
@@ -817,16 +817,37 @@ def test_quantize_overflowing_n_real_gets_error_cell(tmp_path, args):
 
 def test_eval_negative_ladder_order_exit_2(tmp_path, capsys):
     assert run(["eval", "--family", "ladder", "--n", "-1", "--out-dir", str(tmp_path)]) == 2
-    assert "ladder order -1 lies outside 0..6" in capsys.readouterr().err
+    assert "ladder order -1 lies outside 0..64" in capsys.readouterr().err
 
 
 def test_eval_ladder_beyond_the_depth_cap_exit_2(tmp_path, capsys):
     # an order far past the recursion limit: refused before any array is built
-    path = tmp_path / "deep.json"
-    path.write_text(json.dumps({"m": 1, "q": 1, "E": 1, "L": 8, "ladder_depth": 5000}))
-    assert run(["eval", "--config", str(path), "--family", "ladder", "--n", "2000",
-                "--grid-n", "16", "--out-dir", str(tmp_path)]) == 2
-    assert "config error [ladder_depth]: ladder_depth must be at most 64" in capsys.readouterr().err
+    assert run(["eval", "--family", "ladder", "--n", "2000", "--grid-n", "16",
+                "--out-dir", str(tmp_path)]) == 2
+    assert capsys.readouterr().err == "error: ladder order 2000 lies outside 0..64\n"
+
+
+@pytest.mark.parametrize("n, code, stderr", [
+    ("64", 0, ""), ("65", 2, "error: ladder order 65 lies outside 0..64\n")])
+def test_eval_ladder_orders_up_to_the_cap(tmp_path, n, code, stderr):
+    out = run_subprocess(["eval", "--family", "ladder", "--n", n, "--grid-n", "16",
+                          "--out-dir", str(tmp_path)])
+    assert (out.returncode, out.stderr) == (code, stderr)
+
+
+@pytest.mark.parametrize("extra, t", [
+    (["--family", "fundamental", "--times=1e300"], "1e+300"),
+    (["--family", "shifted", "--dt-shift=1e300", "--times", "0"], "0.0"),
+    (["--family", "ladder", "--n", "64", "--times=-1e300"], "-1e+300")])
+def test_eval_tiny_field_at_a_huge_time_exits_2_without_warnings(tmp_path, extra, t):
+    """q E t stays below Nyquist, but the phase's t^3 overflows float64 (times
+    a (q E)^2 that underflows to 0): the samples are refused, with no numpy warning."""
+    path = tmp_path / "weak.json"
+    path.write_text(json.dumps({"m": 1, "q": 1, "E": 1e-300, "L": 8}))
+    out = run_subprocess(["eval", "--config", str(path), "--grid-n", "16",
+                          "--out-dir", str(tmp_path)] + extra)
+    assert (out.returncode, out.stderr) == (
+        2, f"error: float64 cannot hold the samples at t = {t}\n")
 
 
 GOLDEN = pathlib.Path(__file__).parent / "data" / "verify_golden.json"

@@ -8,9 +8,10 @@ import numpy as np
 import pytest
 
 from fieldquant import constants
-from fieldquant.config import (ConfigError, build_config, cyclotron_frequency,
-                               load_config, natural_config, refuse_overflow,
-                               require_geometry, serialize, unit_system)
+from fieldquant.config import (MAX_LADDER_DEPTH, ConfigError, build_config,
+                               cyclotron_frequency, load_config, natural_config,
+                               refuse_overflow, require_geometry, serialize, unit_system)
+from fieldquant.solutions import degeneracy_polynomial
 
 
 def test_minimal_natural_config():
@@ -19,15 +20,13 @@ def test_minimal_natural_config():
     assert cfg.units.c == 1.0
     assert cfg.box_length == 10.0
     assert cfg.geometry == "electric_1d"
-    assert cfg.eigen_sign == "minus"
 
 
 def test_defaults_applied():
     cfg = build_config({"m": 1, "q": 1, "E": 1, "L": 10})
     assert cfg.units.kind == "natural"
     assert cfg.magnetic == 0.0
-    assert cfg.plane_wave_norm == "sqrt_box"
-    assert cfg.ladder_depth == 6
+    assert cfg.hamiltonian_override is None
 
 
 @pytest.mark.parametrize("raw, bad_field, message", [
@@ -37,13 +36,16 @@ def test_defaults_applied():
     ({"m": 1, "q": 1, "E": 1, "L": -2}, "L", "box length must be positive"),
     ({"q": 1, "E": 1, "L": 10}, "m", "missing required key"),
     ({"m": 1, "q": 1, "E": 1, "L": 10, "geometry": "spiral"}, "geometry", "unknown geometry"),
-    ({"m": 1, "q": 1, "E": 1, "L": 10, "eigen_sign": "up"}, "eigen_sign", "eigen_sign"),
+    ({"m": 1, "q": 1, "E": 1, "L": 10, "eigen_sign": "plus"}, "eigen_sign",
+     "unknown configuration key 'eigen_sign'"),
     ({"m": 1, "q": 1, "E": 1, "L": 10, "bogus": 3}, "bogus", "unknown configuration key"),
-    ({"m": 1, "q": 1, "E": 1, "L": 10, "ladder_depth": True}, "ladder_depth",
-     "ladder_depth must be a nonnegative integer"),
+    ({"m": 1, "q": 1, "E": 1, "L": 10, "ladder_depth": 6}, "ladder_depth",
+     "unknown configuration key 'ladder_depth'"),
     # the displacements are flags of the commands that read them, not config keys
     *(({"m": 1, "q": 1, "E": 1, "L": 10, key: 0.0}, key, f"unknown configuration key {key!r}")
       for key in ("dx", "dy", "dz", "dt")),
+    ({"m": 1, "q": 1, "E": 1, "L": 10, "plane_wave_norm": "box"}, "plane_wave_norm",
+     "unknown configuration key 'plane_wave_norm'"),
 ])
 def test_validation_errors(raw, bad_field, message):
     with pytest.raises(ConfigError) as err:
@@ -53,14 +55,16 @@ def test_validation_errors(raw, bad_field, message):
 
 
 def test_ladder_depth_is_bounded():
-    """The ladder recursion runs down to order 0, so a depth is capped at the
-    resummation's order bound instead of ending in a RecursionError."""
-    assert build_config({"m": 1, "q": 1, "E": 1, "L": 8, "ladder_depth": 64}).ladder_depth == 64
-    for depth in (65, 5000):
-        with pytest.raises(ConfigError) as err:
-            build_config({"m": 1, "q": 1, "E": 1, "L": 8, "ladder_depth": depth})
-        assert err.value.field == "ladder_depth"
-        assert str(err.value) == f"ladder_depth must be at most 64, got {depth}"
+    """The ladder recursion runs down to order 0, so an order is capped at the
+    resummation's order bound, MAX_LADDER_DEPTH, instead of ending in a
+    RecursionError.  No config key moves that cap."""
+    cfg = build_config({"m": 1, "q": 1, "E": 1, "L": 8})
+    assert MAX_LADDER_DEPTH == 64
+    assert degeneracy_polynomial(64, cfg).coeffs.shape[0] == 65
+    for order in (65, 5000):
+        with pytest.raises(ValueError) as err:
+            degeneracy_polynomial(order, cfg)
+        assert str(err.value) == f"ladder order {order} lies outside 0..64"
 
 
 def test_si_elementary_charge():
@@ -84,8 +88,7 @@ def test_natural_units_fix_hbar_and_c():
 
 def test_config_round_trip():
     cfg = build_config({"m": 2.0, "q": -1.5, "E": 0.25, "B": 1.0, "L": 12.0,
-                        "geometry": "parallel_eb", "eigen_sign": "plus",
-                        "units": "natural"})
+                        "geometry": "parallel_eb", "units": "natural"})
     assert build_config(serialize(cfg)) == cfg
 
 

@@ -9,7 +9,8 @@ import numpy as np
 import pytest
 
 from fieldquant import solutions as S
-from fieldquant.config import build_config, cyclotron_frequency, natural_config
+from fieldquant.config import (MAX_LADDER_DEPTH, build_config, cyclotron_frequency,
+                               natural_config)
 
 CFG = natural_config(L=8.0)
 CFG_PAR = natural_config(B=1.0, geometry="parallel_eb", L=8.0)
@@ -124,10 +125,10 @@ def test_phi_electric_unit_box_value():
 
 
 def test_plane_wave_norm_convention_switch():
-    cfg_box = build_config({"m": 1, "q": 1, "E": 1, "L": 4.0, "plane_wave_norm": "box"})
-    assert S.phi_electric(0.0, 0.0, cfg_box) == pytest.approx(0.25)
-    cfg_sqrt = build_config({"m": 1, "q": 1, "E": 1, "L": 4.0})
-    assert S.phi_electric(0.0, 0.0, cfg_sqrt) == pytest.approx(0.5)
+    """The amplitude is 1/sqrt(L), unit L2 norm over the box, with no other
+    convention to select (the config refuses a plane_wave_norm key)."""
+    cfg = build_config({"m": 1, "q": 1, "E": 1, "L": 4.0})
+    assert S.phi_electric(0.0, 0.0, cfg) == 0.5
 
 
 def test_shifted_solution_is_time_translate():
@@ -139,9 +140,12 @@ def test_shifted_solution_is_time_translate():
 
 
 def test_eigen_sign_flips_shift_direction():
-    cfg_plus = build_config({"m": 1, "q": 1, "E": 1, "L": 8.0, "eigen_sign": "plus"})
-    assert S.psi_electric_shifted(2.0, 1.0, 0.3, cfg_plus) == pytest.approx(
-        S.phi_electric(2.0, 1.3, cfg_plus))
+    """A shift toward later times is a negative dt: phi(x, t - (-d)) is
+    phi(x, t + d) bit for bit."""
+    x = np.linspace(-3, 3, 7)
+    for t, d in ((1.0, 0.3), (0.25, 1.7), (-2.0, 0.6)):
+        assert np.array_equal(S.psi_electric_shifted(x, t, -d, CFG),
+                              S.phi_electric(x, t + d, CFG))
 
 
 # --- degeneracy ladder -----------------------------------------------------------------
@@ -188,7 +192,7 @@ def exact_ladder(j_max, hbar, m, q, E):
 def test_ladder_coefficients_equal_exact_recursion(q):
     """Every coefficient of P_j, j <= 16, is a float64 dyadic at these
     parameters, so the float recursion must reproduce it bit for bit."""
-    cfg = natural_config(q=q, ladder_depth=16)
+    cfg = natural_config(q=q)
     for j, exact in enumerate(exact_ladder(16, 1.0, 1.0, q, 1.0)):
         shape = (max(a for a, _ in exact) + 1, max(b for _, b in exact) + 1)
         want = np.zeros(shape, dtype=complex)
@@ -214,13 +218,14 @@ def test_ladder_cache_is_bounded():
 
 
 def test_ladder_depth_guard():
-    with pytest.raises(ValueError, match="depth"):
-        S.degeneracy_polynomial(7, CFG)
+    S.degeneracy_polynomial(MAX_LADDER_DEPTH, CFG)
+    with pytest.raises(ValueError, match="ladder order 65 lies outside 0..64"):
+        S.degeneracy_polynomial(MAX_LADDER_DEPTH + 1, CFG)
 
 
 def test_ladder_rejects_negative_order():
     # the recursion has no floor below 0: a negative order must be refused
-    with pytest.raises(ValueError, match="ladder order -1 lies outside 0..6"):
+    with pytest.raises(ValueError, match="ladder order -1 lies outside 0..64"):
         S.degeneracy_polynomial(-1, CFG)
     with pytest.raises(ValueError, match="lies outside"):
         S.electric_ladder(CFG, -3)

@@ -434,16 +434,17 @@ def test_quantization_si_mode_reports_ohms():
 
 
 def test_eigen_sign_does_not_change_reports():
-    cfg_plus = build_config({"m": 1, "q": 1, "E": 1, "L": 8.0, "eigen_sign": "plus"})
-    rep_minus = Y.quantization_report(2.0 * math.pi, 1.5, CFG)
-    rep_plus = Y.quantization_report(2.0 * math.pi, 1.5, cfg_plus)
-    assert rep_minus.n_real == rep_plus.n_real
-    assert rep_minus.is_quantized == rep_plus.is_quantized
-    assert rep_minus.resistance == rep_plus.resistance
+    """The shift direction is the sign of dt: a shift toward later times
+    (-dt) mirrors n_real and R exactly and keeps the verdict."""
+    rep_back = Y.quantization_report(2.0 * math.pi, 1.5, CFG)
+    rep_fwd = Y.quantization_report(2.0 * math.pi, -1.5, CFG)
+    assert rep_fwd.n_real == -rep_back.n_real
+    assert rep_fwd.is_quantized == rep_back.is_quantized
+    assert rep_fwd.resistance == -rep_back.resistance
     # the phase itself conjugates, so proximity to 1 is unchanged
-    ph_minus = Y.invariance_phase(2.0 * math.pi, 1.5, CFG)
-    ph_plus = Y.invariance_phase(2.0 * math.pi, 1.5, cfg_plus)
-    assert abs(ph_minus - 1.0) == pytest.approx(abs(ph_plus - 1.0), abs=1e-12)
+    ph_back = Y.invariance_phase(2.0 * math.pi, 1.5, CFG)
+    ph_fwd = Y.invariance_phase(2.0 * math.pi, -1.5, CFG)
+    assert abs(ph_back - 1.0) == pytest.approx(abs(ph_fwd - 1.0), abs=1e-12)
 
 
 def test_scan_quantization_integer_hits_only():
