@@ -10,7 +10,7 @@ from .algebra import (OperatorExpr, Gen, commutator, partial_t, heisenberg_resid
 from .solutions import (phi_electric, psi_electric_shifted, degeneracy_polynomial,
                         superposition_taylor, hermite_poly, oscillator_eigenfunction,
                         landau_level, phi2_family_y, phi2_family_z,
-                        full_parallel_solution, AnalyticSolution)
+                        parallel_product, AnalyticSolution)
 from .grids import (Grid1D, Grid2D, WaveField, sample, apply_momentum,
                     apply_hamiltonian_1d, apply_hamiltonian_yz,
                     schrodinger_residual, inner_product, norm, expectation,
@@ -19,7 +19,7 @@ from .propagate import (EvolutionSpec, TrajectoryRecord, evolve, estimate_order,
                         cyclotron_period, AlreadyConvergedError)
 from .symmetry import (Unitary, apply_unitary, conjugation_symmetry_check,
                        invariance_phase, QuantizationReport, quantization_report,
-                       scan_quantization, build_parallel_superposition)
+                       scan_quantization)
 from .observables import (CurrentProfile, probability_current_1d, drift_velocity,
                           newton_check, continuity_residual)
 from .verify import run_verify, VerifyReport

@@ -388,7 +388,7 @@ def eigen_ladder_check(j: int, depth: int = 6) -> OperatorExpr:
     """Residual of [f, E^(j+1)] = i*hbar*q*E*(j+1)*E^j; zero iff the ladder
     commutation identity holds at order j."""
     if j > depth:
-        raise ValueError(f"ladder order {j} exceeds configured depth {depth}")
+        raise ValueError(f"ladder order {j} exceeds depth {depth}")
     f = momentum_minus_force_time()
     e_op = energy_operator()
     lhs = commutator(f, e_op ** (j + 1))

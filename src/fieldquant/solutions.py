@@ -5,7 +5,7 @@ oscillator families of the parallel-field system."""
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import lru_cache
 from typing import Callable
 
@@ -151,8 +151,7 @@ def superposition_with_coefficients(x, t, coefficients, cfg: SystemConfig):
     acc = np.zeros(np.broadcast(x, t).shape, dtype=complex)
     for j, cj in enumerate(coefficients):
         if cj != 0:
-            acc = acc + cj * _ladder_cache(j, cfg.hbar, cfg.mass, cfg.charge,
-                                           cfg.electric).eval(x, t)
+            acc = acc + cj * degeneracy_polynomial(j, cfg).eval(x, t)
     return acc * phi_electric(x, t, cfg)
 
 
@@ -237,13 +236,6 @@ def phi2_family_z(y, z, dz_shift, n: int, cfg: SystemConfig):
     z = np.asarray(z, dtype=float)
     phase = cfg.mass * wc * y * (z - dz_shift) / cfg.hbar
     return np.exp(1j * phase) * oscillator_eigenfunction(n, alpha * (z - dz_shift), cfg)
-
-
-def full_parallel_solution(x, y, z, t, family: str, n: int, cfg: SystemConfig,
-                           dy_shift: float = 0.0, dz_shift: float = 0.0):
-    """Product solution phi1(x, t) * exp(-i E_n t / hbar) * phi2(y, z)."""
-    shift = dy_shift if family == "family_y" else dz_shift
-    return plane_wave(x, t, cfg) * parallel_family(cfg, family, n, shift).fn(y, z, t)
 
 
 # --- solution objects --------------------------------------------------------
@@ -354,3 +346,15 @@ def parallel_family(cfg: SystemConfig, family: str, n: int, shift: float = 0.0,
         family=f"parallel_{family}", ndim=2, fn=fn, cfg=cfg, n=n,
         shifts=((f"d{axis}", shift),), kmax=bound,
         label=f"family-{axis} n={n}, d{axis}={shift}")
+
+
+def parallel_product(cfg: SystemConfig, family: str, n: int, shift: float = 0.0,
+                     box: float | None = None) -> AnalyticSolution:
+    """Solution phi1(x, t) exp(-i E_n t / hbar) phi2(y, z) of the full
+    parallel-field problem, of (x, y, z, t): the plane wave along x times
+    ``parallel_family(cfg, family, n, shift, box)``, whose metadata it keeps.
+    Ux moves only the plane-wave factor, so the product carries the 1D
+    system's invariance phase."""
+    transverse = parallel_family(cfg, family, n, shift, box)
+    return replace(transverse, ndim=3,
+                   fn=lambda x, y, z, t: plane_wave(x, t, cfg) * transverse.fn(y, z, t))

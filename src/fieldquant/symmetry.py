@@ -16,10 +16,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .config import SystemConfig, cyclotron_frequency, refuse_overflow
-from .solutions import (AnalyticSolution, electric_shifted, oscillator_scale, parallel_family,
-                        plane_wave, plane_wave_phase)
-from .grids import (Grid2D, WaveField, GridMismatchError, fourier_multiply, landau_grid,
-                    relative_residual, sample, residual_samples)
+from .solutions import AnalyticSolution, electric_shifted, oscillator_scale, plane_wave_phase
+from .grids import (WaveField, GridMismatchError, fourier_multiply, relative_residual, sample,
+                    residual_samples)
 
 UNITARY_TABLE = {"Ux": ("x", "t"), "Uy": ("y", "z"), "Uz": ("z", None), "Ut": ("t", None)}
 UNITARY_KINDS = tuple(UNITARY_TABLE)
@@ -322,60 +321,3 @@ def scan_quantization(dx_shift: float, dt_values, cfg: SystemConfig,
             out.append(str(exc))
     return out
 
-
-# --- the parallel-field superposition -------------------------------------------
-
-MAX_SUPERPOSITION_N = 16
-
-
-def build_parallel_superposition(a_coeffs, abar_coeffs, cfg: SystemConfig,
-                                 grid: Grid2D | None = None, *, dx: float = 0.0, dy: float = 0.0,
-                                 dz: float = 0.0, dt: float = 0.0) -> AnalyticSolution:
-    """Closed-form superposition sum_n a_n Ut Ux Uy zeta_n
-    + sum_n abar_n Ut Ux Uz zetabar_n, Gram-normalized on a transverse grid;
-    ``dx``, ``dy``, ``dz`` and ``dt`` are the displacements of Ux, Uy, Uz and Ut.
-
-    zeta_n carries the unshifted oscillator along y; zetabar_n carries the
-    gauge-twisted oscillator along z.  All components share the same
-    plane-wave x factor, so the state is a sharp Ux eigenvector and its
-    invariance phase is exp(i q E dx dt / hbar).  Ux and Ut act through
-    ``apply_unitary`` on the unshifted sum.
-    """
-    a_coeffs = np.asarray(a_coeffs, dtype=complex)
-    abar_coeffs = np.asarray(abar_coeffs, dtype=complex)
-    if a_coeffs.size > MAX_SUPERPOSITION_N or abar_coeffs.size > MAX_SUPERPOSITION_N:
-        raise ValueError(f"at most {MAX_SUPERPOSITION_N} levels per family")
-    if not np.any(a_coeffs) and not np.any(abar_coeffs):
-        raise ValueError("empty superposition: all coefficients vanish")
-    if not (np.all(np.isfinite(a_coeffs)) and np.all(np.isfinite(abar_coeffs))):
-        raise ValueError("superposition coefficients must be finite")
-
-    if grid is None:
-        grid = landau_grid(cfg)
-    components = [(complex(c), parallel_family(cfg, fam, n, shift, box).fn)
-                  for fam, coeffs, shift, box in (("family_y", a_coeffs, dy, grid.z.length),
-                                                  ("family_z", abar_coeffs, dz, grid.y.length))
-                  for n, c in enumerate(coeffs) if c != 0]
-
-    # Gram matrix of the transverse parts at t = 0; different Landau levels
-    # are orthogonal, so the time phases never enter the norm
-    sampled = [fn(*grid.coords, 0.0) for _, fn in components]
-    gram = np.array([[np.sum(np.conj(si) * sj) * grid.cell for sj in sampled]
-                     for si in sampled])
-    cvec = np.array([c for c, _ in components])
-    total = float(np.real(np.conj(cvec) @ gram @ cvec))
-    if total <= 0:
-        raise ValueError("superposition has vanishing norm")
-    scale = 1.0 / math.sqrt(total)
-
-    def evaluator(x, y, z, t):
-        acc = 0.0j
-        for c, fn in components:
-            acc = acc + c * fn(y, z, t)
-        return scale * plane_wave(x, t, cfg) * acc
-
-    base = AnalyticSolution(
-        family="parallel_superposition", ndim=3, fn=evaluator, cfg=cfg,
-        shifts=(("dy", dy), ("dz", dz)),
-        label="Gram-normalized two-family superposition")
-    return apply_unitary(Unitary("Ut", dt), apply_unitary(Unitary("Ux", dx), base, cfg), cfg)

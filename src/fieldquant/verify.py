@@ -10,6 +10,7 @@ scan parameters.
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass, field, replace
 
@@ -318,6 +319,20 @@ def checks_quantization(cfg: SystemConfig, *_) -> list[CheckResult]:
     out.append(_exact(
         "quantization.integer_hits", hits == expected_hits,
         f"scan marks exactly the integer points, n = {hits}"))
+    # the parallel system: Ux moves only the plane-wave factor of the product
+    # phi1 phi2, so the Ut-shifted product carries the same phase; canonical setup
+    cfgp, grid2 = _setup_landau()
+    rate = cfgp.charge * cfgp.electric * dx_shift / cfgp.hbar
+    for axis, shift, box in (("y", gr.snap_shift(grid2.y, 0.5), grid2.z.length),
+                             ("z", gr.snap_offset(grid2.z, 0.7), grid2.y.length)):
+        product = sol.parallel_product(cfgp, f"family_{axis}", 1, shift, box)
+        dev = max(abs(sym.invariance_phase(
+            dx_shift, dt, cfgp, state=sym.apply_unitary(sym.Unitary("Ut", dt), product, cfgp))
+            - target) for dt, target in ((0.37, cmath.exp(1j * rate * 0.37)), (1.0, 1.0)))
+        out.append(_check(
+            f"quantization.parallel_phase[family-{axis} n=1]", dev, 1e-8,
+            "Ux imprints exp(i q E dx dt / hbar) on the product phi1 phi2 at dt = 0.37, "
+            "and 1 at dt = 1 (n = 1)"))
     report = sym.quantization_report(dx_shift, 1.0, scan_cfg)
     h_over_q2 = scan_cfg.units.h / scan_cfg.charge ** 2   # the scan refused an overflowing q^2
     ulp_err = abs(report.resistance - h_over_q2 * report.n_real) \
@@ -343,6 +358,13 @@ def checks_newton(*_) -> list[CheckResult]:
     out.append(_check(
         "newton.ehrenfest[E=1 gaussian]", res["max_residual"], 1e-6,
         "m d<v>/dt = q E along the wall-bounded numerical trajectory"))
+    # two more steps from the run's final state at t = 1 give three snapshots
+    states = prop.CrankNicolson1D(f0.grid, cfg, 5e-4).rows(rec.final.values, 1)
+    snaps = [gr.WaveField(f0.grid, next(states)[0], rec.final.t + k * 5e-4) for k in range(3)]
+    states.close()
+    out.append(_check(
+        "newton.continuity[E=1 gaussian]", obs.continuity_residual(*snaps, cfg), 1e-3,
+        "d rho/dt + dJ/dx = 0 at t = 1 on the same Crank-Nicolson trajectory"))
     cfg8, grid = _setup_electric()
     phi = sol.electric_fundamental(cfg8)
     worst = 0.0

@@ -14,6 +14,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import fieldquant
+from fieldquant import symmetry as Y
 from fieldquant.cli import EVAL_FAMILIES, main
 from fieldquant.verify import _witness
 
@@ -98,7 +99,7 @@ def test_verify_refuses_a_config_no_selected_group_reads(tmp_path, capsys, group
         assert err == ("error: --config or --units needs the symbolic or quantization "
                        "group, which --filter leaves out\n")
     else:
-        assert out.endswith("5 checks, 0 failures\n") and err == ""
+        assert out.endswith("7 checks, 0 failures\n") and err == ""
 
 
 def test_verify_json_output(capsys, tmp_path):
@@ -121,6 +122,54 @@ def test_config_error_exit_code(tmp_path):
     path = tmp_path / "bad.json"
     path.write_text(json.dumps({"q": 1, "E": 1, "L": 8.0}))  # missing mass
     assert run(["verify", "--config", str(path)]) == 2
+
+
+@pytest.mark.parametrize("document, message", [
+    ({"units": "mks", "m": 1, "q": 1, "E": 1, "L": 8},
+     "config error [units]: unknown unit system 'mks'; expected one of "
+     "('natural', 'cgs', 'si')"),
+    ({"m": "heavy", "q": 1, "E": 1, "L": 8}, "config error [m]: m must be a number, got 'heavy'"),
+    ([1, 2], "config error [document]: configuration must be a mapping"),
+    ({"m": 1, "q": 1, "E": 1, "L": 8, "hamiltonian_override": 7},
+     "config error [hamiltonian_override]: hamiltonian_override must be operator text"),
+], ids=["units", "mass", "list", "override"])
+def test_verify_refuses_a_malformed_config_document(tmp_path, capsys, document, message):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(document))
+    assert run(["verify", "--config", str(path)]) == 2
+    assert capsys.readouterr() == ("", message + "\n")
+
+
+OVERRIDE_CFG = {"m": 1, "q": 1, "E": 1, "L": 8, "hamiltonian_override": "1/2*px^2 - q*E*x"}
+
+
+def test_evolve1d_csv_records_the_hamiltonian_override(tmp_path):
+    path = tmp_path / "override.json"
+    path.write_text(json.dumps(OVERRIDE_CFG))
+    assert run(["evolve1d", "--config", str(path), "--steps", "4", "--grid-n", "64",
+                "--out-dir", str(tmp_path)]) == 0
+    lines = (tmp_path / "evolve1d_trajectory.csv").read_text().splitlines()
+    assert "# config.hamiltonian_override=1/2*px^2 - q*E*x" in lines
+
+
+@pytest.mark.parametrize("document, op, code, residual", [
+    ({"m": 1, "q": 1, "E": 1, "B": 1.0, "L": 8.0, "geometry": "parallel_eb"}, "pz", 0, "0"),
+    # py is conserved under the 1D Hamiltonian, not under the parallel-field one
+    ({"m": 1, "q": 1, "E": 1, "B": 1.0, "L": 8.0, "geometry": "parallel_eb"}, "py", 1,
+     "-m*wc^2*y + wc*pz"),
+    # conserved under the default 1D Hamiltonian; the override flips the force
+    ({**OVERRIDE_CFG, "hamiltonian_override": "1/2*px^2 + q*E*x"}, "px - q*E*t", 1, "-2*q*E"),
+], ids=["parallel-pz", "parallel-py", "override"])
+def test_verify_op_is_checked_under_the_config_hamiltonian(tmp_path, capsys, document, op,
+                                                           code, residual):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(document))
+    assert run(["verify", "--filter", "symbolic", "--op", op, "--config", str(path),
+                "--json"]) == code
+    [adhoc] = [c for c in json.loads(capsys.readouterr().out)["checks"]
+               if c["name"] == f"symbolic.adhoc[{op}]"]
+    assert adhoc["passed"] is (code == 0)
+    assert adhoc["anchor"].endswith(f"residual = {residual}")
 
 
 def test_missing_config_file_exit_2(tmp_path, capsys):
@@ -715,6 +764,24 @@ def test_verify_signed_quantum_numbers(tmp_path, capsys, cfg):
     assert hits["anchor"].endswith("n = [-1, -2, -3, -4, -5]")
 
 
+def test_verify_fails_no_false_hits_when_a_non_integer_dt_reads_phase_1(monkeypatch, capsys):
+    """A phase of 1 away from the integer points is a false hit: with the
+    scan's first point (dt = 0.005, n_real = 0.005) reading exactly 1,
+    quantization.no_false_hits fails and verify exits 1."""
+    invariance_phases = Y.invariance_phases
+
+    def false_hit(dx_shift, dt_values, cfg):
+        phases = invariance_phases(dx_shift, dt_values, cfg)
+        phases[0] = 1.0
+        return phases
+    monkeypatch.setattr(Y, "invariance_phases", false_hit)
+    assert run(["verify", "--filter", "quantization", "--json"]) == 1
+    checks = {c["name"]: c for c in json.loads(capsys.readouterr().out)["checks"]}
+    assert not checks["quantization.no_false_hits"]["passed"]
+    assert [name for name, c in checks.items() if not c["passed"]] == [
+        "quantization.no_false_hits"]
+
+
 @pytest.mark.parametrize("args", [
     ["evolve-landau", "--periods", "1", "--steps-per-period", "64", "--grid-n", "32"],
     ["eval", "--family", "family-y", "--n", "1", "--shift", "0.5", "--grid-n", "64"],
@@ -813,6 +880,11 @@ def test_quantize_overflowing_n_real_gets_error_cell(tmp_path, args):
     errors = [line.split(",")[-1] for line in lines[1:]]
     assert errors[0] == "undefined current"
     assert all(e.startswith("unresolvable: tolerance inf at n_real inf") for e in errors[1:])
+
+
+def test_eval_taylor_order_past_the_cap_exit_2(tmp_path, capsys):
+    assert run(["eval", "--family", "taylor", "--order", "65", "--out-dir", str(tmp_path)]) == 2
+    assert capsys.readouterr().err == "error: superposition order must lie in 0..64\n"
 
 
 def test_eval_negative_ladder_order_exit_2(tmp_path, capsys):

@@ -179,6 +179,23 @@ def test_continuity_along_cn_trajectory():
     assert O.continuity_residual(snaps[0], snaps[1], snaps[2], CFG40) < 1e-5
 
 
+def test_continuity_check_fails_on_a_wrong_crank_nicolson_mass(monkeypatch):
+    """newton.continuity reads the density and the current of the run at
+    t = 1: a Crank-Nicolson stepper whose mass is divided by 1.1 moves the
+    density faster than the current with the true mass allows (2.0e-2,
+    against 1.2e-4 for the true mass and the tolerance 1e-3), while
+    newton.ehrenfest, blind to the mass of the stepper, still passes."""
+    checks = {c.name: c for c in V.checks_newton()}
+    assert checks["newton.continuity[E=1 gaussian]"].value < 2e-4
+    init = P.CrankNicolson1D.__init__
+    monkeypatch.setattr(P.CrankNicolson1D, "__init__", lambda self, grid, cfg, dt: init(
+        self, grid, dataclasses.replace(cfg, mass=cfg.mass / 1.1), dt))
+    checks = {c.name: c for c in V.checks_newton()}
+    assert checks["newton.continuity[E=1 gaussian]"].value > 1e-2
+    assert not checks["newton.continuity[E=1 gaussian]"].passed
+    assert checks["newton.ehrenfest[E=1 gaussian]"].passed
+
+
 def test_continuity_covers_every_point_of_a_periodic_grid():
     """A periodic grid has no wall band: with the snapshots rolled so that the
     largest |rho-dot + J'| sits 2 cells from the start, the residual is the

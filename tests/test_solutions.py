@@ -285,6 +285,13 @@ def test_arbitrary_coefficients_expose_raw_ladder():
     assert np.allclose(combo, 2.0 * S.ladder_state(x, 0.7, 1, CFG))
 
 
+def test_arbitrary_coefficients_refuse_a_ladder_order_past_the_cap():
+    """Each nonzero coefficient's polynomial comes through the capped
+    degeneracy_polynomial, so order 2000 is refused, not recursed into."""
+    with pytest.raises(ValueError, match="ladder order 2000 lies outside 0..64"):
+        S.superposition_with_coefficients(np.zeros(2), 0.0, [0] * 2000 + [1], CFG)
+
+
 # --- parallel families ---------------------------------------------------------------------
 
 def test_family_y_real_when_unshifted():
@@ -317,21 +324,30 @@ def test_family_y_is_separable_in_its_arguments():
 
 
 def test_full_parallel_solution_product_structure():
+    """parallel_product is the transverse solution of parallel_family, with its
+    metadata, times the plane wave along x."""
     y, z = 0.4, -0.9
-    val = S.full_parallel_solution(0.0, y, z, 0.0, "family_y", 0, CFG_PAR, dy_shift=0.25)
-    expected = (1.0 / math.sqrt(8.0)) * S.phi2_family_y(y, z, 0.25, 0, CFG_PAR)
-    assert val == pytest.approx(expected)
+    product = S.parallel_product(CFG_PAR, "family_y", 0, 0.25, box=24.0)
+    transverse = S.parallel_family(CFG_PAR, "family_y", 0, 0.25, box=24.0)
+    assert product.ndim == 3
+    assert (product.family, product.n, product.shifts, product.kmax) == (
+        transverse.family, transverse.n, transverse.shifts, transverse.kmax)
+    expected = (1.0 / math.sqrt(8.0)) * S.phi2_family_y(y, z, 0.25, 0, CFG_PAR) / math.sqrt(24.0)
+    assert product.fn(0.0, y, z, 0.0) == pytest.approx(expected)
+    x, t = np.linspace(-3, 3, 7), 0.7
+    np.testing.assert_array_equal(product.fn(x, y, z, t),
+                                  S.plane_wave(x, t, CFG_PAR) * transverse.fn(y, z, t))
 
 
 def test_full_parallel_solution_modulus_x_independent():
     xs = np.linspace(-3, 3, 9)
-    vals = S.full_parallel_solution(xs, 0.3, 0.1, 0.7, "family_z", 1, CFG_PAR, dz_shift=0.2)
+    vals = S.parallel_product(CFG_PAR, "family_z", 1, 0.2).fn(xs, 0.3, 0.1, 0.7)
     assert np.allclose(np.abs(vals), np.abs(vals[0]))
 
 
 def test_full_parallel_solution_unknown_family():
     with pytest.raises(ValueError, match="unknown parallel solution family"):
-        S.full_parallel_solution(0, 0, 0, 0, "family_q", 0, CFG_PAR)
+        S.parallel_product(CFG_PAR, "family_q", 0)
 
 
 @pytest.mark.parametrize("q", [1.0, -1.0])

@@ -1,6 +1,7 @@
 """Symmetry unitaries, invariance phases, quantization, superpositions."""
 
 import cmath
+import dataclasses
 import math
 import re
 
@@ -10,6 +11,7 @@ import pytest
 from fieldquant import grids as G
 from fieldquant import solutions as S
 from fieldquant import symmetry as Y
+from fieldquant import verify as V
 from fieldquant.config import build_config, cyclotron_frequency, natural_config
 
 CFG = natural_config(L=8.0)
@@ -176,9 +178,8 @@ def test_unitary_table_matches_reference_on_solutions(cfg1, cfgp, rel, phase):
         (S.electric_shifted(cfg1, 0.3), cfg1, ("Ux", "Ut"), (x, 0.55)),
         (S.parallel_family(cfgp, "family_y", 1, 0.5, box=g2.z.length), cfgp, ("Uy", "Uz", "Ut"),
          (y, z, 0.55)),
-        (Y.build_parallel_superposition([1.0, 0.5], [0.3j], cfgp, g2), cfgp,
-         Y.UNITARY_KINDS, (x[:, None, None], y[None], z[None], 0.55)),
-    ]
+    ] + [(S.parallel_product(cfgp, family, 1, 0.5, box=24.0), cfgp, Y.UNITARY_KINDS,
+          (x[:, None, None], y[None], z[None], 0.55)) for family in ("family_y", "family_z")]
     for solution, cfg, kinds, point in cases:
         for kind in kinds:
             u = Y.Unitary(kind, 0.37, phase)
@@ -332,20 +333,19 @@ def test_superposition_phase_is_measured_under_the_float64_guard(super_setup):
     state is measured, and a strong field or a far shift, whose sampled
     phase reaches 9e6 rad, is refused instead of read 8e-10 off."""
     cfg, g2, d = super_setup
-    psi = Y.build_parallel_superposition([1.0, 0.4], [0.5, 0.0, 0.25], cfg, g2, **d)
+    psi = _superposition(cfg, d)
     assert abs(Y.invariance_phase(0.7, 0.9, cfg, state=psi) - cmath.exp(0.63j)) < 1e-9
     for E, dx, dt, reach in ((900, 0.7, 4.0, "8.66e+06"), (1, 1e7, 0.9, "9e+06")):
         strong = build_config({"m": 1, "q": 1, "E": E, "B": 1.0, "L": 8.0,
                                "geometry": "parallel_eb"})
-        psi = Y.build_parallel_superposition([1.0, 0.4], [0.5, 0.0, 0.25], strong,
-                                             dx=dx, dt=dt)
+        psi = _superposition(strong, {"dx": dx, "dy": 0.0, "dz": 0.0, "dt": dt})
         with pytest.raises(ValueError, match=re.escape(f"the sampled phase reaches {reach} rad")):
             Y.invariance_phase(0.7, dt, strong, state=psi)
 
 
 def test_custom_state_phase_matches_scalar_reference_bit_for_bit(super_setup):
     cfg, g2, d = super_setup
-    psi = Y.build_parallel_superposition([1.0, 0.4], [0.5, 0.0, 0.25], cfg, g2, **d)
+    psi = _superposition(cfg, d)
     for dx in (d["dx"], 1.9):
         _assert_bitwise(Y.invariance_phase(dx, 0.9, cfg, state=psi),
                         _reference_invariance_phase(dx, 0.9, cfg, state=psi))
@@ -477,7 +477,7 @@ def test_scan_handles_zero_dt():
     assert isinstance(reports[1], Y.QuantizationReport)
 
 
-# --- parallel superposition ----------------------------------------------------------
+# --- superpositions of parallel products ----------------------------------------------
 
 @pytest.fixture(scope="module")
 def super_setup():
@@ -490,9 +490,31 @@ def super_setup():
     return cfg, g2, shifts
 
 
+def _moved(psi, cfg, d):
+    """Ut(dt) Ux(dx) psi, Ux applied first."""
+    for kind in ("Ux", "Ut"):
+        psi = Y.apply_unitary(Y.Unitary(kind, d["d" + kind[1:].lower()]), psi, cfg)
+    return psi
+
+
+def _superposition(cfg, d):
+    """Ut Ux of 1.0 Y_0 + 0.4 Y_1 + 0.5 Z_0 + 0.25 Z_2, with Y_n and Z_n the
+    family-y (at dy) and family-z (at dz) products: every term shares the
+    plane wave phi1(x, t), which is all that Ux moves."""
+    terms = [(c, S.parallel_product(cfg, family, n, d["dy" if family == "family_y" else "dz"]))
+             for c, family, n in ((1.0, "family_y", 0), (0.4, "family_y", 1),
+                                  (0.5, "family_z", 0), (0.25, "family_z", 2))]
+    psi = dataclasses.replace(terms[0][1], shifts=(("dy", d["dy"]), ("dz", d["dz"])),
+                              fn=lambda *p: sum(c * s.fn(*p) for c, s in terms))
+    return _moved(psi, cfg, d)
+
+
 def test_single_term_superposition_matches_transformed_product(super_setup):
+    """Ut Ux of one box-normalized product is the closed form
+    exp(i q E (t - dt) dx / hbar) phi1(x - dx, t - dt) exp(-i E_0 (t - dt) / hbar)
+    phi2_y(y, z) / sqrt(Lz)."""
     cfg, g2, d = super_setup
-    psi = Y.build_parallel_superposition([1.0], [], cfg, g2, **d)
+    psi = _moved(S.parallel_product(cfg, "family_y", 0, d["dy"], box=g2.z.length), cfg, d)
     x, y, z, t = 0.31, 0.8, -0.4, 0.65
     t_eff = t - d["dt"]
     expected = (cmath.exp(1j * t_eff * d["dx"])
@@ -503,27 +525,33 @@ def test_single_term_superposition_matches_transformed_product(super_setup):
     assert complex(psi.fn(x, y, z, t)) == pytest.approx(expected, rel=1e-10)
 
 
-def test_superposition_norm_after_gram_correction(super_setup):
-    cfg, g2, d = super_setup
-    psi = Y.build_parallel_superposition([1.0, 0.4], [0.5, 0.0, 0.25], cfg, g2, **d)
-    yy, zz = g2.y.x[:, None], g2.z.x[None, :]
-    vals = psi.fn(0.13, yy, zz, 0.5)
-    # |x factor|^2 integrates to 1 over the box, leaving the transverse norm
-    total = float(np.sum(np.abs(vals) ** 2) * g2.cell * cfg.box_length)
-    assert abs(total - 1.0) < 1e-6
-
-
 def test_superposition_invariance_phase(super_setup):
     cfg, g2, d = super_setup
-    psi = Y.build_parallel_superposition([1.0, 0.4], [0.5, 0.0, 0.25], cfg, g2, **d)
+    psi = _superposition(cfg, d)
     for dx_probe in (d["dx"], 1.9):
         measured = Y.invariance_phase(dx_probe, d["dt"], cfg, state=psi)
         assert measured == pytest.approx(cmath.exp(1j * dx_probe * d["dt"]), abs=1e-9)
 
 
-def test_superposition_input_validation(super_setup):
-    cfg, g2, _ = super_setup
-    with pytest.raises(ValueError, match="empty superposition"):
-        Y.build_parallel_superposition([0.0], [0.0], cfg, g2)
-    with pytest.raises(ValueError, match="levels per family"):
-        Y.build_parallel_superposition([1.0] * 17, [], cfg, g2)
+@pytest.mark.parametrize("family", ["family_y", "family_z"])
+def test_parallel_phase_check_fails_when_the_x_factor_ignores_the_time_shift(
+        monkeypatch, family):
+    """quantization.parallel_phase measures the Ut-shifted product: with Ut
+    reaching only the transverse factor, Ux reads phase 1 at every dt, so
+    the check fails at dt = 0.37, by |1 - exp(0.74 pi i)| = 1.84."""
+    name = f"quantization.parallel_phase[{family.replace('_', '-')} n=1]"
+    check = {c.name: c for c in V.checks_quantization(natural_config())}[name]
+    assert check.passed and check.value < 1e-14
+    apply_unitary = Y.apply_unitary
+
+    def ut_misses_x(u, target, cfg):
+        moved = apply_unitary(u, target, cfg)
+        if u.kind != "Ut" or target.ndim != 3:
+            return moved
+        return dataclasses.replace(moved, fn=lambda x, y, z, t: moved.fn(x, y, z, t)
+                                   * S.plane_wave(x, t, cfg)
+                                   / S.plane_wave(x, np.asarray(t) - u.delta, cfg))
+    monkeypatch.setattr(Y, "apply_unitary", ut_misses_x)
+    check = {c.name: c for c in V.checks_quantization(natural_config())}[name]
+    assert not check.passed
+    assert check.value == pytest.approx(abs(1.0 - cmath.exp(0.74j * math.pi)), rel=1e-9)
